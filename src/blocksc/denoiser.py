@@ -7,6 +7,9 @@ d x N block.  Spectral normalization keeps every layer 1-Lipschitz so the
 whole network is non-expansive, which is what the fixed-point solvers
 lean on.  The positive penalty scalars of the splitting scheme live here
 too, realized through softplus so they stay positive during training.
+
+``denoise`` keeps no activations; ``denoise_linearize`` runs the same
+forward keeping layer inputs and ReLU masks for the reverse sweeps.
 """
 
 from __future__ import annotations
@@ -17,10 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .tensor import OPS, Tape, conv2d, relu
-
-_CONV = OPS["conv2d"]
-_RELU = OPS["relu"]
+from .tensor import conv2d, conv2d_transpose, conv2d_vjp, relu
 
 
 def softplus(x):
@@ -133,49 +133,87 @@ def param_count(d: int, hidden: int = 64):
     return weights, biases
 
 
-def _patch_side(N: int) -> int:
-    n = math.isqrt(N)
-    if n * n != N:
-        raise ValueError(f"block has N={N} columns, not a perfect square")
-    return n
+def _as_image(block: np.ndarray, n: int | None) -> np.ndarray:
+    """View a d x N block as a (d, n, n) image; n defaults to sqrt(N)."""
+    d, N = block.shape
+    side = math.isqrt(N) if n is None else n
+    if side * side != N:
+        raise ValueError(f"block has N={N} columns, not a perfect square"
+                         if n is None else
+                         f"N={N} does not match patch side n={n}")
+    return block.reshape(d, side, side)
 
 
 def denoise(params: DenoiserParams, block: np.ndarray,
             n: int | None = None) -> np.ndarray:
     """Apply the regularizer network to a d x N block."""
-    d, N = block.shape
-    n = _patch_side(N) if n is None else n
-    if n * n != N:
-        raise ValueError(f"N={N} does not match patch side n={n}")
-    h = block.reshape(d, n, n)
+    h = _as_image(block, n)
     for i in range(3):
         h = relu(conv2d(h, params.weights[i], params.biases[i]))
     out = conv2d(h, params.weights[3], params.biases[3])
-    return out.reshape(d, N)
+    return out.reshape(block.shape)
+
+
+@dataclass
+class DenoiserLinearization:
+    """The network linearized at one block, for reverse sweeps.
+
+    Keeps the four layer inputs as (c_in, n, n) images, the three ReLU
+    masks (pre-activation > 0) and the d x N output; no patch matrices.
+    """
+
+    params: DenoiserParams
+    inputs: list
+    masks: list
+    out: np.ndarray
+
+    def transpose(self, cot: np.ndarray) -> np.ndarray:
+        """Block cotangent J^T cot, without parameter cotangents."""
+        c = cot.reshape(self.inputs[0].shape)
+        for i in reversed(range(4)):
+            if i < 3:
+                c = c * self.masks[i]
+            c = conv2d_transpose(self.params.weights[i], c)
+        return c.reshape(cot.shape)
+
+
+def denoise_linearize(params: DenoiserParams, block: np.ndarray,
+                      n: int | None = None) -> DenoiserLinearization:
+    """Run ``denoise`` once, keeping what its reverse sweeps reuse."""
+    h = _as_image(block, n)
+    inputs, masks = [], []
+    for i in range(4):
+        inputs.append(h)
+        h = conv2d(h, params.weights[i], params.biases[i])
+        if i < 3:
+            masks.append(h > 0.0)
+            h = relu(h)
+    return DenoiserLinearization(params, inputs, masks, h.reshape(block.shape))
 
 
 def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
-                n: int | None = None):
+                n: int | None = None,
+                lin: DenoiserLinearization | None = None):
     """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
 
-    The spectral-normalization constant is treated as a constant here;
-    gradients are w.r.t. the stored (already normalized) weights.
+    Pass ``lin``, the ``denoise_linearize`` of the same block, to reuse
+    its forward.  The spectral-normalization constant is treated as a
+    constant here; gradients are w.r.t. the stored (already normalized)
+    weights.
     """
-    d, N = block.shape
-    n = _patch_side(N) if n is None else n
-    tape = Tape()
-    h = block.reshape(d, n, n)
-    for i in range(3):
-        h = tape.apply(_CONV, h, params.weights[i], params.biases[i])
-        h = tape.apply(_RELU, h)
-    tape.apply(_CONV, h, params.weights[3], params.biases[3])
-    cot_x, leaves = tape.backward(cot.reshape(d, n, n))
-    grads = {}
-    conv_leaves = [lv for lv in leaves if lv]  # relu records carry no leaves
-    for i, (cw, cb) in enumerate(conv_leaves, start=1):
-        grads[f"denoiser.layer{i}.weight"] = cw
-        grads[f"denoiser.layer{i}.bias"] = cb
-    return cot_x.reshape(d, N), grads
+    if lin is None:
+        lin = denoise_linearize(params, block, n)
+    grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
+                          for kind in ("weight", "bias"))
+    c = cot.reshape(lin.inputs[0].shape)
+    for i in reversed(range(4)):
+        if i < 3:
+            c = c * lin.masks[i]
+        c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i],
+                               params.biases[i], None, c)
+        grads[f"denoiser.layer{i + 1}.weight"] = cw
+        grads[f"denoiser.layer{i + 1}.bias"] = cb
+    return c.reshape(cot.shape), grads
 
 
 def estimated_spectral_norms(params: DenoiserParams) -> list:

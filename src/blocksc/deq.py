@@ -6,8 +6,11 @@ with D^T (D g* - x), solves the fixed point
 
     gamma = (df/dg)^T gamma + seed
 
-with the same Anderson machinery (the transposed-Jacobian product is one
-map VJP), and contracts gamma* against the parameter VJP.
+with the same Anderson machinery, and contracts gamma* against the
+parameter VJP.  The map is linearized once at g*, so each adjoint
+iteration is a transposed product on the cached denoiser state (no
+network forward, no parameter cotangents); the single parameter VJP
+after convergence reuses that state too.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .anderson import AndersonConfig, DivergenceError, FixedPointReport, \
 from .denoiser import ModelParams
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
-                     make_fast_context, make_full_context, map_vjp,
-                     reconstruct, select_support)
+                     linearize_map, make_fast_context, make_full_context,
+                     map_vjp, reconstruct, select_support)
 from .training import Adam, AdamConfig, EndToEndConfig, end_to_end_train
 
 
@@ -41,10 +44,10 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, Y: np.ndarray,
     Returns (grads dict, adjoint FixedPointReport).
     """
     seed = ctx.D.T @ (ctx.D @ g_star - X)
+    lin = linearize_map(ctx, g_star, Y, params)
 
     def adjoint_map(gamma):
-        cot_g, _ = map_vjp(ctx, g_star, Y, params, gamma)
-        return cot_g + seed
+        return lin(gamma) + seed
 
     try:
         report = anderson_solve(adjoint_map, np.zeros_like(g_star), cfg)
@@ -53,7 +56,7 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, Y: np.ndarray,
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
-    _, grads = map_vjp(ctx, g_star, Y, params, report.solution)
+    _, grads = map_vjp(ctx, g_star, Y, params, report.solution, lin=lin)
     return grads, report
 
 

@@ -14,8 +14,9 @@ drops the soft-threshold branch:
     Gs+ = ((1+b) Ds^T Ds + eps I)^-1 (Ds^T Y + b Ds^T N(Ds Gs))
 
 (the eps ridge guards the identity-free matrix of the restricted scheme).
-Both maps expose VJPs w.r.t. the input codes and all learnable
-parameters, which the unrolled and implicit backward passes chain.
+``map_vjp`` gives the cotangents of one application w.r.t. the input
+codes and all learnable parameters; ``linearize_map`` runs the forward
+once at a point and then gives only the code cotangent per call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import ModelParams, denoise, denoise_vjp
+from .denoiser import DenoiserLinearization, ModelParams, denoise, \
+    denoise_linearize, denoise_vjp
 from .dictionary import Dictionary, SupportSet, omp
 from .tensor import chol_factor, soft_threshold, soft_threshold_vjp
 from scipy.linalg import cho_solve
@@ -47,8 +49,7 @@ class HqsState:
 class SolverContext:
     """Immutable per-(D, b) solve context with a cached factorization.
 
-    ``mode`` is "full", "fast", or "l1" (denoiser branch disabled; used
-    by the convex-oracle checks).  The D^T Y product is cached for the Y
+    ``mode`` is "full" or "fast".  The D^T Y product is cached for the Y
     the context was built with.
     """
 
@@ -111,18 +112,6 @@ def make_fast_context(D, support: SupportSet, params: ModelParams,
     return ctx
 
 
-def make_l1_context(D, b: float, mu: float,
-                    Y: np.ndarray | None = None) -> SolverContext:
-    """Denoiser branch disabled: G+ = (D^T D + b I)^-1 (D^T Y + b soft(G, mu/b))."""
-    atoms = _atoms(D)
-    A = atoms.T @ atoms + b * np.eye(atoms.shape[1])
-    ctx = SolverContext(atoms, b, mu, chol_factor(A), "l1")
-    if Y is not None:
-        ctx._y_ref = Y
-        ctx._dty = atoms.T @ Y
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # forward maps
 
@@ -159,13 +148,6 @@ def iteration_map_fast(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
     return cho_solve(ctx.factor, rhs)
 
 
-def iteration_map_l1(ctx: SolverContext, G: np.ndarray,
-                     Y: np.ndarray) -> np.ndarray:
-    """Denoiser-disabled map used by the convex-oracle equivalence checks."""
-    rhs = ctx.dty(Y) + ctx.b * soft_threshold(G, ctx.mu / ctx.b)
-    return cho_solve(ctx.factor, rhs)
-
-
 def iteration_map(ctx: SolverContext, G, Y, params) -> np.ndarray:
     if ctx.mode == "full":
         return iteration_map_full(ctx, G, Y, params)
@@ -174,77 +156,87 @@ def iteration_map(ctx: SolverContext, G, Y, params) -> np.ndarray:
     raise ValueError(f"no learnable map for mode {ctx.mode!r}")
 
 
-def map_vjp(ctx: SolverContext, G, Y, params, cot):
-    if ctx.mode == "full":
-        return map_vjp_full(ctx, G, Y, params, cot)
-    if ctx.mode == "fast":
-        return map_vjp_fast(ctx, G, Y, params, cot)
-    raise ValueError(f"no VJP for mode {ctx.mode!r}")
-
-
 # ---------------------------------------------------------------------------
-# map VJPs
+# linearization and map VJP
 
 
-def map_vjp_full(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
-                 params: ModelParams, cot: np.ndarray):
-    """Cotangents of one full-map application.
+@dataclass
+class MapLinearization:
+    """The map linearized at codes G: T = D G, the shrinkage mask
+    |G| > mu/b (full mode only) and the denoiser linearization at T.
+
+    Calling it gives the code cotangent alone; with W = A^-1 cot,
+    J^T cot = D^T N'(T)^T (b D W) [+ b W on the mask].
+    """
+
+    ctx: SolverContext
+    T: np.ndarray
+    mask: np.ndarray | None
+    den: DenoiserLinearization
+
+    def __call__(self, cot: np.ndarray) -> np.ndarray:
+        ctx = self.ctx
+        W = cho_solve(ctx.factor, cot)  # A is symmetric
+        cot_G = ctx.D.T @ self.den.transpose(ctx.b * (ctx.D @ W))
+        if self.mask is None:
+            return cot_G
+        return (ctx.b * W) * self.mask + cot_G
+
+
+def linearize_map(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
+                  params: ModelParams) -> MapLinearization:
+    """Run the map's forward at G once, for repeated transposed products.
+
+    The Jacobian does not depend on Y; it is taken to mirror ``map_vjp``.
+    """
+    if ctx.mode not in ("full", "fast"):
+        raise ValueError(f"no VJP for mode {ctx.mode!r}")
+    ctx.check(params)
+    T = ctx.D @ G
+    mask = (np.abs(G) > params.scalars.mu / ctx.b
+            if ctx.mode == "full" else None)
+    return MapLinearization(ctx, T, mask, denoise_linearize(params.denoiser, T))
+
+
+def map_vjp(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
+            params: ModelParams, cot: np.ndarray,
+            lin: MapLinearization | None = None):
+    """Cotangents of one map application at G.
 
     Returns (cot_G, grads) where grads carries the denoiser entries plus
-    scalars.raw_b / scalars.raw_mu, chained through softplus.
+    scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map
+    has no mu dependence).  Pass ``lin``, the ``linearize_map`` at the
+    same G, to reuse its forward.
     """
-    ctx.check(params)
+    if lin is None:
+        lin = linearize_map(ctx, G, Y, params)
     b, mu = ctx.b, params.scalars.mu
-    tau = mu / b
-    T = ctx.D @ G
-    nout = denoise(params.denoiser, T)
-    S = soft_threshold(G, tau)
-    rhs = ctx.dty(Y) + b * S + b * (ctx.D.T @ nout)
-    G_next = cho_solve(ctx.factor, rhs)
-
+    nout = lin.den.out
     W = cho_solve(ctx.factor, cot)  # A is symmetric
     DW = ctx.D @ W
+    cot_T, grads = denoise_vjp(params.denoiser, lin.T, b * DW, lin=lin.den)
+    cot_G = ctx.D.T @ cot_T
 
-    # d(rhs)/d(G) through the shrinkage and denoiser branches
-    cot_S_x, cot_tau = soft_threshold_vjp(G, tau, S, b * W)
-    cot_T, grads = denoise_vjp(params.denoiser, T, b * DW)
-    cot_G = cot_S_x + ctx.D.T @ cot_T
-
-    # scalar b enters the matrix (1+b) D^T D + I and three rhs factors
-    gram_Gnext = ctx.D.T @ (ctx.D @ G_next)
-    cot_b = -float((W * gram_Gnext).sum())
-    cot_b += float((W * S).sum()) + float((DW * nout).sum())
-    cot_b += cot_tau * (-mu / (b * b))
-    cot_mu = cot_tau / b
+    # b enters the matrix (1+b) D^T D [+ I] and every rhs term
+    rhs = ctx.dty(Y)
+    cot_b_rhs = float((DW * nout).sum())
+    cot_b_tau = cot_mu = 0.0
+    if ctx.mode == "full":  # the shrinkage branch, tau = mu / b
+        tau = mu / b
+        S = soft_threshold(G, tau)
+        rhs = rhs + b * S
+        cot_S_x, cot_tau = soft_threshold_vjp(G, tau, S, b * W)
+        cot_G = cot_S_x + cot_G
+        cot_b_rhs = float((W * S).sum()) + cot_b_rhs
+        cot_b_tau = cot_tau * (-mu / (b * b))
+        cot_mu = cot_tau / b
+    G_next = cho_solve(ctx.factor, rhs + b * (ctx.D.T @ nout))
+    cot_b = -float((W * (ctx.D.T @ (ctx.D @ G_next))).sum()) + cot_b_rhs \
+        + cot_b_tau
 
     chain_b, chain_mu = params.scalars.grad_chain()
     grads["scalars.raw_b"] = np.float64(cot_b * chain_b)
     grads["scalars.raw_mu"] = np.float64(cot_mu * chain_mu)
-    return cot_G, grads
-
-
-def map_vjp_fast(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
-                 params: ModelParams, cot: np.ndarray):
-    """Cotangents of one fast-map application (no mu dependence)."""
-    ctx.check(params)
-    b = ctx.b
-    T = ctx.D @ G
-    nout = denoise(params.denoiser, T)
-    rhs = ctx.dty(Y) + b * (ctx.D.T @ nout)
-    G_next = cho_solve(ctx.factor, rhs)
-
-    W = cho_solve(ctx.factor, cot)
-    DW = ctx.D @ W
-
-    cot_T, grads = denoise_vjp(params.denoiser, T, b * DW)
-    cot_G = ctx.D.T @ cot_T
-
-    gram_Gnext = ctx.D.T @ (ctx.D @ G_next)
-    cot_b = -float((W * gram_Gnext).sum()) + float((DW * nout).sum())
-
-    chain_b, _ = params.scalars.grad_chain()
-    grads["scalars.raw_b"] = np.float64(cot_b * chain_b)
-    grads["scalars.raw_mu"] = np.float64(0.0)
     return cot_G, grads
 
 

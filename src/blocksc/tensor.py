@@ -10,8 +10,6 @@ network parameters without a general autograd graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import linalg as _sla
@@ -110,6 +108,18 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out.reshape(c_out, h, w)
 
 
+def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
+    """Input cotangent of conv2d alone: col2im(W^T @ cot).
+
+    Needs neither the input nor its patch matrix, so a caller that only
+    propagates cotangents pays one GEMM and one scatter per layer.
+    """
+    c_out, c_in = weight.shape[:2]
+    _, h, w = cot.shape
+    cot_cols = weight.reshape(c_out, -1).T @ cot.reshape(c_out, h * w)
+    return _col2im3(cot_cols, c_in, h, w)
+
+
 def conv2d_vjp(x, weight, bias, out, cot):
     """Cotangents w.r.t. (x, weight, bias)."""
     c_out, c_in = weight.shape[:2]
@@ -118,9 +128,7 @@ def conv2d_vjp(x, weight, bias, out, cot):
     cols = _im2col3(x)
     cot_weight = (cot_mat @ cols.T).reshape(c_out, c_in, 3, 3)
     cot_bias = cot_mat.sum(axis=1)
-    cot_cols = weight.reshape(c_out, -1).T @ cot_mat
-    cot_x = _col2im3(cot_cols, c_in, h, w)
-    return cot_x, cot_weight, cot_bias
+    return conv2d_transpose(weight, cot), cot_weight, cot_bias
 
 
 # ---------------------------------------------------------------------------
@@ -189,59 +197,3 @@ def chol_solve_vjp(a, b, out, cot, factor=None):
     g = -cot_b @ out.T
     cot_a = 0.5 * (g + g.T)
     return cot_a, cot_b
-
-
-# ---------------------------------------------------------------------------
-# DiffOp registry and a thin chain tape
-
-
-@dataclass(frozen=True)
-class DiffOp:
-    """A pure forward function paired with its hand-written VJP.
-
-    ``vjp(*inputs, out, cot)`` returns one cotangent per input and is
-    linear in ``cot``.
-    """
-
-    name: str
-    forward: Callable
-    vjp: Callable
-
-
-OPS = {
-    op.name: op
-    for op in (
-        DiffOp("matmul", matmul, matmul_vjp),
-        DiffOp("conv2d", conv2d, conv2d_vjp),
-        DiffOp("relu", relu, relu_vjp),
-        DiffOp("soft_threshold", soft_threshold, soft_threshold_vjp),
-        DiffOp("chol_solve", chol_solve, chol_solve_vjp),
-    )
-}
-
-
-@dataclass
-class Tape:
-    """Records a chain of DiffOp applications for reverse sweeps.
-
-    Each recorded op consumes the previous op's output as its first
-    argument; remaining arguments are leaves.  ``backward`` returns the
-    cotangent of the chain's first input plus per-record leaf cotangents,
-    which is all the fixed 4-layer denoiser needs.
-    """
-
-    records: list = field(default_factory=list)
-
-    def apply(self, op: DiffOp, *inputs) -> np.ndarray:
-        out = op.forward(*inputs)
-        self.records.append((op, inputs, out))
-        return out
-
-    def backward(self, cot: np.ndarray):
-        leaf_cots = []
-        for op, inputs, out in reversed(self.records):
-            cots = op.vjp(*inputs, out, cot)
-            cot = cots[0]
-            leaf_cots.append(cots[1:])
-        leaf_cots.reverse()
-        return cot, leaf_cots

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .anderson import DivergenceError
 from .denoiser import (DenoiserParams, ModelParams, ScalarParams, denoise,
-                       denoise_vjp, init_denoiser, spectral_normalize)
+                       denoise_linearize, denoise_vjp, init_denoiser,
+                       spectral_normalize)
 
 
 @dataclass
@@ -56,12 +58,19 @@ class Adam:
         return out
 
     def load_state_entries(self, entries: dict) -> None:
-        self.t = int(entries.get("optimizer.t", 0))
+        """Restore ``state_entries`` output, also from pre-0-d-fix files.
+
+        Those files hold ``optimizer.t`` and the moments of the 0-d
+        ``scalars.*`` parameters with shape ``(1,)``; both load back 0-d.
+        """
+        self.t = int(np.reshape(entries.get("optimizer.t", 0), ()))
         for key, arr in entries.items():
-            if key.startswith("optimizer.m."):
-                self.m[key[len("optimizer.m."):]] = np.array(arr)
-            elif key.startswith("optimizer.v."):
-                self.v[key[len("optimizer.v."):]] = np.array(arr)
+            for prefix, moments in (("optimizer.m.", self.m),
+                                    ("optimizer.v.", self.v)):
+                if key.startswith(prefix):
+                    name = key[len(prefix):]
+                    shape = () if name.startswith("scalars.") else np.shape(arr)
+                    moments[name] = np.array(arr).reshape(shape)
 
 
 class JsonlLogger:
@@ -136,10 +145,11 @@ def pretrain(pairs, cfg: PretrainConfig,
         loss = 0.0
         grads = None
         for noisy, clean in batch:
-            out = denoise(params, noisy)
-            resid = out - clean
+            lin = denoise_linearize(params, noisy)
+            resid = lin.out - clean
             loss += float((resid * resid).sum())
-            _, g = denoise_vjp(params, noisy, 2.0 * resid / len(batch))
+            _, g = denoise_vjp(params, noisy, 2.0 * resid / len(batch),
+                               lin=lin)
             if grads is None:
                 grads = g
             else:
@@ -199,8 +209,10 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
 
     ``block_grad_fn(noisy, clean, params)`` returns (loss, grads dict,
     info dict); ``infer_fn(noisy, params)`` returns a reconstructed block
-    for validation PSNR.  Divergent blocks (NaN/Inf gradients) are
-    skipped and counted.  Returns (best params, history).
+    for validation PSNR.  Divergent blocks (a ``FloatingPointError`` or
+    ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
+    gradient) are skipped and counted in each history entry's
+    ``skipped``.  Returns (best params, history, optimizer).
     """
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
@@ -237,7 +249,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             for noisy, clean in batch:
                 try:
                     blk_loss, g, info = block_grad_fn(noisy, clean, params)
-                except FloatingPointError:
+                except (FloatingPointError, DivergenceError):
                     skipped += 1
                     continue
                 if not np.isfinite(blk_loss) or any(

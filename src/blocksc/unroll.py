@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import ModelParams, denoise, denoise_vjp
+from .denoiser import ModelParams, denoise, denoise_linearize, denoise_vjp
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
                      make_fast_context, make_full_context, map_vjp,
@@ -69,9 +69,10 @@ def du_backward(ctx: SolverContext, trace, Y: np.ndarray, X: np.ndarray,
     grads = None
     if cfg.loss_target == "z":
         T = ctx.D @ G_K
-        resid = denoise(params.denoiser, T) - X
+        lin = denoise_linearize(params.denoiser, T)
+        resid = lin.out - X
         loss = float((resid * resid).sum())
-        cot_T, grads = denoise_vjp(params.denoiser, T, 2.0 * resid)
+        cot_T, grads = denoise_vjp(params.denoiser, T, 2.0 * resid, lin=lin)
         cot = ctx.D.T @ cot_T
         grads["scalars.raw_b"] = np.float64(0.0)
         grads["scalars.raw_mu"] = np.float64(0.0)

@@ -115,3 +115,40 @@ class TestModelBundle:
         resumed.step(back_params, {name: rng.normal(size=arr.shape)
                                    for name, arr in back_params.items()})
         assert resumed.t == 3
+
+    def test_adam_resumes_from_bundle_with_scalars_stored_as_1(self, tmp_path):
+        # files written before 0-d entries were kept 0-d hold every scalar
+        # (the penalty scalars, optimizer.t, their moments) with shape [1]
+        bundle = small_bundle(seed=4)
+        params = bundle.params.as_dict()
+        adam = Adam(AdamConfig(lr=1e-2))
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            adam.step(params, {name: rng.normal(size=arr.shape)
+                               for name, arr in params.items()})
+        fresh = tmp_path / "fresh.dqc1"
+        save_model_bundle(fresh, bundle, optimizer_entries=adam.state_entries())
+        entries = ck.load_checkpoint(fresh)
+        old = {name: arr.reshape(1) if arr.shape == () else arr
+               for name, arr in entries.items()}
+        assert sum(arr.shape == () for arr in entries.values()) == 7
+        legacy = tmp_path / "legacy.dqc1"
+        ck.save_checkpoint(legacy, old)
+        assert ck.load_checkpoint(legacy)["optimizer.t"].shape == (1,)
+
+        grads = {name: rng.normal(size=arr.shape)
+                 for name, arr in params.items()}
+        resumed = {}
+        for path in (fresh, legacy):
+            back, opt_back = load_model_bundle(path)
+            opt = Adam(AdamConfig(lr=1e-2))
+            opt.load_state_entries(opt_back)
+            assert opt.t == 2
+            back_params = back.params.as_dict()
+            for name, arr in back_params.items():
+                assert opt.m[name].shape == arr.shape
+                assert opt.v[name].shape == arr.shape
+            opt.step(back_params, grads)
+            resumed[path] = back_params
+        for name in params:
+            assert np.array_equal(resumed[legacy][name], resumed[fresh][name])

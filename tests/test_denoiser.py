@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blocksc import denoiser as dn
+from blocksc import tensor as T
 from blocksc.training import PretrainConfig, pretrain
 
 
@@ -159,6 +160,91 @@ class TestDenoiseVjp:
                 it.iternext()
             scale = max(np.abs(fd).max(), np.abs(g).max(), 1e-30)
             assert np.abs(g - fd).max() / scale < 1e-5
+
+
+def fd_grad(loss, x, step=1e-6):
+    """Central finite differences of a scalar loss w.r.t. array x."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        xp = x.copy()
+        xp[idx] += step
+        xm = x.copy()
+        xm[idx] -= step
+        g[idx] = (loss(xp) - loss(xm)) / (2 * step)
+    return g
+
+
+def rel_err(a, b):
+    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-30)
+    return np.abs(a - b).max() / denom
+
+
+class TestLayerStack:
+    def test_relu_conv_chain_matches_finite_differences(self):
+        # layers 2-4 are identity convs, so the stack computes relu(conv(x))
+        rng = np.random.default_rng(12)
+        d = 3
+        params = dn.init_denoiser(d, hidden=d, seed=0)
+        w = rng.normal(size=(d, d, 3, 3))
+        b = rng.normal(size=d)
+        params.weights[0][:] = w
+        params.biases[0][:] = b
+        for i in (1, 2, 3):
+            params.weights[i][:] = 0.0
+            params.weights[i][:, :, 1, 1] = np.eye(d)
+            params.biases[i][:] = 0.0
+        x = rng.normal(size=(d, 4, 4))
+        cot = rng.normal(size=(d, 4, 4))
+
+        def chain(v, w=w, b=b):
+            return T.relu(T.conv2d(v, w, b))
+
+        lin = dn.denoise_linearize(params, x.reshape(d, 16))
+        assert np.array_equal(lin.out, chain(x).reshape(d, 16))
+        cot_x = lin.transpose(cot.reshape(d, 16)).reshape(x.shape)
+        fx = fd_grad(lambda v: float((chain(v) * cot).sum()), x)
+        assert rel_err(cot_x, fx) < 1e-5
+
+        cot_block, grads = dn.denoise_vjp(params, x.reshape(d, 16),
+                                          cot.reshape(d, 16), lin=lin)
+        assert np.array_equal(cot_block, cot_x.reshape(d, 16))
+        assert set(grads) == {f"denoiser.layer{i}.{kind}" for i in range(1, 5)
+                              for kind in ("weight", "bias")}
+        fw = fd_grad(lambda v: float((chain(x, w=v) * cot).sum()), w)
+        fb = fd_grad(lambda v: float((chain(x, b=v) * cot).sum()), b)
+        assert rel_err(grads["denoiser.layer1.weight"], fw) < 1e-5
+        assert rel_err(grads["denoiser.layer1.bias"], fb) < 1e-5
+
+    def test_forward_equals_denoise(self):
+        params = tiny_params(d=4, hidden=6, seed=20)
+        block = np.random.default_rng(20).normal(size=(4, 25))
+        lin = dn.denoise_linearize(params, block)
+        assert np.array_equal(lin.out, dn.denoise(params, block))
+
+    def test_transpose_equals_vjp_block_cotangent(self):
+        params = tiny_params(d=4, hidden=6, seed=21)
+        rng = np.random.default_rng(21)
+        block = rng.normal(size=(4, 25))
+        cot = rng.normal(size=(4, 25))
+        lin = dn.denoise_linearize(params, block)
+        cot_block, grads = dn.denoise_vjp(params, block, cot)
+        assert np.array_equal(lin.transpose(cot), cot_block)
+        cot_lin, grads_lin = dn.denoise_vjp(params, block, cot, lin=lin)
+        assert np.array_equal(cot_lin, cot_block)
+        for k in grads:
+            assert np.array_equal(grads_lin[k], grads[k])
+
+    def test_cache_is_layer_inputs_and_masks(self):
+        d, hidden, N = 4, 16, 64
+        params = dn.init_denoiser(d, hidden=hidden, seed=22)
+        block = np.random.default_rng(22).normal(size=(d, N))
+        lin = dn.denoise_linearize(params, block)
+        assert [x.shape for x in lin.inputs] == \
+            [(d, 8, 8)] + [(hidden, 8, 8)] * 3
+        assert [m.dtype for m in lin.masks] == [np.dtype(bool)] * 3
+        cached = sum(a.nbytes for a in lin.inputs + lin.masks)
+        one_patch_matrix = 9 * hidden * N * 8
+        assert cached < one_patch_matrix
 
 
 class TestParamCount:

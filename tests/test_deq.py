@@ -3,7 +3,8 @@ import pytest
 
 from blocksc import deq as dq
 from blocksc import solver as sv
-from blocksc.anderson import AndersonConfig, DivergenceError
+from blocksc import denoiser as dn
+from blocksc.anderson import AndersonConfig, DivergenceError, anderson_solve
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
@@ -130,6 +131,48 @@ class TestDeqBackward:
             got = float(np.asarray(grads[name])[sel])
             assert abs(got - fd) < 1e-3 * max(abs(got), abs(fd), 1e-8), name
 
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_grads_equal_adjoint_built_from_map_vjp(self, variant):
+        D, Y, X, params, ctx = tiny_instance(11, variant)
+        g_star = dq.deq_forward(ctx, Y, params, TIGHT).solution
+        seed = ctx.D.T @ (ctx.D @ g_star - X)
+        cfg = AndersonConfig(m=6, max_iters=60, tol=1e-12)
+
+        def adjoint_map(gamma):
+            cot_g, _ = sv.map_vjp(ctx, g_star, Y, params, gamma)
+            return cot_g + seed
+
+        expect_report = anderson_solve(adjoint_map, np.zeros_like(g_star), cfg)
+        _, expect = sv.map_vjp(ctx, g_star, Y, params, expect_report.solution)
+        grads, report = dq.deq_backward(ctx, g_star, Y, X, params, cfg)
+        assert report.iterations == expect_report.iterations
+        assert np.array_equal(report.solution, expect_report.solution)
+        assert set(grads) == set(expect)
+        for k in expect:
+            assert np.array_equal(grads[k], expect[k]), k
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_one_denoiser_forward_whatever_the_adjoint_iterations(
+            self, monkeypatch, variant):
+        D, Y, X, params, ctx = tiny_instance(12, variant)
+        g_star = dq.deq_forward(ctx, Y, params, TIGHT).solution
+        convs = []
+        real = dn.conv2d
+
+        def counting(x, weight, bias):
+            convs.append(1)
+            return real(x, weight, bias)
+
+        monkeypatch.setattr(dn, "conv2d", counting)
+        seen = {}
+        for iters in (2, 12):
+            convs.clear()
+            cfg = AndersonConfig(m=5, max_iters=iters, tol=0.0)
+            _, report = dq.deq_backward(ctx, g_star, Y, X, params, cfg)
+            seen[report.iterations] = len(convs)
+        # 4 conv layers: one network forward, at any adjoint iteration count
+        assert seen == {2: 4, 12: 4}
+
     def test_divergence_advice(self, monkeypatch):
         D, Y, X, params, ctx = tiny_instance(7)
         fwd = dq.deq_forward(ctx, Y, params, TIGHT)
@@ -183,6 +226,30 @@ class TestDeqTrain:
             assert np.abs(np.asarray(after[k]) - np.asarray(before[k])).max() < 1e-5
         assert float(after["scalars.raw_b"]) == float(before["scalars.raw_b"])
         assert float(after["scalars.raw_mu"]) == float(before["scalars.raw_mu"])
+
+    def test_divergent_block_is_skipped(self, monkeypatch):
+        D, pairs = micro_dataset(11, count=4)
+        params0 = make_params(6, hidden=4, seed=11)
+        real = dq.deq_backward
+        calls = []
+
+        def first_block_diverges(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DivergenceError("adjoint solve diverged", iteration=2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dq, "deq_backward", first_block_diverges)
+        cfg = dq.DeqTrainConfig(
+            variant="fast", support_size=3, epochs=2, lr=1e-3, batch_size=2,
+            seed=0, val_fraction=0.0,
+            anderson=AndersonConfig(m=5, max_iters=10, tol=1e-6))
+        _, history, adam = dq.deq_train(pairs, D, params0, cfg)
+        assert len(calls) == 8
+        assert [h["skipped"] for h in history] == [1, 1]
+        assert all(np.isfinite(h["loss"]) for h in history)
+        # the batch that lost a block still took its step
+        assert adam.t == 4
 
     def test_resume_is_bitwise_reproducible(self):
         D, pairs = micro_dataset(10, count=6)

@@ -331,3 +331,31 @@ class TestMapVjps:
                 w[idx] = orig
                 fd = (lp - lm) / (2 * step)
                 assert abs(g[idx] - fd) < 1e-5 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_linearized_transpose_equals_map_vjp(self, mode):
+        D, Y, params, ctx, G, cot = self._instance(mode, seed=18)
+        lin = sv.linearize_map(ctx, G, Y, params)
+        cot_G, _ = sv.map_vjp(ctx, G, Y, params, cot)
+        assert np.array_equal(lin(cot), cot_G)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_linearized_transpose_is_linear(self, mode):
+        D, Y, params, ctx, G, cot = self._instance(mode, seed=19)
+        other = np.random.default_rng(19).normal(size=cot.shape)
+        lin = sv.linearize_map(ctx, G, Y, params)
+        mixed = lin(2.5 * cot - other)
+        expect = 2.5 * lin(cot) - lin(other)
+        assert np.abs(mixed - expect).max() < 1e-12 * np.abs(expect).max()
+        assert np.array_equal(lin(np.zeros_like(cot)), np.zeros_like(cot))
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_map_vjp_reuses_linearization(self, mode):
+        D, Y, params, ctx, G, cot = self._instance(mode, seed=20)
+        lin = sv.linearize_map(ctx, G, Y, params)
+        cot_G, grads = sv.map_vjp(ctx, G, Y, params, cot)
+        cot_lin, grads_lin = sv.map_vjp(ctx, G, Y, params, cot, lin=lin)
+        assert np.array_equal(cot_lin, cot_G)
+        assert set(grads_lin) == set(grads)
+        for k in grads:
+            assert np.array_equal(grads_lin[k], grads[k]), k
