@@ -24,27 +24,26 @@ from .anderson import AndersonConfig, DivergenceError, FixedPointReport, \
 from .denoiser import ModelParams
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
-                     linearize_map, make_fast_context, make_full_context,
-                     map_vjp, reconstruct, select_support)
-from .training import Adam, AdamConfig, EndToEndConfig, end_to_end_train
+                     linearize_map, make_context, map_vjp, reconstruct,
+                     select_support)
+from .training import Adam, EndToEndConfig, end_to_end_train
 
 
-def deq_forward(ctx: SolverContext, Y: np.ndarray, params: ModelParams,
-                cfg: AndersonConfig, callback=None) -> FixedPointReport:
+def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
+                callback=None) -> FixedPointReport:
     """Solve the code fixed point from g0 = 0."""
-    g0 = initial_codes(ctx, Y)
-    return anderson_solve(lambda g: iteration_map(ctx, g, Y, params),
-                          g0, cfg, callback=callback)
+    return anderson_solve(lambda g: iteration_map(ctx, g, params),
+                          initial_codes(ctx), cfg, callback=callback)
 
 
-def deq_backward(ctx: SolverContext, g_star: np.ndarray, Y: np.ndarray,
-                 X: np.ndarray, params: ModelParams, cfg: AndersonConfig):
+def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
+                 params: ModelParams, cfg: AndersonConfig):
     """Implicit gradients of 0.5 ||D g* - x||^2 w.r.t. theta and (raw_b, raw_mu).
 
     Returns (grads dict, adjoint FixedPointReport).
     """
     seed = ctx.D.T @ (ctx.D @ g_star - X)
-    lin = linearize_map(ctx, g_star, Y, params)
+    lin = linearize_map(ctx, g_star, params)
 
     def adjoint_map(gamma):
         return lin(gamma) + seed
@@ -56,7 +55,7 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, Y: np.ndarray,
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
-    _, grads = map_vjp(ctx, g_star, Y, params, report.solution, lin=lin)
+    _, grads = map_vjp(ctx, g_star, params, report.solution, lin=lin)
     return grads, report
 
 
@@ -83,14 +82,6 @@ class DeqTrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _context_for(D: Dictionary, Y: np.ndarray, params: ModelParams,
-                 cfg) -> SolverContext:
-    if cfg.variant == "fast":
-        support = select_support(Y, D, cfg.support_size, cfg.support_eps)
-        return make_fast_context(D, support, params, Y)
-    return make_full_context(D, params, Y)
-
-
 def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
@@ -98,18 +89,23 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
     Returns (best params, history, optimizer) so training can resume.
     """
 
+    def context(noisy, params):
+        support = (select_support(noisy, D, cfg.support_size, cfg.support_eps)
+                   if cfg.variant == "fast" else None)
+        return make_context(D, params, noisy, support)
+
     def block_grad(noisy, clean, params):
-        ctx = _context_for(D, noisy, params, cfg)
-        fwd = deq_forward(ctx, noisy, params, cfg.anderson)
-        grads, bwd = deq_backward(ctx, fwd.solution, noisy, clean, params,
+        ctx = context(noisy, params)
+        fwd = deq_forward(ctx, params, cfg.anderson)
+        grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson)
         info = {"fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
                 "fwd_converged": fwd.converged}
         return deq_loss(ctx, fwd.solution, clean), grads, info
 
     def infer(noisy, params):
-        ctx = _context_for(D, noisy, params, cfg)
-        fwd = deq_forward(ctx, noisy, params, cfg.anderson)
+        ctx = context(noisy, params)
+        fwd = deq_forward(ctx, params, cfg.anderson)
         return reconstruct(ctx, fwd.solution)
 
     loop_cfg = EndToEndConfig(epochs=cfg.epochs, lr=cfg.lr,

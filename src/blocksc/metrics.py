@@ -9,7 +9,6 @@ angle over pixels in radians.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,30 +169,14 @@ def sweep_iterations(bundle, pairs, iters_list) -> list:
     budget yields every row since the trajectory is deterministic.
     Returns rows of {engine, iters, psnr}.
     """
-    from .pipeline import denoise_cube_traced
-
-    budgets = sorted(set(int(k) for k in iters_list))
-    if not budgets or budgets[0] < 1:
-        raise ValueError("iteration budgets must be positive")
-    per_budget = {k: [] for k in budgets}
-    for noisy, clean in pairs:
-        staged = denoise_cube_traced(bundle, noisy, budgets)
-        for k, cube in staged.items():
-            per_budget[k].append(psnr(cube, clean))
-    return [{"engine": bundle.engine, "iters": k,
-             "psnr": float(np.mean(per_budget[k]))} for k in budgets]
-
-
-def time_denoise(bundle, cube, iters=None, runs: int = 3) -> float:
-    """Median wall-clock seconds of the full split/solve/reassemble pass."""
     from .pipeline import denoise_cube
 
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        denoise_cube(bundle, cube, iters_override=iters)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    per_budget = {}
+    for noisy, clean in pairs:
+        for k, cube in denoise_cube(bundle, noisy, iters_list).items():
+            per_budget.setdefault(k, []).append(psnr(cube, clean))
+    return [{"engine": bundle.engine, "iters": k,
+             "psnr": float(np.mean(v))} for k, v in per_budget.items()]
 
 
 def metrics_csv_rows(results) -> str:

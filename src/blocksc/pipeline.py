@@ -2,14 +2,14 @@
 
 A ModelBundle packages everything inference needs (dictionary, learned
 parameters, engine choice, block size, solver budgets) and round-trips
-through the DQC1 checkpoint container.  Blocks are independent, so the
-solve step can fan out across threads without changing the result.
+through the DQC1 checkpoint container.  Each block is solved on its own
+context; an iteration-budget argument reads several budgets off one
+solve.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,9 +21,8 @@ from .cubes import BlockSet, HyperCube, block_from_patch, reassemble, \
 from .denoiser import DenoiserParams, ModelParams, ScalarParams
 from .deq import deq_forward
 from .dictionary import Dictionary
-from .solver import make_fast_context, make_full_context, reconstruct, \
-    select_support
-from .unroll import UnrollConfig, du_forward
+from .solver import make_context, reconstruct, select_support
+from .unroll import du_forward
 
 
 @dataclass
@@ -46,93 +45,72 @@ class ModelBundle:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def _block_context(bundle: ModelBundle, Y: np.ndarray):
-    if bundle.variant == "fast":
-        support = select_support(Y, bundle.dictionary, bundle.support_size,
-                                 bundle.support_eps)
-        return make_fast_context(bundle.dictionary, support, bundle.params, Y)
-    return make_full_context(bundle.dictionary, bundle.params, Y)
+def _check_budgets(budgets) -> list:
+    budgets = sorted(set(int(k) for k in budgets))
+    if not budgets or budgets[0] < 1:
+        raise ValueError(f"iteration budgets must be >= 1, got {budgets}")
+    return budgets
 
 
-def denoise_block(bundle: ModelBundle, Y: np.ndarray,
-                  iters_override: int | None = None) -> np.ndarray:
-    """Solve one block and return the reconstructed d x N estimate."""
-    ctx = _block_context(bundle, Y)
+def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
+    """Solve one block and return the reconstructed d x N estimate.
+
+    With ``budgets``, return {k: estimate after k iterations} for each k,
+    all from one solve run to max(budgets) with no early stop.
+    """
+    if budgets is not None:
+        budgets = _check_budgets(budgets)
+    support = (select_support(Y, bundle.dictionary, bundle.support_size,
+                              bundle.support_eps)
+               if bundle.variant == "fast" else None)
+    ctx = make_context(bundle.dictionary, bundle.params, Y, support)
     if bundle.engine == "du":
-        K = iters_override or bundle.K
-        G, _ = du_forward(ctx, Y, bundle.params,
-                          UnrollConfig(K=K, variant=bundle.variant))
-    else:
-        cfg = bundle.anderson
-        if iters_override is not None:
-            cfg = replace(cfg, max_iters=iters_override, tol=0.0)
-        G = deq_forward(ctx, Y, bundle.params, cfg).solution
-    return reconstruct(ctx, G)
-
-
-def denoise_block_staged(bundle: ModelBundle, Y: np.ndarray,
-                         budgets) -> dict:
-    """Reconstructions at several iteration budgets from a single solve."""
-    budgets = sorted(budgets)
-    ctx = _block_context(bundle, Y)
+        G, trace = du_forward(ctx, bundle.params,
+                              budgets[-1] if budgets else bundle.K)
+        if budgets is None:
+            return reconstruct(ctx, G)
+        return {k: reconstruct(ctx, trace[k]) for k in budgets}
+    if budgets is None:
+        G = deq_forward(ctx, bundle.params, bundle.anderson).solution
+        return reconstruct(ctx, G)
     staged = {}
-    if bundle.engine == "du":
-        _, trace = du_forward(ctx, Y, bundle.params,
-                              UnrollConfig(K=budgets[-1],
-                                           variant=bundle.variant))
-        for k in budgets:
-            staged[k] = reconstruct(ctx, trace[k])
-    else:
-        cfg = replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
-        want = set(budgets)
 
-        def hook(k, g):
-            if k in want:
-                staged[k] = reconstruct(ctx, g)
+    def keep(k, g):
+        if k in budgets:
+            staged[k] = reconstruct(ctx, g)
 
-        deq_forward(ctx, Y, bundle.params, cfg, callback=hook)
+    cfg = replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
+    deq_forward(ctx, bundle.params, cfg, callback=keep)
     return staged
 
 
-def denoise_cube(bundle: ModelBundle, cube: HyperCube,
-                 threads: int | None = None,
-                 iters_override: int | None = None) -> HyperCube:
+def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     """Full pipeline; the uncovered border keeps the input values.
 
     A cube smaller than one block comes back unchanged (zero tiles).
+    With ``budgets``, return {k: HyperCube} built from ``denoise_block``'s
+    estimates at each budget.
     """
+    if budgets is not None:
+        budgets = _check_budgets(budgets)
+    keys = budgets or [None]
     n = bundle.n
     if n > min(cube.height, cube.width):
-        return HyperCube(cube.data.copy())
-    blocks = split_blocks(cube, n)
-
-    def solve(blk):
-        est = denoise_block(bundle, blk.matrix, iters_override)
-        return block_from_patch(est.reshape(blk.d, blk.n, blk.n), blk.origin)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, blocks.blocks))
+        out = {k: HyperCube(cube.data.copy()) for k in keys}
     else:
+        blocks = split_blocks(cube, n)
+
+        def solve(blk):  # a function, so no estimate outlives its block
+            est = denoise_block(bundle, blk.matrix, budgets)
+            return {k: block_from_patch(e.reshape(blk.d, blk.n, blk.n),
+                                        blk.origin)
+                    for k, e in (est if budgets else {None: est}).items()}
+
         solved = [solve(blk) for blk in blocks.blocks]
-    return reassemble(BlockSet(solved, blocks.cube_shape, n), base=cube)
-
-
-def denoise_cube_traced(bundle: ModelBundle, cube: HyperCube,
-                        budgets) -> dict:
-    """denoise_cube at several iteration budgets sharing one solve."""
-    n = bundle.n
-    if n > min(cube.height, cube.width):
-        return {int(k): HyperCube(cube.data.copy()) for k in budgets}
-    blocks = split_blocks(cube, n)
-    staged_blocks = {int(k): [] for k in budgets}
-    for blk in blocks.blocks:
-        staged = denoise_block_staged(bundle, blk.matrix, budgets)
-        for k, est in staged.items():
-            staged_blocks[k].append(
-                block_from_patch(est.reshape(blk.d, blk.n, blk.n), blk.origin))
-    return {k: reassemble(BlockSet(v, blocks.cube_shape, n), base=cube)
-            for k, v in staged_blocks.items()}
+        out = {k: reassemble(BlockSet([s[k] for s in solved],
+                                      blocks.cube_shape, n), base=cube)
+               for k in keys}
+    return out if budgets else out[None]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ drops the soft-threshold branch:
     Gs+ = ((1+b) Ds^T Ds + eps I)^-1 (Ds^T Y + b Ds^T N(Ds Gs))
 
 (the eps ridge guards the identity-free matrix of the restricted scheme).
+``make_context`` builds one block's context: it factorizes the map's
+matrix and owns D^T Y (D_S^T Y on the fast map); its ``support`` selects
+the map, None for the full one.  ``iteration_map`` applies either map;
 ``map_vjp`` gives the cotangents of one application w.r.t. the input
 codes and all learnable parameters; ``linearize_map`` runs the forward
 once at a point and then gives only the code cotangent per call.
@@ -47,29 +50,26 @@ class HqsState:
 
 @dataclass
 class SolverContext:
-    """Immutable per-(D, b) solve context with a cached factorization.
+    """Immutable per-block solve context with a cached factorization.
 
-    ``mode`` is "full" or "fast".  The D^T Y product is cached for the Y
-    the context was built with.
+    It owns the block's D^T Y product, computed once at construction, so
+    the maps take only the codes.  ``support`` selects the map: None is
+    the full map on every atom, a SupportSet the fast map on D_S.
     """
 
     D: np.ndarray
     b: float
-    mu: float
     factor: tuple
-    mode: str
+    dty: np.ndarray
     support: SupportSet | None = None
-    _y_ref: np.ndarray | None = None
-    _dty: np.ndarray | None = None
+
+    @property
+    def mode(self) -> str:
+        return "full" if self.support is None else "fast"
 
     @property
     def code_rows(self) -> int:
         return self.D.shape[1]
-
-    def dty(self, Y: np.ndarray) -> np.ndarray:
-        if self._y_ref is Y and self._dty is not None:
-            return self._dty
-        return self.D.T @ Y
 
     def check(self, params: ModelParams) -> None:
         if params.scalars.b != self.b:
@@ -78,82 +78,49 @@ class SolverContext:
                 f"b={params.scalars.b}; rebuild the context")
 
 
-def _atoms(D) -> np.ndarray:
-    return D.atoms if isinstance(D, Dictionary) else np.asarray(D, float)
-
-
-def make_full_context(D, params: ModelParams,
-                      Y: np.ndarray | None = None) -> SolverContext:
-    atoms = _atoms(D)
+def make_context(D: Dictionary, params: ModelParams, Y: np.ndarray,
+                 support: SupportSet | None = None) -> SolverContext:
+    """Factorize the map's matrix for block Y: full map, or fast on support."""
+    atoms, ridge = D.atoms, 1.0
+    if support is not None:
+        if support.size > atoms.shape[0]:
+            raise ValueError(f"fast solver needs |S| <= d, got "
+                             f"{support.size} > {atoms.shape[0]}")
+        atoms, ridge = atoms[:, support.indices], FAST_RIDGE
     b = params.scalars.b
-    A = (1.0 + b) * (atoms.T @ atoms) + np.eye(atoms.shape[1])
-    ctx = SolverContext(atoms, b, params.scalars.mu, chol_factor(A), "full")
-    if Y is not None:
-        ctx._y_ref = Y
-        ctx._dty = atoms.T @ Y
-    return ctx
-
-
-def make_fast_context(D, support: SupportSet, params: ModelParams,
-                      Y: np.ndarray | None = None,
-                      ridge: float = FAST_RIDGE) -> SolverContext:
-    atoms = _atoms(D)
-    if support.size > atoms.shape[0]:
-        raise ValueError(
-            f"fast solver needs |S| <= d, got {support.size} > {atoms.shape[0]}")
-    sub = atoms[:, support.indices]
-    b = params.scalars.b
-    A = (1.0 + b) * (sub.T @ sub) + ridge * np.eye(support.size)
-    ctx = SolverContext(sub, b, params.scalars.mu, chol_factor(A), "fast",
-                        support=support)
-    if Y is not None:
-        ctx._y_ref = Y
-        ctx._dty = sub.T @ Y
-    return ctx
+    A = (1.0 + b) * (atoms.T @ atoms) + ridge * np.eye(atoms.shape[1])
+    return SolverContext(atoms, b, chol_factor(A), atoms.T @ Y, support)
 
 
 # ---------------------------------------------------------------------------
 # forward maps
 
 
-def hqs_step_full(ctx: SolverContext, state: HqsState, Y: np.ndarray,
+def hqs_step_full(ctx: SolverContext, state: HqsState,
                   params: ModelParams) -> HqsState:
     """One full splitting sweep: G linear solve, V shrinkage, Z denoise."""
     ctx.check(params)
     b, mu = ctx.b, params.scalars.mu
-    rhs = ctx.dty(Y) + b * state.V + b * (ctx.D.T @ state.Z)
+    rhs = ctx.dty + b * state.V + b * (ctx.D.T @ state.Z)
     G = cho_solve(ctx.factor, rhs)
     V = soft_threshold(G, mu / b)
     Z = denoise(params.denoiser, ctx.D @ G)
     return HqsState(G, V, Z)
 
 
-def iteration_map_full(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
-                       params: ModelParams) -> np.ndarray:
-    """Collapsed full map; exactly one denoiser call per application."""
-    ctx.check(params)
-    b, mu = ctx.b, params.scalars.mu
-    nout = denoise(params.denoiser, ctx.D @ G)
-    rhs = ctx.dty(Y) + b * soft_threshold(G, mu / b) + b * (ctx.D.T @ nout)
-    return cho_solve(ctx.factor, rhs)
+def iteration_map(ctx: SolverContext, G: np.ndarray,
+                  params: ModelParams) -> np.ndarray:
+    """One map application; exactly one denoiser call.
 
-
-def iteration_map_fast(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
-                       params: ModelParams) -> np.ndarray:
-    """Support-restricted map; sparsity is structural, no shrinkage branch."""
+    The fast map has no shrinkage branch: its sparsity is structural.
+    """
     ctx.check(params)
     b = ctx.b
     nout = denoise(params.denoiser, ctx.D @ G)
-    rhs = ctx.dty(Y) + b * (ctx.D.T @ nout)
-    return cho_solve(ctx.factor, rhs)
-
-
-def iteration_map(ctx: SolverContext, G, Y, params) -> np.ndarray:
+    rhs = ctx.dty
     if ctx.mode == "full":
-        return iteration_map_full(ctx, G, Y, params)
-    if ctx.mode == "fast":
-        return iteration_map_fast(ctx, G, Y, params)
-    raise ValueError(f"no learnable map for mode {ctx.mode!r}")
+        rhs = rhs + b * soft_threshold(G, params.scalars.mu / b)
+    return cho_solve(ctx.factor, rhs + b * (ctx.D.T @ nout))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +150,9 @@ class MapLinearization:
         return (ctx.b * W) * self.mask + cot_G
 
 
-def linearize_map(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
+def linearize_map(ctx: SolverContext, G: np.ndarray,
                   params: ModelParams) -> MapLinearization:
-    """Run the map's forward at G once, for repeated transposed products.
-
-    The Jacobian does not depend on Y; it is taken to mirror ``map_vjp``.
-    """
-    if ctx.mode not in ("full", "fast"):
-        raise ValueError(f"no VJP for mode {ctx.mode!r}")
+    """Run the map's forward at G once, for repeated transposed products."""
     ctx.check(params)
     T = ctx.D @ G
     mask = (np.abs(G) > params.scalars.mu / ctx.b
@@ -198,9 +160,8 @@ def linearize_map(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
     return MapLinearization(ctx, T, mask, denoise_linearize(params.denoiser, T))
 
 
-def map_vjp(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
-            params: ModelParams, cot: np.ndarray,
-            lin: MapLinearization | None = None):
+def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
+            cot: np.ndarray, lin: MapLinearization | None = None):
     """Cotangents of one map application at G.
 
     Returns (cot_G, grads) where grads carries the denoiser entries plus
@@ -209,7 +170,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
     same G, to reuse its forward.
     """
     if lin is None:
-        lin = linearize_map(ctx, G, Y, params)
+        lin = linearize_map(ctx, G, params)
     b, mu = ctx.b, params.scalars.mu
     nout = lin.den.out
     W = cho_solve(ctx.factor, cot)  # A is symmetric
@@ -218,7 +179,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, Y: np.ndarray,
     cot_G = ctx.D.T @ cot_T
 
     # b enters the matrix (1+b) D^T D [+ I] and every rhs term
-    rhs = ctx.dty(Y)
+    rhs = ctx.dty
     cot_b_rhs = float((DW * nout).sum())
     cot_b_tau = cot_mu = 0.0
     if ctx.mode == "full":  # the shrinkage branch, tau = mu / b
@@ -264,22 +225,22 @@ def initial_state(ctx: SolverContext, Y: np.ndarray) -> HqsState:
                     Y.copy())
 
 
-def initial_codes(ctx: SolverContext, Y: np.ndarray) -> np.ndarray:
-    return np.zeros((ctx.code_rows, Y.shape[1]))
+def initial_codes(ctx: SolverContext) -> np.ndarray:
+    return np.zeros(ctx.dty.shape)
 
 
-def contraction_estimate(ctx: SolverContext, Y: np.ndarray,
-                         params: ModelParams, pairs: int = 10,
-                         seed: int = 0, scale: float = 1.0) -> float:
+def contraction_estimate(ctx: SolverContext, params: ModelParams,
+                         pairs: int = 10, seed: int = 0,
+                         scale: float = 1.0) -> float:
     """Empirical Lipschitz ratio of the map over random code pairs."""
     rng = np.random.default_rng(seed)
-    shape = (ctx.code_rows, Y.shape[1])
+    shape = ctx.dty.shape
     worst = 0.0
     for _ in range(pairs):
         G1 = scale * rng.normal(size=shape)
         G2 = scale * rng.normal(size=shape)
-        num = np.linalg.norm(iteration_map(ctx, G1, Y, params)
-                             - iteration_map(ctx, G2, Y, params))
+        num = np.linalg.norm(iteration_map(ctx, G1, params)
+                             - iteration_map(ctx, G2, params))
         den = np.linalg.norm(G1 - G2)
         worst = max(worst, num / max(den, 1e-30))
     return worst

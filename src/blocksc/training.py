@@ -212,7 +212,8 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     for validation PSNR.  Divergent blocks (a ``FloatingPointError`` or
     ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
     gradient) are skipped and counted in each history entry's
-    ``skipped``.  Returns (best params, history, optimizer).
+    ``skipped``; each step averages loss and gradients over the blocks
+    kept.  Returns (best params, history, optimizer).
     """
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
@@ -245,7 +246,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             t0 = time.perf_counter()
             loss = 0.0
             grads = None
-            fwd_iters = bwd_iters = 0
+            kept = fwd_iters = bwd_iters = 0
             for noisy, clean in batch:
                 try:
                     blk_loss, g, info = block_grad_fn(noisy, clean, params)
@@ -257,6 +258,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                     skipped += 1
                     continue
                 loss += blk_loss
+                kept += 1
                 fwd_iters += info.get("fwd_iters", 0)
                 bwd_iters += info.get("bwd_iters", 0)
                 if grads is None:
@@ -266,11 +268,13 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                         grads[k] += g[k] / len(batch)
             if grads is None:
                 continue
+            if kept < len(batch):  # average over the kept blocks only
+                grads = {k: v * (len(batch) / kept) for k, v in grads.items()}
             adam.step(pdict, grads)
             spectral_normalize(params.denoiser)
             gnorm = float(np.sqrt(sum(float((g * g).sum())
                                       for g in grads.values())))
-            loss /= max(len(batch), 1)
+            loss /= kept
             epoch_loss += loss
             steps += 1
             logger.write({"engine": engine, "epoch": epoch, "step": adam.t,

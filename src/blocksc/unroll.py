@@ -14,8 +14,7 @@ import numpy as np
 from .denoiser import ModelParams, denoise, denoise_linearize, denoise_vjp
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
-                     make_fast_context, make_full_context, map_vjp,
-                     reconstruct, select_support)
+                     make_context, map_vjp, reconstruct, select_support)
 from .training import Adam, EndToEndConfig, end_to_end_train
 
 
@@ -36,12 +35,11 @@ class UnrollConfig:
             raise ValueError("the z loss target is a fast-variant option")
 
 
-def du_forward(ctx: SolverContext, Y: np.ndarray, params: ModelParams,
-               cfg: UnrollConfig):
+def du_forward(ctx: SolverContext, params: ModelParams, K: int):
     """K map applications from G0 = 0; returns (G_K, full iterate trace)."""
-    trace = [initial_codes(ctx, Y)]
-    for _ in range(cfg.K):
-        trace.append(iteration_map(ctx, trace[-1], Y, params))
+    trace = [initial_codes(ctx)]
+    for _ in range(K):
+        trace.append(iteration_map(ctx, trace[-1], params))
     return trace[-1], trace
 
 
@@ -58,7 +56,7 @@ def du_loss(ctx: SolverContext, G_K: np.ndarray, X: np.ndarray,
     return float((resid * resid).sum())
 
 
-def du_backward(ctx: SolverContext, trace, Y: np.ndarray, X: np.ndarray,
+def du_backward(ctx: SolverContext, trace, X: np.ndarray,
                 params: ModelParams, cfg: UnrollConfig):
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
@@ -81,7 +79,7 @@ def du_backward(ctx: SolverContext, trace, Y: np.ndarray, X: np.ndarray,
         loss = float((resid * resid).sum())
         cot = 2.0 * (ctx.D.T @ resid)
     for k in range(len(trace) - 1, 0, -1):
-        cot, layer_grads = map_vjp(ctx, trace[k - 1], Y, params, cot)
+        cot, layer_grads = map_vjp(ctx, trace[k - 1], params, cot)
         if grads is None:
             grads = layer_grads
         else:
@@ -107,28 +105,25 @@ class DuTrainConfig:
             self.unroll = UnrollConfig()
 
 
-def _context_for(D: Dictionary, Y: np.ndarray, params: ModelParams,
-                 cfg: DuTrainConfig) -> SolverContext:
-    if cfg.unroll.variant == "fast":
-        support = select_support(Y, D, cfg.support_size, cfg.support_eps)
-        return make_fast_context(D, support, params, Y)
-    return make_full_context(D, params, Y)
-
-
 def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time."""
 
+    def context(noisy, params):
+        support = (select_support(noisy, D, cfg.support_size, cfg.support_eps)
+                   if cfg.unroll.variant == "fast" else None)
+        return make_context(D, params, noisy, support)
+
     def block_grad(noisy, clean, params):
-        ctx = _context_for(D, noisy, params, cfg)
-        _, trace = du_forward(ctx, noisy, params, cfg.unroll)
-        loss, grads = du_backward(ctx, trace, noisy, clean, params, cfg.unroll)
+        ctx = context(noisy, params)
+        _, trace = du_forward(ctx, params, cfg.unroll.K)
+        loss, grads = du_backward(ctx, trace, clean, params, cfg.unroll)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}
 
     def infer(noisy, params):
-        ctx = _context_for(D, noisy, params, cfg)
-        G_K, _ = du_forward(ctx, noisy, params, cfg.unroll)
+        ctx = context(noisy, params)
+        G_K, _ = du_forward(ctx, params, cfg.unroll.K)
         if cfg.unroll.loss_target == "z":
             return denoise(params.denoiser, ctx.D @ G_K)
         return reconstruct(ctx, G_K)

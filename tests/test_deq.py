@@ -28,9 +28,9 @@ def tiny_instance(seed, variant="full", d=6, M=8, N=9):
     params = make_params(d, seed=seed)
     if variant == "fast":
         sup = sv.SupportSet(np.sort(rng.choice(M, size=4, replace=False)))
-        ctx = sv.make_fast_context(D, sup, params, Y)
+        ctx = sv.make_context(D, params, Y, sup)
     else:
-        ctx = sv.make_full_context(D, params, Y)
+        ctx = sv.make_context(D, params, Y)
     return D, Y, X, params, ctx
 
 
@@ -44,9 +44,9 @@ class TestDeqForward:
         D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
         Y = rng.normal(size=(d, N))
         params = make_params(d, b=0.7, mu=1e9, zero_net=True)
-        ctx = sv.make_full_context(D, params, Y)
-        report = dq.deq_forward(ctx, Y, params, AndersonConfig(max_iters=20,
-                                                               tol=1e-12))
+        ctx = sv.make_context(D, params, Y)
+        report = dq.deq_forward(ctx, params, AndersonConfig(max_iters=20,
+                                                            tol=1e-12))
         A = (1 + ctx.b) * (D.atoms.T @ D.atoms) + np.eye(M)
         expect = np.linalg.solve(A, D.atoms.T @ Y)
         assert report.converged and report.iterations <= 2
@@ -55,9 +55,9 @@ class TestDeqForward:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_doubling_budget_after_convergence(self, variant):
         D, Y, X, params, ctx = tiny_instance(1, variant)
-        a = dq.deq_forward(ctx, Y, params,
+        a = dq.deq_forward(ctx, params,
                            AndersonConfig(m=5, max_iters=40, tol=1e-10))
-        b = dq.deq_forward(ctx, Y, params,
+        b = dq.deq_forward(ctx, params,
                            AndersonConfig(m=5, max_iters=80, tol=1e-10))
         assert a.converged
         rel = np.linalg.norm(a.solution - b.solution) / \
@@ -67,7 +67,7 @@ class TestDeqForward:
     def test_callback_hook(self):
         D, Y, X, params, ctx = tiny_instance(2)
         seen = []
-        dq.deq_forward(ctx, Y, params, AndersonConfig(max_iters=10, tol=0.0),
+        dq.deq_forward(ctx, params, AndersonConfig(max_iters=10, tol=0.0),
                        callback=lambda k, g: seen.append(k))
         assert seen == list(range(1, 11))
 
@@ -75,21 +75,21 @@ class TestDeqForward:
 class TestDeqBackward:
     def test_exact_reconstruction_gives_zero_gradients(self):
         D, Y, _, params, ctx = tiny_instance(3)
-        fwd = dq.deq_forward(ctx, Y, params, TIGHT)
+        fwd = dq.deq_forward(ctx, params, TIGHT)
         X = sv.reconstruct(ctx, fwd.solution)
-        grads, _ = dq.deq_backward(ctx, fwd.solution, Y, X, params, TIGHT)
+        grads, _ = dq.deq_backward(ctx, fwd.solution, X, params, TIGHT)
         for g in grads.values():
             assert np.abs(g).max() == 0.0
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_gradient_linearity_in_loss_scale(self, variant):
         D, Y, X, params, ctx = tiny_instance(4, variant)
-        fwd = dq.deq_forward(ctx, Y, params, TIGHT)
+        fwd = dq.deq_forward(ctx, params, TIGHT)
         g_star = fwd.solution
-        grads1, _ = dq.deq_backward(ctx, g_star, Y, X, params, TIGHT)
+        grads1, _ = dq.deq_backward(ctx, g_star, X, params, TIGHT)
         # doubling the residual D g* - X doubles the loss gradient
         X2 = 2.0 * X - sv.reconstruct(ctx, g_star)
-        grads2, _ = dq.deq_backward(ctx, g_star, Y, X2, params, TIGHT)
+        grads2, _ = dq.deq_backward(ctx, g_star, X2, params, TIGHT)
         for k in grads1:
             scale = max(np.abs(grads1[k]).max(), 1e-30)
             assert np.abs(grads2[k] - 2.0 * grads1[k]).max() / scale < 1e-10
@@ -98,15 +98,12 @@ class TestDeqBackward:
     def test_implicit_gradient_matches_finite_differences(self, variant):
         # spot check here; the acceptance suite sweeps every parameter
         D, Y, X, params, ctx = tiny_instance(5, variant)
-        fwd = dq.deq_forward(ctx, Y, params, TIGHT)
-        grads, _ = dq.deq_backward(ctx, fwd.solution, Y, X, params, TIGHT)
+        fwd = dq.deq_forward(ctx, params, TIGHT)
+        grads, _ = dq.deq_backward(ctx, fwd.solution, X, params, TIGHT)
 
         def loss_with(p):
-            if variant == "fast":
-                c = sv.make_fast_context(D, ctx.support, p, Y)
-            else:
-                c = sv.make_full_context(D, p, Y)
-            rep = dq.deq_forward(c, Y, p, TIGHT)
+            c = sv.make_context(D, p, Y, ctx.support)
+            rep = dq.deq_forward(c, p, TIGHT)
             return dq.deq_loss(c, rep.solution, X)
 
         step = 1e-5
@@ -134,17 +131,17 @@ class TestDeqBackward:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_grads_equal_adjoint_built_from_map_vjp(self, variant):
         D, Y, X, params, ctx = tiny_instance(11, variant)
-        g_star = dq.deq_forward(ctx, Y, params, TIGHT).solution
+        g_star = dq.deq_forward(ctx, params, TIGHT).solution
         seed = ctx.D.T @ (ctx.D @ g_star - X)
         cfg = AndersonConfig(m=6, max_iters=60, tol=1e-12)
 
         def adjoint_map(gamma):
-            cot_g, _ = sv.map_vjp(ctx, g_star, Y, params, gamma)
+            cot_g, _ = sv.map_vjp(ctx, g_star, params, gamma)
             return cot_g + seed
 
         expect_report = anderson_solve(adjoint_map, np.zeros_like(g_star), cfg)
-        _, expect = sv.map_vjp(ctx, g_star, Y, params, expect_report.solution)
-        grads, report = dq.deq_backward(ctx, g_star, Y, X, params, cfg)
+        _, expect = sv.map_vjp(ctx, g_star, params, expect_report.solution)
+        grads, report = dq.deq_backward(ctx, g_star, X, params, cfg)
         assert report.iterations == expect_report.iterations
         assert np.array_equal(report.solution, expect_report.solution)
         assert set(grads) == set(expect)
@@ -155,7 +152,7 @@ class TestDeqBackward:
     def test_one_denoiser_forward_whatever_the_adjoint_iterations(
             self, monkeypatch, variant):
         D, Y, X, params, ctx = tiny_instance(12, variant)
-        g_star = dq.deq_forward(ctx, Y, params, TIGHT).solution
+        g_star = dq.deq_forward(ctx, params, TIGHT).solution
         convs = []
         real = dn.conv2d
 
@@ -168,21 +165,21 @@ class TestDeqBackward:
         for iters in (2, 12):
             convs.clear()
             cfg = AndersonConfig(m=5, max_iters=iters, tol=0.0)
-            _, report = dq.deq_backward(ctx, g_star, Y, X, params, cfg)
+            _, report = dq.deq_backward(ctx, g_star, X, params, cfg)
             seen[report.iterations] = len(convs)
         # 4 conv layers: one network forward, at any adjoint iteration count
         assert seen == {2: 4, 12: 4}
 
     def test_divergence_advice(self, monkeypatch):
         D, Y, X, params, ctx = tiny_instance(7)
-        fwd = dq.deq_forward(ctx, Y, params, TIGHT)
+        fwd = dq.deq_forward(ctx, params, TIGHT)
 
         def blow_up(f, g0, cfg, callback=None):
             raise DivergenceError("boom", iteration=3)
 
         monkeypatch.setattr(dq, "anderson_solve", blow_up)
         with pytest.raises(DivergenceError, match="smaller beta"):
-            dq.deq_backward(ctx, fwd.solution, Y, X, params, TIGHT)
+            dq.deq_backward(ctx, fwd.solution, X, params, TIGHT)
 
 
 def micro_dataset(seed=0, count=10, d=6, M=12, N=16):
@@ -250,6 +247,50 @@ class TestDeqTrain:
         assert all(np.isfinite(h["loss"]) for h in history)
         # the batch that lost a block still took its step
         assert adam.t == 4
+
+    def test_step_averages_over_the_blocks_kept(self, monkeypatch, tmp_path):
+        import json
+        from blocksc.training import Adam
+        D, pairs = micro_dataset(11, count=2)
+        params0 = make_params(6, hidden=4, seed=11)
+        real_backward, real_loss = dq.deq_backward, dq.deq_loss
+        real_step = Adam.step
+        calls, survivor, stepped = [], {}, []
+
+        def first_block_diverges(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DivergenceError("adjoint solve diverged", iteration=2)
+            grads, report = real_backward(*args, **kwargs)
+            survivor["grads"] = {k: np.copy(v) for k, v in grads.items()}
+            return grads, report
+
+        def recording_loss(*args):
+            survivor["loss"] = real_loss(*args)
+            return survivor["loss"]
+
+        def spy_step(self, params, grads):
+            stepped.append({k: np.copy(v) for k, v in grads.items()})
+            return real_step(self, params, grads)
+
+        monkeypatch.setattr(dq, "deq_backward", first_block_diverges)
+        monkeypatch.setattr(dq, "deq_loss", recording_loss)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        log = tmp_path / "train.jsonl"
+        cfg = dq.DeqTrainConfig(
+            variant="fast", support_size=3, epochs=1, lr=1e-3, batch_size=2,
+            seed=0, val_fraction=0.0, log_path=str(log),
+            anderson=AndersonConfig(m=5, max_iters=10, tol=1e-6))
+        _, history, _ = dq.deq_train(pairs, D, params0, cfg)
+        assert len(calls) == 2 and history[0]["skipped"] == 1
+        # one batch of two blocks, one skipped: the step sees the survivor
+        assert len(stepped) == 1
+        assert set(stepped[0]) == set(survivor["grads"])
+        for k, g in survivor["grads"].items():
+            assert np.array_equal(stepped[0][k], g), k
+        (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+        assert record["loss"] == survivor["loss"]
+        assert history[0]["loss"] == survivor["loss"]
 
     def test_resume_is_bitwise_reproducible(self):
         D, pairs = micro_dataset(10, count=6)

@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,3 +18,16 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_traced_probe_resolves_a_binding(monkeypatch):
+    # the traced benchmark run reports a probe whose bindings are all gone
+    # as missing and blanks its metrics; catch a refactor that drops one
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    missing = [name for name, (bindings, _) in tracer.PROBES.items()
+               if not any(tracer._resolve(b) for b in bindings)]
+    assert not missing

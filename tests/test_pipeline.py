@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,9 @@ from blocksc.cubes import HyperCube, NoiseModel, add_noise, synth_cube
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
-from blocksc.pipeline import (ModelBundle, denoise_block,
-                              denoise_block_staged, denoise_cube,
-                              denoise_cube_traced, load_model_bundle,
-                              save_model_bundle)
+from blocksc.metrics import psnr, sweep_iterations
+from blocksc.pipeline import (ModelBundle, denoise_block, denoise_cube,
+                              load_model_bundle, save_model_bundle)
 
 
 def tiny_bundle(engine="deq", variant="fast", seed=0):
@@ -22,6 +23,14 @@ def tiny_bundle(engine="deq", variant="fast", seed=0):
                        variant=variant, n=4,
                        anderson=AndersonConfig(m=4, max_iters=12, tol=1e-8),
                        K=6, support_size=2)
+
+
+def at_budget(bundle, k):
+    """The bundle whose plain solve runs exactly k iterations."""
+    if bundle.engine == "du":
+        return replace(bundle, K=k)
+    return replace(bundle, anderson=replace(bundle.anderson, max_iters=k,
+                                            tol=0.0))
 
 
 def noisy_cube(seed=0):
@@ -42,13 +51,6 @@ class TestDenoiseCube:
         out = denoise_cube(bundle, noisy)
         assert out.data.shape == noisy.data.shape
         assert np.all(np.isfinite(out.data))
-
-    def test_thread_count_does_not_change_output(self):
-        bundle = tiny_bundle()
-        noisy, _ = noisy_cube(seed=1)
-        serial = denoise_cube(bundle, noisy, threads=1)
-        threaded = denoise_cube(bundle, noisy, threads=4)
-        assert np.array_equal(serial.data, threaded.data)
 
     def test_deterministic(self):
         bundle = tiny_bundle()
@@ -72,23 +74,60 @@ class TestDenoiseCube:
         assert np.array_equal(out.data[:, :, 8], cube.data[:, :, 8])
 
 
-class TestStagedSolves:
+class TestBudgets:
     @pytest.mark.parametrize("engine", ["deq", "du"])
-    def test_staged_matches_budgeted_runs(self, engine):
-        bundle = tiny_bundle(engine=engine)
-        rng = np.random.default_rng(5)
-        Y = rng.normal(size=(4, 16))
-        staged = denoise_block_staged(bundle, Y, [2, 4, 6])
+    @pytest.mark.parametrize("variant", ["fast", "full"])
+    def test_block_budget_matches_budgeted_bundle(self, engine, variant):
+        bundle = tiny_bundle(engine, variant)
+        Y = np.random.default_rng(5).normal(size=(4, 16))
+        staged = denoise_block(bundle, Y, budgets=[6, 2, 4])
+        assert sorted(staged) == [2, 4, 6]
         for k in (2, 4, 6):
-            direct = denoise_block(bundle, Y, iters_override=k)
+            direct = denoise_block(at_budget(bundle, k), Y)
+            assert np.array_equal(denoise_block(bundle, Y, budgets=[k])[k],
+                                  direct)
             assert np.array_equal(staged[k], direct)
 
-    def test_traced_cube_matches_override(self):
-        bundle = tiny_bundle(engine="du")
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_cube_budget_matches_budgeted_bundle(self, engine):
+        bundle = tiny_bundle(engine)
         noisy, _ = noisy_cube(seed=6)
-        traced = denoise_cube_traced(bundle, noisy, [3, 6])
-        direct = denoise_cube(bundle, noisy, iters_override=3)
-        assert np.array_equal(traced[3].data, direct.data)
+        staged = denoise_cube(bundle, noisy, budgets=[3, 6])
+        for k in (3, 6):
+            direct = denoise_cube(at_budget(bundle, k), noisy)
+            assert np.array_equal(staged[k].data, direct.data)
+
+    def test_zero_tile_cube_passthrough_per_budget(self):
+        small = HyperCube(np.random.default_rng(3).uniform(0, 1, (4, 3, 3)))
+        staged = denoise_cube(tiny_bundle(), small, budgets=[1, 2])
+        assert sorted(staged) == [1, 2]
+        for cube in staged.values():
+            assert np.array_equal(cube.data, small.data)
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("budgets", [[0], [3, 0], [-1], []])
+    def test_budget_below_one_rejected(self, engine, budgets):
+        bundle = tiny_bundle(engine)
+        Y = np.random.default_rng(7).normal(size=(4, 16))
+        noisy, _ = noisy_cube(seed=7)
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            denoise_block(bundle, Y, budgets=budgets)
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            denoise_cube(bundle, noisy, budgets=budgets)
+
+
+class TestSweepIterations:
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_rows_are_budgeted_cube_psnr(self, engine):
+        bundle = tiny_bundle(engine)
+        noisy, clean = noisy_cube(seed=8)
+        rows = sweep_iterations(bundle, [(noisy, clean)], [5, 2, 5])
+        assert [r["iters"] for r in rows] == [2, 5]
+        for row in rows:
+            k = row["iters"]
+            assert row["engine"] == engine
+            assert row["psnr"] == psnr(
+                denoise_cube(bundle, noisy, budgets=[k])[k], clean)
 
 
 class TestBundleRoundTrip:

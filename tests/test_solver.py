@@ -37,18 +37,18 @@ class TestHqsStepFull:
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(4, 9))
         params = make_params(4, b=1.0, zero_net=True)
-        ctx = sv.make_full_context(Dictionary(np.eye(4)), params, Y)
+        ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
         state = sv.HqsState(np.zeros((4, 9)), np.zeros((4, 9)), np.zeros((4, 9)))
-        new = sv.hqs_step_full(ctx, state, Y, params)
+        new = sv.hqs_step_full(ctx, state, params)
         assert np.allclose(new.G, Y / 3.0, atol=1e-14)
 
     def test_full_shrinkage_gives_zero_V(self):
         rng = np.random.default_rng(1)
         Y = 0.1 * rng.normal(size=(4, 9))
         params = make_params(4, b=1.0, mu=50.0, zero_net=True)
-        ctx = sv.make_full_context(Dictionary(np.eye(4)), params, Y)
+        ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
         state = sv.initial_state(ctx, Y)
-        new = sv.hqs_step_full(ctx, state, Y, params)
+        new = sv.hqs_step_full(ctx, state, params)
         assert np.array_equal(new.V, np.zeros_like(new.V))
 
     def test_scalar_root_oracle_with_identity_denoiser(self, monkeypatch):
@@ -57,10 +57,10 @@ class TestHqsStepFull:
         Y = rng.normal(size=(3, 4))
         b, mu = 1.0, 0.3
         params = make_params(3, b=b, mu=mu)
-        ctx = sv.make_full_context(Dictionary(np.eye(3)), params, Y)
+        ctx = sv.make_context(Dictionary(np.eye(3)), params, Y)
         state = sv.initial_state(ctx, Y)
         for _ in range(400):
-            state = sv.hqs_step_full(ctx, state, Y, params)
+            state = sv.hqs_step_full(ctx, state, params)
         tau = mu / b
 
         def fixed_point_gap(g, y):
@@ -73,10 +73,10 @@ class TestHqsStepFull:
     def test_stale_context(self):
         Y = np.zeros((3, 4))
         params = make_params(3, b=1.0, zero_net=True)
-        ctx = sv.make_full_context(Dictionary(np.eye(3)), params, Y)
+        ctx = sv.make_context(Dictionary(np.eye(3)), params, Y)
         changed = make_params(3, b=2.0, zero_net=True)
         with pytest.raises(sv.StaleContextError):
-            sv.iteration_map_full(ctx, np.zeros((3, 4)), Y, changed)
+            sv.iteration_map(ctx, np.zeros((3, 4)), changed)
 
 
 class TestIterationMapFull:
@@ -85,7 +85,7 @@ class TestIterationMapFull:
         D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
         Y = rng.normal(size=(d, N))
         params = make_params(d, hidden=4, b=0.8, mu=0.2, seed=seed)
-        ctx = sv.make_full_context(D, params, Y)
+        ctx = sv.make_context(D, params, Y)
         return ctx, D, Y, params, rng
 
     def test_substitution_identity(self):
@@ -94,8 +94,8 @@ class TestIterationMapFull:
         from blocksc.denoiser import denoise
         state = sv.HqsState(G, soft_threshold(G, params.scalars.mu / ctx.b),
                             denoise(params.denoiser, ctx.D @ G))
-        swept = sv.hqs_step_full(ctx, state, Y, params)
-        mapped = sv.iteration_map_full(ctx, G, Y, params)
+        swept = sv.hqs_step_full(ctx, state, params)
+        mapped = sv.iteration_map(ctx, G, params)
         assert np.abs(swept.G - mapped).max() < 1e-12
 
     def test_dead_branches(self):
@@ -104,8 +104,8 @@ class TestIterationMapFull:
         D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
         Y = rng.normal(size=(d, N))
         params = make_params(d, b=0.7, mu=1e9, zero_net=True)
-        ctx = sv.make_full_context(D, params, Y)
-        out = sv.iteration_map_full(ctx, np.zeros((M, N)), Y, params)
+        ctx = sv.make_context(D, params, Y)
+        out = sv.iteration_map(ctx, np.zeros((M, N)), params)
         A = (1 + ctx.b) * (D.atoms.T @ D.atoms) + np.eye(M)
         assert np.allclose(out, np.linalg.solve(A, D.atoms.T @ Y), atol=1e-12)
 
@@ -119,12 +119,12 @@ class TestIterationMapFull:
             return real(p, block, n)
 
         monkeypatch.setattr(sv, "denoise", counting)
-        sv.iteration_map_full(ctx, np.zeros((10, 9)), Y, params)
+        sv.iteration_map(ctx, np.zeros((10, 9)), params)
         assert calls["n"] == 1
 
     def test_contraction_reported_below_one(self):
         ctx, D, Y, params, rng = self._setup(seed=6)
-        est = sv.contraction_estimate(ctx, Y, params, pairs=8, seed=6)
+        est = sv.contraction_estimate(ctx, params, pairs=8, seed=6)
         assert est < 1.0
 
 
@@ -165,8 +165,8 @@ class TestIterationMapFast:
         Y = rng.normal(size=(6, 4))
         params = make_params(6, b=0.9, zero_net=True)
         sup = SupportSet(np.arange(6))
-        ctx = sv.make_fast_context(D, sup, params, Y)
-        out = sv.iteration_map_fast(ctx, np.zeros((6, 4)), Y, params)
+        ctx = sv.make_context(D, params, Y, sup)
+        out = sv.iteration_map(ctx, np.zeros((6, 4)), params)
         assert np.allclose(out, (q.T @ Y) / (1 + ctx.b), atol=1e-6)
 
     def test_restriction_oracle_orthonormal_b1(self):
@@ -178,17 +178,17 @@ class TestIterationMapFast:
         Y = 0.5 * rng.normal(size=(6, 9))
         params = make_params(6, hidden=4, b=1.0, mu=1e-9, seed=9)
         sup = SupportSet(np.array([0, 2, 5]))
-        fast_ctx = sv.make_fast_context(D, sup, params, Y)
-        G_fast = sv.initial_codes(fast_ctx, Y)
+        fast_ctx = sv.make_context(D, params, Y, sup)
+        G_fast = sv.initial_codes(fast_ctx)
         for _ in range(300):
-            G_fast = sv.iteration_map_fast(fast_ctx, G_fast, Y, params)
+            G_fast = sv.iteration_map(fast_ctx, G_fast, params)
 
-        full_ctx = sv.make_full_context(D, params, Y)
-        G_full = sv.initial_codes(full_ctx, Y)
+        full_ctx = sv.make_context(D, params, Y)
+        G_full = sv.initial_codes(full_ctx)
         keep = np.zeros((6, 1))
         keep[sup.indices] = 1.0
         for _ in range(300):
-            G_full = keep * sv.iteration_map_full(full_ctx, G_full, Y, params)
+            G_full = keep * sv.iteration_map(full_ctx, G_full, params)
         diff = np.abs(G_full[sup.indices] - G_fast).max()
         assert diff < 1e-5 * max(np.abs(G_fast).max(), 1e-12)
 
@@ -199,10 +199,10 @@ class TestIterationMapFast:
         Y = 0.05 * rng.normal(size=(8, 9))
         params = make_params(8, b=1.2)
         sup = SupportSet(np.array([1, 4, 9, 12]))
-        ctx = sv.make_fast_context(D, sup, params, Y)
-        G = sv.initial_codes(ctx, Y)
+        ctx = sv.make_context(D, params, Y, sup)
+        G = sv.initial_codes(ctx)
         for _ in range(2000):
-            G = sv.iteration_map_fast(ctx, G, Y, params)
+            G = sv.iteration_map(ctx, G, params)
         resid = ctx.D.T @ (Y - ctx.D @ G)
         assert np.linalg.norm(resid) < 1e-8
 
@@ -210,16 +210,17 @@ class TestIterationMapFast:
         rng = np.random.default_rng(13)
         D = Dictionary(normalize_atoms(rng.normal(size=(3, 6))))
         params = make_params(3, zero_net=True)
+        Y = np.zeros((3, 2))
         with pytest.raises(ValueError, match=r"\|S\| <= d"):
-            sv.make_fast_context(D, SupportSet(np.arange(4)), params)
+            sv.make_context(D, params, Y, SupportSet(np.arange(4)))
         # |S| == d is fine
-        sv.make_fast_context(D, SupportSet(np.arange(3)), params)
+        sv.make_context(D, params, Y, SupportSet(np.arange(3)))
 
 
 class TestReconstruct:
     def test_zero_codes(self):
         params = make_params(3, zero_net=True)
-        ctx = sv.make_full_context(Dictionary(np.eye(3)), params)
+        ctx = sv.make_context(Dictionary(np.eye(3)), params, np.zeros((3, 5)))
         assert np.array_equal(sv.reconstruct(ctx, np.zeros((3, 5))),
                               np.zeros((3, 5)))
 
@@ -228,8 +229,9 @@ class TestReconstruct:
         D = Dictionary(normalize_atoms(rng.normal(size=(6, 12))))
         params = make_params(6, zero_net=True)
         sup = SupportSet(np.array([2, 5, 7]))
-        full = sv.make_full_context(D, params)
-        fast = sv.make_fast_context(D, sup, params)
+        Y = np.zeros((6, 4))
+        full = sv.make_context(D, params, Y)
+        fast = sv.make_context(D, params, Y, sup)
         G = np.zeros((12, 4))
         G[sup.indices] = rng.normal(size=(3, 4))
         assert np.allclose(sv.reconstruct(full, G),
@@ -239,7 +241,7 @@ class TestReconstruct:
         rng = np.random.default_rng(12)
         D = Dictionary(normalize_atoms(rng.normal(size=(6, 12))))
         params = make_params(6, zero_net=True)
-        ctx = sv.make_full_context(D, params)
+        ctx = sv.make_context(D, params, np.zeros((6, 7)))
         G = rng.normal(size=(12, 7))
         X = D.atoms @ G
         assert np.linalg.norm(sv.reconstruct(ctx, G) - X) < 1e-10
@@ -259,24 +261,22 @@ class TestMapVjps:
         Y = rng.normal(size=(d, N))
         params = make_params(d, hidden=3, b=0.6, mu=0.15, seed=seed)
         if mode == "full":
-            ctx = sv.make_full_context(D, params, Y)
+            ctx = sv.make_context(D, params, Y)
             G = rng.normal(size=(M, N))
         else:
             sup = SupportSet(np.sort(rng.choice(M, size=4, replace=False)))
-            ctx = sv.make_fast_context(D, sup, params, Y)
+            ctx = sv.make_context(D, params, Y, sup)
             G = rng.normal(size=(4, N))
         cot = rng.normal(size=G.shape)
         return D, Y, params, ctx, G, cot
 
     def _rebuild(self, D, params, Y, ctx):
-        if ctx.mode == "full":
-            return sv.make_full_context(D, params, Y)
-        return sv.make_fast_context(D, ctx.support, params, Y)
+        return sv.make_context(D, params, Y, ctx.support)
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_cot_G_matches_fd(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=13)
-        cot_G, _ = sv.map_vjp(ctx, G, Y, params, cot)
+        cot_G, _ = sv.map_vjp(ctx, G, params, cot)
         step = 1e-6
         rng = np.random.default_rng(14)
         for _ in range(12):
@@ -286,26 +286,26 @@ class TestMapVjps:
             Gp[i, j] += step
             Gm = G.copy()
             Gm[i, j] -= step
-            fd = ((sv.iteration_map(ctx, Gp, Y, params) * cot).sum()
-                  - (sv.iteration_map(ctx, Gm, Y, params) * cot).sum()) / (2 * step)
+            fd = ((sv.iteration_map(ctx, Gp, params) * cot).sum()
+                  - (sv.iteration_map(ctx, Gm, params) * cot).sum()) / (2 * step)
             assert abs(cot_G[i, j] - fd) < 1e-6 * max(1.0, abs(fd))
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_scalar_grads_match_fd(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=15)
-        _, grads = sv.map_vjp(ctx, G, Y, params, cot)
+        _, grads = sv.map_vjp(ctx, G, params, cot)
 
         def loss_at_raw_b(raw):
             p = params.copy()
             p.scalars.raw_b[...] = raw
             c = self._rebuild(D, p, Y, ctx)
-            return float((sv.iteration_map(c, G, Y, p) * cot).sum())
+            return float((sv.iteration_map(c, G, p) * cot).sum())
 
         def loss_at_raw_mu(raw):
             p = params.copy()
             p.scalars.raw_mu[...] = raw
             c = self._rebuild(D, p, Y, ctx)
-            return float((sv.iteration_map(c, G, Y, p) * cot).sum())
+            return float((sv.iteration_map(c, G, p) * cot).sum())
 
         fd_b = fd_scalar(loss_at_raw_b, float(params.scalars.raw_b))
         fd_mu = fd_scalar(loss_at_raw_mu, float(params.scalars.raw_mu))
@@ -315,7 +315,7 @@ class TestMapVjps:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_weight_grads_match_fd(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=16)
-        _, grads = sv.map_vjp(ctx, G, Y, params, cot)
+        _, grads = sv.map_vjp(ctx, G, params, cot)
         step = 1e-6
         rng = np.random.default_rng(17)
         for li in (1, 4):
@@ -325,9 +325,9 @@ class TestMapVjps:
                 idx = tuple(rng.integers(s) for s in w.shape)
                 orig = w[idx]
                 w[idx] = orig + step
-                lp = float((sv.iteration_map(ctx, G, Y, params) * cot).sum())
+                lp = float((sv.iteration_map(ctx, G, params) * cot).sum())
                 w[idx] = orig - step
-                lm = float((sv.iteration_map(ctx, G, Y, params) * cot).sum())
+                lm = float((sv.iteration_map(ctx, G, params) * cot).sum())
                 w[idx] = orig
                 fd = (lp - lm) / (2 * step)
                 assert abs(g[idx] - fd) < 1e-5 * max(1.0, abs(fd))
@@ -335,15 +335,15 @@ class TestMapVjps:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_linearized_transpose_equals_map_vjp(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=18)
-        lin = sv.linearize_map(ctx, G, Y, params)
-        cot_G, _ = sv.map_vjp(ctx, G, Y, params, cot)
+        lin = sv.linearize_map(ctx, G, params)
+        cot_G, _ = sv.map_vjp(ctx, G, params, cot)
         assert np.array_equal(lin(cot), cot_G)
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_linearized_transpose_is_linear(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=19)
         other = np.random.default_rng(19).normal(size=cot.shape)
-        lin = sv.linearize_map(ctx, G, Y, params)
+        lin = sv.linearize_map(ctx, G, params)
         mixed = lin(2.5 * cot - other)
         expect = 2.5 * lin(cot) - lin(other)
         assert np.abs(mixed - expect).max() < 1e-12 * np.abs(expect).max()
@@ -352,9 +352,9 @@ class TestMapVjps:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_map_vjp_reuses_linearization(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=20)
-        lin = sv.linearize_map(ctx, G, Y, params)
-        cot_G, grads = sv.map_vjp(ctx, G, Y, params, cot)
-        cot_lin, grads_lin = sv.map_vjp(ctx, G, Y, params, cot, lin=lin)
+        lin = sv.linearize_map(ctx, G, params)
+        cot_G, grads = sv.map_vjp(ctx, G, params, cot)
+        cot_lin, grads_lin = sv.map_vjp(ctx, G, params, cot, lin=lin)
         assert np.array_equal(cot_lin, cot_G)
         assert set(grads_lin) == set(grads)
         for k in grads:

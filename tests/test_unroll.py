@@ -24,40 +24,39 @@ def instance(seed, variant="full", d=6, M=8, N=9):
     params = make_params(d, seed=seed)
     if variant == "fast":
         sup = SupportSet(np.sort(rng.choice(M, size=4, replace=False)))
-        ctx = sv.make_fast_context(D, sup, params, Y)
+        ctx = sv.make_context(D, params, Y, sup)
     else:
-        ctx = sv.make_full_context(D, params, Y)
+        ctx = sv.make_context(D, params, Y)
     return D, Y, X, params, ctx
 
 
 class TestDuForward:
     def test_K1_is_one_map_application(self):
         D, Y, X, params, ctx = instance(0)
-        out, trace = du.du_forward(ctx, Y, params, du.UnrollConfig(K=1))
-        direct = sv.iteration_map(ctx, sv.initial_codes(ctx, Y), Y, params)
+        out, trace = du.du_forward(ctx, params, 1)
+        direct = sv.iteration_map(ctx, sv.initial_codes(ctx), params)
         assert np.array_equal(out, direct)
         assert len(trace) == 2
 
     def test_composition(self):
         D, Y, X, params, ctx = instance(1)
-        g4, _ = du.du_forward(ctx, Y, params, du.UnrollConfig(K=4))
-        g5a = sv.iteration_map(ctx, g4, Y, params)
-        g5b, _ = du.du_forward(ctx, Y, params, du.UnrollConfig(K=5))
+        g4, _ = du.du_forward(ctx, params, 4)
+        g5a = sv.iteration_map(ctx, g4, params)
+        g5b, _ = du.du_forward(ctx, params, 5)
         assert np.array_equal(g5a, g5b)
 
     def test_layerwise_equals_deq_map(self):
         D, Y, X, params, ctx = instance(2)
-        _, trace = du.du_forward(ctx, Y, params, du.UnrollConfig(K=6))
-        g = sv.initial_codes(ctx, Y)
+        _, trace = du.du_forward(ctx, params, 6)
+        g = sv.initial_codes(ctx)
         for k in range(1, 7):
-            g = sv.iteration_map(ctx, g, Y, params)
+            g = sv.iteration_map(ctx, g, params)
             assert np.abs(trace[k] - g).max() < 1e-12
 
     def test_large_K_approaches_deq_fixed_point(self):
         D, Y, X, params, ctx = instance(3, variant="fast")
-        g50, _ = du.du_forward(ctx, Y, params, du.UnrollConfig(K=50,
-                                                               variant="fast"))
-        rep = deq_forward(ctx, Y, params,
+        g50, _ = du.du_forward(ctx, params, 50)
+        rep = deq_forward(ctx, params,
                           AndersonConfig(m=6, max_iters=200, tol=1e-13))
         rel = np.linalg.norm(g50 - rep.solution) / \
             max(np.linalg.norm(rep.solution), 1e-30)
@@ -77,15 +76,12 @@ class TestDuBackward:
     def test_K1_gradient_matches_finite_differences(self, variant):
         D, Y, X, params, ctx = instance(4, variant)
         cfg = du.UnrollConfig(K=1, variant=variant)
-        _, trace = du.du_forward(ctx, Y, params, cfg)
-        _, grads = du.du_backward(ctx, trace, Y, X, params, cfg)
+        _, trace = du.du_forward(ctx, params, cfg.K)
+        _, grads = du.du_backward(ctx, trace, X, params, cfg)
 
         def loss_with(p):
-            if variant == "fast":
-                c = sv.make_fast_context(D, ctx.support, p, Y)
-            else:
-                c = sv.make_full_context(D, p, Y)
-            G_K, _ = du.du_forward(c, Y, p, cfg)
+            c = sv.make_context(D, p, Y, ctx.support)
+            G_K, _ = du.du_forward(c, p, cfg.K)
             return du.du_loss(c, G_K, X, p, cfg)
 
         pdict = params.as_dict()
@@ -112,8 +108,8 @@ class TestDuBackward:
     def test_exact_target_zero_gradient(self):
         D, Y, X, params, ctx = instance(6)
         cfg = du.UnrollConfig(K=3)
-        G_K, trace = du.du_forward(ctx, Y, params, cfg)
-        loss, grads = du.du_backward(ctx, trace, Y, sv.reconstruct(ctx, G_K),
+        G_K, trace = du.du_forward(ctx, params, cfg.K)
+        loss, grads = du.du_backward(ctx, trace, sv.reconstruct(ctx, G_K),
                                      params, cfg)
         assert loss == 0.0
         for g in grads.values():
@@ -122,12 +118,12 @@ class TestDuBackward:
     def test_multilayer_gradient_matches_finite_differences(self):
         D, Y, X, params, ctx = instance(7)
         cfg = du.UnrollConfig(K=4)
-        _, trace = du.du_forward(ctx, Y, params, cfg)
-        _, grads = du.du_backward(ctx, trace, Y, X, params, cfg)
+        _, trace = du.du_forward(ctx, params, cfg.K)
+        _, grads = du.du_backward(ctx, trace, X, params, cfg)
 
         def loss_with():
             G_K, _ = du.du_forward(
-                sv.make_full_context(D, params, Y), Y, params, cfg)
+                sv.make_context(D, params, Y), params, cfg.K)
             return du.du_loss(ctx, G_K, X, params, cfg)
 
         step = 1e-6
@@ -148,12 +144,12 @@ class TestDuBackward:
     def test_z_loss_target_gradient(self):
         D, Y, X, params, ctx = instance(9, variant="fast")
         cfg = du.UnrollConfig(K=2, variant="fast", loss_target="z")
-        _, trace = du.du_forward(ctx, Y, params, cfg)
-        _, grads = du.du_backward(ctx, trace, Y, X, params, cfg)
+        _, trace = du.du_forward(ctx, params, cfg.K)
+        _, grads = du.du_backward(ctx, trace, X, params, cfg)
 
         def loss_with():
-            c = sv.make_fast_context(D, ctx.support, params, Y)
-            G_K, _ = du.du_forward(c, Y, params, cfg)
+            c = sv.make_context(D, params, Y, ctx.support)
+            G_K, _ = du.du_forward(c, params, cfg.K)
             return du.du_loss(c, G_K, X, params, cfg)
 
         step = 1e-6
@@ -173,7 +169,7 @@ class TestDuBackward:
         D, Y, X, params, ctx = instance(10)
         sizes = {}
         for K in (2, 4, 8):
-            _, trace = du.du_forward(ctx, Y, params, du.UnrollConfig(K=K))
+            _, trace = du.du_forward(ctx, params, K)
             sizes[K] = du.trace_nbytes(trace)
         growth_low = sizes[4] - sizes[2]
         growth_high = sizes[8] - sizes[4]

@@ -1,0 +1,106 @@
+"""Dump the solver outputs to an .npz file, or compare two dumps bit for bit.
+
+    PYTHONPATH=<checkout>/src python tools/compare_outputs.py dump out.npz
+    python tools/compare_outputs.py compare a.npz b.npz
+
+A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
+estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
+40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant; and
+``sweep_iterations``.  It also runs on checkouts that predate the ``budgets``
+argument, where ``denoise_cube_traced`` gave the budgeted cubes.  ``compare``
+exits 1 unless both files hold the same keys with ``np.array_equal`` values.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+
+def _inputs(side, hidden, seed=0):
+    from blocksc import cubes, dictionary
+    from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
+        spectral_normalize
+
+    rng = np.random.default_rng(seed)
+    atoms = dictionary.decorrelate_atoms(rng.normal(size=(31, 64)))
+    den = init_denoiser(31, hidden=hidden, seed=seed + 1)
+    spectral_normalize(den, iters=50)
+    params = ModelParams(den, ScalarParams.from_values(0.8, 0.05))
+    D = dictionary.Dictionary(atoms)
+    clean = cubes.synth_cube(31, side, side, D, s=3, smoothness=8.0,
+                             seed=seed + 2)
+    noisy = cubes.add_noise(clean, cubes.NoiseModel(25.0, seed=seed + 3))
+    return D, params, clean, noisy
+
+
+def _budgeted(pipeline, bundle, cube, budgets):
+    if hasattr(pipeline, "denoise_cube_traced"):
+        return pipeline.denoise_cube_traced(bundle, cube, budgets)
+    return pipeline.denoise_cube(bundle, cube, budgets=budgets)
+
+
+def dump(path):
+    from blocksc import cubes, deq, metrics, pipeline, unroll
+    from blocksc.anderson import AndersonConfig
+
+    out = {}
+    D, params, clean, noisy = _inputs(120, hidden=64)
+    bundle = pipeline.ModelBundle(D, params, n=60, support_size=10)
+    out["denoise_cube"] = pipeline.denoise_cube(bundle, noisy).data
+
+    D, params, clean, noisy = _inputs(40, hidden=16, seed=10)
+    pairs = list(zip(cubes.split_blocks(noisy, 20).blocks,
+                     cubes.split_blocks(clean, 20).blocks))
+    anderson = AndersonConfig(m=5, max_iters=10, tol=1e-6)
+    for engine in ("deq", "du"):
+        for variant in ("full", "fast"):
+            bundle = pipeline.ModelBundle(D, params, engine=engine,
+                                          variant=variant, n=20, K=4,
+                                          anderson=anderson, support_size=5)
+            for k, cube in _budgeted(pipeline, bundle, noisy, [2, 3]).items():
+                out[f"staged.{engine}.{variant}.{k}"] = cube.data
+            rows = metrics.sweep_iterations(bundle, [(noisy, clean)], [1, 3])
+            out[f"sweep.{engine}.{variant}"] = np.array(
+                [(r["iters"], r["psnr"]) for r in rows])
+    for variant in ("full", "fast"):
+        cfg = deq.DeqTrainConfig(variant=variant, anderson=anderson,
+                                 support_size=5, epochs=1, lr=1e-3,
+                                 batch_size=2, val_fraction=0.25)
+        trained, history, _ = deq.deq_train(pairs, D, params, cfg)
+        for k, v in trained.as_dict().items():
+            out[f"deq_train.{variant}.{k}"] = v
+        out[f"deq_train.{variant}.history"] = np.array(
+            [(h["loss"], h["val_psnr"]) for h in history])
+        cfg = unroll.DuTrainConfig(
+            unroll=unroll.UnrollConfig(K=3, variant=variant), support_size=5,
+            epochs=1, lr=1e-3, batch_size=2, val_fraction=0.25)
+        trained, history, _ = unroll.du_train(pairs, D, params, cfg)
+        for k, v in trained.as_dict().items():
+            out[f"du_train.{variant}.{k}"] = v
+        out[f"du_train.{variant}.history"] = np.array(
+            [(h["loss"], h["val_psnr"]) for h in history])
+    np.savez(path, **out)
+    print(f"{len(out)} arrays written to {path}")
+
+
+def compare(path_a, path_b) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    if set(a.files) != set(b.files):
+        print("key sets differ:", sorted(set(a.files) ^ set(b.files)))
+        return 1
+    differ = [k for k in sorted(a.files) if not np.array_equal(a[k], b[k])]
+    for k in differ:
+        print("differs:", k)
+    print(f"{len(a.files) - len(differ)} of {len(a.files)} arrays equal")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) == 3:
+        dump(sys.argv[2])
+    elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
