@@ -13,7 +13,7 @@ The constrained least-squares is solved by eliminating the constraint:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

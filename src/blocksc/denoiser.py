@@ -15,7 +15,7 @@ forward keeping layer inputs and ReLU masks for the reverse sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit

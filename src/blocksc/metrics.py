@@ -9,7 +9,7 @@ angle over pixels in radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import convolve2d

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .anderson import DivergenceError
-from .denoiser import (DenoiserParams, ModelParams, ScalarParams, denoise,
+from .denoiser import (DenoiserParams, ModelParams, denoise,
                        denoise_linearize, denoise_vjp, init_denoiser,
                        spectral_normalize)
 

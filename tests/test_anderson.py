@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from blocksc.anderson import (AndersonConfig, DivergenceError,
-                              FixedPointReport, anderson_solve)
+from blocksc.anderson import AndersonConfig, DivergenceError, anderson_solve
 
 
 def solve_scalar_affine(m, tol=1e-12, max_iters=100, beta=1.0):

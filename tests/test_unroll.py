@@ -5,8 +5,8 @@ from blocksc import solver as sv
 from blocksc import unroll as du
 from blocksc.anderson import AndersonConfig
 from blocksc.deq import deq_forward
-from blocksc.denoiser import ModelParams, ScalarParams, denoise, \
-    init_denoiser, spectral_normalize
+from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
+    spectral_normalize
 from blocksc.dictionary import Dictionary, SupportSet, normalize_atoms
 
 

@@ -5,8 +5,8 @@
 
 A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
 estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
-40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant; and
-``sweep_iterations``.  It also runs on checkouts that predate the ``budgets``
+40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant;
+``sweep_iterations``; and two ``ksvd`` sweeps on the 1600 spectra of that cube.  It also runs on checkouts that predate the ``budgets``
 argument, where ``denoise_cube_traced`` gave the budgeted cubes.  ``compare``
 exits 1 unless both files hold the same keys with ``np.array_equal`` values.
 """
@@ -42,7 +42,7 @@ def _budgeted(pipeline, bundle, cube, budgets):
 
 
 def dump(path):
-    from blocksc import cubes, deq, metrics, pipeline, unroll
+    from blocksc import cubes, deq, dictionary, metrics, pipeline, unroll
     from blocksc.anderson import AndersonConfig
 
     out = {}
@@ -81,6 +81,10 @@ def dump(path):
             out[f"du_train.{variant}.{k}"] = v
         out[f"du_train.{variant}.history"] = np.array(
             [(h["loss"], h["val_psnr"]) for h in history])
+    learned, history = dictionary.ksvd(noisy.data.reshape(31, -1), M=64, s=3,
+                                       sweeps=2)
+    out["ksvd.atoms"] = learned.atoms
+    out["ksvd.history"] = np.array(history)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
 
