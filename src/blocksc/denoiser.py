@@ -8,7 +8,9 @@ whole network is non-expansive, which is what the fixed-point solvers
 lean on.  The positive penalty scalars of the splitting scheme live here
 too, realized through softplus so they stay positive during training.
 
-``denoise`` keeps no activations; ``denoise_linearize`` runs the same
+``denoise`` keeps no activations and runs in its weights' dtype, so the
+inference path (``pipeline``) runs the network in float32 while every
+gradient path keeps float64 weights; ``denoise_linearize`` runs the same
 forward keeping layer inputs and ReLU masks for the reverse sweeps.
 """
 
@@ -146,12 +148,16 @@ def _as_image(block: np.ndarray, n: int | None) -> np.ndarray:
 
 def denoise(params: DenoiserParams, block: np.ndarray,
             n: int | None = None) -> np.ndarray:
-    """Apply the regularizer network to a d x N block."""
-    h = _as_image(block, n)
+    """Apply the regularizer network to a d x N block.
+
+    The network runs in the dtype of its weights; the output comes back
+    in the block's dtype (both casts are no-ops for float64 weights).
+    """
+    h = _as_image(block, n).astype(params.weights[0].dtype, copy=False)
     for i in range(3):
         h = relu(conv2d(h, params.weights[i], params.biases[i]))
     out = conv2d(h, params.weights[3], params.biases[3])
-    return out.reshape(block.shape)
+    return out.reshape(block.shape).astype(block.dtype, copy=False)
 
 
 @dataclass

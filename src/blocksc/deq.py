@@ -100,7 +100,7 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson)
         info = {"fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
-                "fwd_converged": fwd.converged}
+                "fwd_converged": fwd.converged, "adj_converged": bwd.converged}
         return deq_loss(ctx, fwd.solution, clean), grads, info
 
     def infer(noisy, params):

@@ -4,7 +4,9 @@ A ModelBundle packages everything inference needs (dictionary, learned
 parameters, engine choice, block size, solver budgets) and round-trips
 through the DQC1 checkpoint container.  Each block is solved on its own
 context; an iteration-budget argument reads several budgets off one
-solve.
+solve.  Inference runs the regularizer network in float32 on a copy of
+the bundle's weights; the map, Anderson and the Cholesky solve stay
+float64, as does every training and gradient path.
 """
 
 from __future__ import annotations
@@ -52,26 +54,37 @@ def _check_budgets(budgets) -> list:
     return budgets
 
 
+def _float32_network(params: ModelParams) -> ModelParams:
+    """``params`` with float32 denoiser weights and biases, same scalars."""
+    den = params.denoiser
+    return ModelParams(
+        DenoiserParams([w.astype(np.float32) for w in den.weights],
+                       [b.astype(np.float32) for b in den.biases],
+                       den.u, den.v),
+        params.scalars)
+
+
 def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
     """Solve one block and return the reconstructed d x N estimate.
 
     With ``budgets``, return {k: estimate after k iterations} for each k,
-    all from one solve run to max(budgets) with no early stop.
+    all from one solve run to max(budgets) with no early stop.  The
+    network runs in float32; ``bundle.params`` is left as it is.
     """
     if budgets is not None:
         budgets = _check_budgets(budgets)
+    params = _float32_network(bundle.params)
     support = (select_support(Y, bundle.dictionary, bundle.support_size,
                               bundle.support_eps)
                if bundle.variant == "fast" else None)
-    ctx = make_context(bundle.dictionary, bundle.params, Y, support)
+    ctx = make_context(bundle.dictionary, params, Y, support)
     if bundle.engine == "du":
-        G, trace = du_forward(ctx, bundle.params,
-                              budgets[-1] if budgets else bundle.K)
+        G, trace = du_forward(ctx, params, budgets[-1] if budgets else bundle.K)
         if budgets is None:
             return reconstruct(ctx, G)
         return {k: reconstruct(ctx, trace[k]) for k in budgets}
     if budgets is None:
-        G = deq_forward(ctx, bundle.params, bundle.anderson).solution
+        G = deq_forward(ctx, params, bundle.anderson).solution
         return reconstruct(ctx, G)
     staged = {}
 
@@ -80,7 +93,7 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
             staged[k] = reconstruct(ctx, g)
 
     cfg = replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
-    deq_forward(ctx, bundle.params, cfg, callback=keep)
+    deq_forward(ctx, params, cfg, callback=keep)
     return staged
 
 

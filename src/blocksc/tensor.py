@@ -1,10 +1,10 @@
-"""Dense float64 tensor ops with hand-written vector-Jacobian products.
+"""Dense tensor ops and the hand-written VJPs the iteration map needs.
 
-Tensors are plain C-contiguous float64 numpy arrays.  Every forward op
-here has a companion ``*_vjp`` that maps (inputs, output, cotangent) to
-one cotangent per input, so a single application of the sparse-coding
-iteration map can be differentiated w.r.t. its code matrix and the
-network parameters without a general autograd graph.
+Arrays are plain numpy arrays, and every op keeps its input's dtype: the
+gradient paths run in float64, while inference may run the 3x3 convs in
+float32.  ``conv2d_vjp``, ``conv2d_transpose`` and ``soft_threshold_vjp``
+give the cotangents that the denoiser and map VJPs chain, so no general
+autograd graph is needed.
 """
 
 from __future__ import annotations
@@ -29,31 +29,6 @@ class FactorizationError(RuntimeError):
     def __init__(self, message, pivot=None):
         super().__init__(message)
         self.pivot = pivot
-
-
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array and reject non-finite entries."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite entries")
-    return arr
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b for 2-d operands."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def matmul_vjp(a, b, out, cot):
-    """Cotangents (cot @ b.T, a.T @ cot)."""
-    return cot @ b.T, a.T @ cot
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +114,6 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_vjp(x, out, cot):
-    # subgradient 0 at the kink
-    return (cot * (x > 0.0),)
-
-
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise shrinkage sign(x) * max(|x| - tau, 0)."""
     if tau <= 0:
@@ -166,8 +136,8 @@ def soft_threshold_vjp(x, tau, out, cot):
 def chol_factor(a: np.ndarray, sym_tol: float = 1e-10):
     """Cholesky-factor a symmetric positive definite matrix.
 
-    The returned handle is reusable across chol_solve calls, so callers
-    that solve against the same matrix repeatedly factor once.
+    The returned handle is reusable across ``scipy.linalg.cho_solve``
+    calls, so callers that solve against the same matrix factor once.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"chol_factor: matrix must be square, got {a.shape}")
@@ -179,21 +149,3 @@ def chol_factor(a: np.ndarray, sym_tol: float = 1e-10):
         m = re.search(r"(\d+)-th leading minor", str(exc))
         pivot = int(m.group(1)) if m else None
         raise FactorizationError(str(exc), pivot=pivot) from exc
-
-
-def chol_solve(a, b, factor=None) -> np.ndarray:
-    """Solve A X = B for SPD A via Cholesky; pass ``factor`` to reuse one."""
-    if factor is None:
-        factor = chol_factor(a)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"chol_solve: rhs {b.shape} incompatible with matrix {a.shape}")
-    return _sla.cho_solve(factor, b)
-
-
-def chol_solve_vjp(a, b, out, cot, factor=None):
-    """Cotangents w.r.t. (A, B): (sym(-A^-1 cot X^T), A^-1 cot)."""
-    cot_b = chol_solve(a, cot, factor=factor)
-    g = -cot_b @ out.T
-    cot_a = 0.5 * (g + g.T)
-    return cot_a, cot_b

@@ -213,7 +213,10 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
     gradient) are skipped and counted in each history entry's
     ``skipped``; each step averages loss and gradients over the blocks
-    kept.  Returns (best params, history, optimizer).
+    kept.  Kept blocks whose info reports ``fwd_converged`` or
+    ``adj_converged`` False are counted per step in the log and per epoch
+    in ``fwd_nonconverged`` / ``adj_nonconverged``.  Returns (best params,
+    history, optimizer).
     """
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
@@ -240,13 +243,13 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = _epoch_order(len(train), cfg.seed, epoch)
         epoch_loss = 0.0
-        steps = 0
+        steps = epoch_fwd_nc = epoch_adj_nc = 0
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
             t0 = time.perf_counter()
             loss = 0.0
             grads = None
-            kept = fwd_iters = bwd_iters = 0
+            kept = fwd_iters = bwd_iters = fwd_nc = adj_nc = 0
             for noisy, clean in batch:
                 try:
                     blk_loss, g, info = block_grad_fn(noisy, clean, params)
@@ -261,6 +264,8 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                 kept += 1
                 fwd_iters += info.get("fwd_iters", 0)
                 bwd_iters += info.get("bwd_iters", 0)
+                fwd_nc += not info.get("fwd_converged", True)
+                adj_nc += not info.get("adj_converged", True)
                 if grads is None:
                     grads = {k: v / len(batch) for k, v in g.items()}
                 else:
@@ -277,13 +282,18 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             loss /= kept
             epoch_loss += loss
             steps += 1
+            epoch_fwd_nc += fwd_nc
+            epoch_adj_nc += adj_nc
             logger.write({"engine": engine, "epoch": epoch, "step": adam.t,
                           "loss": loss, "fwd_iters": fwd_iters,
-                          "bwd_iters": bwd_iters, "grad_norm": gnorm,
+                          "bwd_iters": bwd_iters, "fwd_nonconverged": fwd_nc,
+                          "adj_nonconverged": adj_nc, "grad_norm": gnorm,
                           "wall_ms": 1e3 * (time.perf_counter() - t0)})
         psnr = val_psnr()
         history.append({"epoch": epoch, "loss": epoch_loss / max(steps, 1),
-                        "val_psnr": psnr, "skipped": skipped})
+                        "val_psnr": psnr, "skipped": skipped,
+                        "fwd_nonconverged": epoch_fwd_nc,
+                        "adj_nonconverged": epoch_adj_nc})
         if psnr is None:
             best = params.copy()
         elif psnr > best_psnr:

@@ -62,6 +62,42 @@ class TestDenoise:
             assert num <= (1.0 + 1e-3) * den
 
 
+class TestDenoiseDtype:
+    def _as_float32(self, params):
+        return dn.DenoiserParams([w.astype(np.float32) for w in params.weights],
+                                 [b.astype(np.float32) for b in params.biases],
+                                 params.u, params.v)
+
+    def test_float32_weights_keep_the_block_dtype(self, monkeypatch):
+        params = converge_normalization(tiny_params(d=4, hidden=12, seed=7))
+        block = np.random.default_rng(7).normal(size=(4, 36))
+        out64 = dn.denoise(params, block)
+        seen = []
+
+        def spy(x, weight, bias):
+            seen.append(x.dtype)
+            return T.conv2d(x, weight, bias)
+
+        monkeypatch.setattr(dn, "conv2d", spy)
+        out32 = dn.denoise(self._as_float32(params), block)
+        assert seen == [np.float32] * 4  # every layer runs in float32
+        assert out32.dtype == np.float64
+        # relative to the output's scale: single entries may sit near zero
+        assert np.abs(out32 - out64).max() <= 1e-5 * np.abs(out64).max()
+
+    def test_float64_weights_run_the_float64_stack(self):
+        params = tiny_params(d=4, hidden=6, seed=8)
+        block = np.random.default_rng(8).normal(size=(4, 25))
+        h = block.reshape(4, 5, 5)
+        for i in range(3):
+            h = np.maximum(T.conv2d(h, params.weights[i], params.biases[i]),
+                           0.0)
+        h = T.conv2d(h, params.weights[3], params.biases[3])
+        out = dn.denoise(params, block)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, h.reshape(4, 25))
+
+
 class TestSpectralNormalize:
     def _unfolded_sigma(self, w):
         return np.linalg.svd(w.reshape(w.shape[0], -1), compute_uv=False)[0]

@@ -248,6 +248,32 @@ class TestDeqTrain:
         # the batch that lost a block still took its step
         assert adam.t == 4
 
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_nonconvergence_is_counted(self, variant, tmp_path):
+        import json
+        D, pairs = micro_dataset(12, count=4)
+        params0 = make_params(6, hidden=4, seed=12)
+
+        def train(anderson, log):
+            cfg = dq.DeqTrainConfig(
+                variant=variant, support_size=3, epochs=2, lr=1e-3,
+                batch_size=2, seed=0, val_fraction=0.0, log_path=str(log),
+                anderson=anderson)
+            _, history, _ = dq.deq_train(pairs, D, params0, cfg)
+            steps = [json.loads(line) for line in log.read_text().splitlines()]
+            return history, steps
+
+        history, steps = train(AndersonConfig(max_iters=1, tol=1e-14),
+                               tmp_path / "capped.jsonl")
+        assert [h["skipped"] for h in history] == [0, 0]
+        for key in ("fwd_nonconverged", "adj_nonconverged"):
+            assert [h[key] for h in history] == [4, 4]
+            assert [r[key] for r in steps] == [2, 2, 2, 2]
+        history, steps = train(AndersonConfig(), tmp_path / "default.jsonl")
+        for key in ("fwd_nonconverged", "adj_nonconverged"):
+            assert [h[key] for h in history] == [0, 0]
+            assert [r[key] for r in steps] == [0, 0, 0, 0]
+
     def test_step_averages_over_the_blocks_kept(self, monkeypatch, tmp_path):
         import json
         from blocksc.training import Adam

@@ -3,14 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blocksc import pipeline
 from blocksc.anderson import AndersonConfig
-from blocksc.cubes import HyperCube, NoiseModel, add_noise, synth_cube
+from blocksc.cubes import HyperCube, NoiseModel, add_noise, split_blocks, \
+    synth_cube
+from blocksc.deq import deq_forward
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.metrics import psnr, sweep_iterations
 from blocksc.pipeline import (ModelBundle, denoise_block, denoise_cube,
                               load_model_bundle, save_model_bundle)
+from blocksc.solver import make_context, reconstruct, select_support
 
 
 def tiny_bundle(engine="deq", variant="fast", seed=0):
@@ -72,6 +76,44 @@ class TestDenoiseCube:
         out = denoise_cube(bundle, cube)
         assert np.array_equal(out.data[:, 8, :], cube.data[:, 8, :])
         assert np.array_equal(out.data[:, :, 8], cube.data[:, :, 8])
+
+
+class TestFloat32Inference:
+    def test_bundle_params_untouched(self):
+        bundle = tiny_bundle()
+        before = {k: np.copy(v) for k, v in bundle.params.as_dict().items()}
+        denoise_cube(bundle, noisy_cube(seed=9)[0])
+        after = bundle.params.as_dict()
+        for k, v in before.items():
+            assert after[k].dtype == np.float64, k
+            assert after[k].tobytes() == v.tobytes(), k
+
+    @pytest.mark.parametrize("variant", ["fast", "full"])
+    def test_blocks_match_a_float64_solve(self, variant, monkeypatch):
+        bundle = replace(tiny_bundle(variant=variant),
+                         anderson=AndersonConfig())
+        reports = []
+
+        def spy(ctx, params, cfg, callback=None):
+            assert params.denoiser.weights[0].dtype == np.float32
+            reports.append(deq_forward(ctx, params, cfg, callback))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "deq_forward", spy)
+        noisy, _ = noisy_cube(seed=10)
+        for blk in split_blocks(noisy, bundle.n).blocks:
+            est = denoise_block(bundle, blk.matrix)
+            support = (select_support(blk.matrix, bundle.dictionary,
+                                      bundle.support_size, bundle.support_eps)
+                       if variant == "fast" else None)
+            ctx = make_context(bundle.dictionary, bundle.params, blk.matrix,
+                               support)
+            ref = deq_forward(ctx, bundle.params, bundle.anderson)
+            expect = reconstruct(ctx, ref.solution)
+            assert np.abs(est - expect).max() <= 1e-6 * np.abs(expect).max()
+            assert reports[-1].iterations == ref.iterations
+            assert reports[-1].converged == ref.converged
+        assert len(reports) == 4
 
 
 class TestBudgets:

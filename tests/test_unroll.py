@@ -211,3 +211,13 @@ class TestDuTrain:
         assert records and all(r["engine"] == "du-full" for r in records)
         assert all({"epoch", "step", "loss", "fwd_iters", "bwd_iters",
                     "grad_norm", "wall_ms"} <= set(r) for r in records)
+
+    def test_reports_no_nonconvergence(self):
+        D, pairs = self._dataset(count=4)
+        params0 = make_params(6, hidden=4, seed=13)
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=1, variant="full"),
+                               epochs=1, lr=1e-3, batch_size=2, seed=0,
+                               val_fraction=0.0)
+        _, history, _ = du.du_train(pairs, D, params0, cfg)
+        assert history[0]["fwd_nonconverged"] == 0
+        assert history[0]["adj_nonconverged"] == 0

@@ -1,4 +1,4 @@
-"""Dump the solver outputs to an .npz file, or compare two dumps bit for bit.
+"""Dump the solver outputs to an .npz file, or compare two dumps.
 
     PYTHONPATH=<checkout>/src python tools/compare_outputs.py dump out.npz
     python tools/compare_outputs.py compare a.npz b.npz
@@ -8,7 +8,9 @@ estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
 40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant;
 ``sweep_iterations``; and two ``ksvd`` sweeps on the 1600 spectra of that cube.  It also runs on checkouts that predate the ``budgets``
 argument, where ``denoise_cube_traced`` gave the budgeted cubes.  ``compare``
-exits 1 unless both files hold the same keys with ``np.array_equal`` values.
+prints each array that differs with its max relative difference
+``max|a - b| / max|b|``, and exits 1 unless both files hold the same keys
+with ``np.array_equal`` values.
 """
 
 from __future__ import annotations
@@ -96,9 +98,18 @@ def compare(path_a, path_b) -> int:
         return 1
     differ = [k for k in sorted(a.files) if not np.array_equal(a[k], b[k])]
     for k in differ:
-        print("differs:", k)
+        print(f"differs: {k}  max rel diff {max_rel_diff(a[k], b[k]):.3g}")
     print(f"{len(a.files) - len(differ)} of {len(a.files)} arrays equal")
     return 1 if differ else 0
+
+
+def max_rel_diff(x, ref) -> float:
+    """max|x - ref| / max|ref|; inf when the shapes differ or ref is 0."""
+    if x.shape != ref.shape:
+        return np.inf
+    scale = np.abs(ref).max(initial=0.0)
+    gap = np.abs(x - ref).max(initial=0.0)
+    return float(gap / scale) if scale > 0 else np.inf
 
 
 if __name__ == "__main__":
