@@ -227,21 +227,3 @@ def read_hsc1(path) -> HyperCube:
         data = raw.reshape(header["bands"], header["height"], header["width"])
     return HyperCube(np.asarray(data, dtype=np.float64))
 
-
-def write_manifest(path, entries: list) -> None:
-    """Dataset manifest: JSON list of {clean_path, noisy_path, sigma_255, seed}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_manifest(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: manifest must be a JSON list")
-    for e in entries:
-        for key in ("clean_path", "noisy_path", "sigma_255", "seed"):
-            if key not in e:
-                raise ValueError(f"{path}: manifest entry missing {key!r}")
-    return entries

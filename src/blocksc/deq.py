@@ -65,17 +65,11 @@ def deq_loss(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray) -> float:
 
 
 @dataclass
-class DeqTrainConfig:
+class DeqTrainConfig(EndToEndConfig):
     variant: str = "full"  # or "fast"
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     support_size: int = 10
     support_eps: float = 1e-10
-    epochs: int = 100
-    lr: float = 1e-4
-    batch_size: int = 16
-    seed: int = 0
-    val_fraction: float = 0.1
-    log_path: str | None = None
 
     def __post_init__(self):
         if self.variant not in ("full", "fast"):
@@ -108,10 +102,6 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
         fwd = deq_forward(ctx, params, cfg.anderson)
         return reconstruct(ctx, fwd.solution)
 
-    loop_cfg = EndToEndConfig(epochs=cfg.epochs, lr=cfg.lr,
-                              batch_size=cfg.batch_size, seed=cfg.seed,
-                              val_fraction=cfg.val_fraction,
-                              log_path=cfg.log_path)
-    return end_to_end_train(pairs, params0, loop_cfg, block_grad, infer,
+    return end_to_end_train(pairs, params0, cfg, block_grad, infer,
                             engine=f"deq-{cfg.variant}", adam=adam,
                             start_epoch=start_epoch)

@@ -1,15 +1,15 @@
-"""Reconstruction quality metrics and the evaluation studies.
+"""Reconstruction quality metrics and the iteration-budget study.
 
 PSNR is computed per band against peak 1.0 and averaged (the mean-PSNR
-convention used for hyperspectral comparisons), SSIM follows the standard
-11x11 Gaussian-window definition per band, and SAM is the mean spectral
-angle over pixels in radians.
+convention used for hyperspectral comparisons); ``block_psnr`` is the
+whole-block PSNR that training validation reports.  SSIM follows the
+standard 11x11 Gaussian-window definition per band, and SAM is the mean
+spectral angle over pixels in radians.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import convolve2d
@@ -21,16 +21,6 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_SIGMA = 1.5
 SSIM_WINDOW = 11
-
-
-@dataclass
-class MetricReport:
-    psnr_db: float
-    ssim: float
-    sam_rad: float
-    per_band_psnr: list
-    wall_seconds: float | None = None
-    sam_skipped: int = 0
 
 
 def _as_data(x) -> np.ndarray:
@@ -66,7 +56,7 @@ def block_psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((np.asarray(x) - np.asarray(ref)) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse))
+    return float(min(PSNR_CAP_DB, -10.0 * np.log10(mse / (peak * peak))))
 
 
 def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
@@ -107,21 +97,6 @@ def ssim(x, ref, data_range: float = 1.0) -> float:
     return float(np.mean(vals))
 
 
-def ssim_components(a: np.ndarray, b: np.ndarray, data_range: float = 1.0):
-    """Mean (luminance, contrast, structure) terms for one band."""
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
-    c3 = c2 / 2.0
-    mu1, mu2, s11, s22, s12 = _ssim_stats(np.asarray(a, float),
-                                          np.asarray(b, float))
-    sd1 = np.sqrt(np.maximum(s11, 0.0))
-    sd2 = np.sqrt(np.maximum(s22, 0.0))
-    lum = (2 * mu1 * mu2 + c1) / (mu1 * mu1 + mu2 * mu2 + c1)
-    con = (2 * sd1 * sd2 + c2) / (s11 + s22 + c2)
-    stru = (s12 + c3) / (sd1 * sd2 + c3)
-    return float(lum.mean()), float(con.mean()), float(stru.mean())
-
-
 def sam_with_count(x, ref):
     """(mean spectral angle in radians, skipped zero-norm pixel count)."""
     x = _as_data(x)
@@ -144,20 +119,8 @@ def sam(x, ref) -> float:
     return sam_with_count(x, ref)[0]
 
 
-def compute_report(x, ref, wall_seconds=None) -> MetricReport:
-    sam_rad, skipped = sam_with_count(x, ref)
-    return MetricReport(
-        psnr_db=psnr(x, ref),
-        ssim=ssim(x, ref),
-        sam_rad=sam_rad,
-        per_band_psnr=band_psnr(x, ref),
-        wall_seconds=wall_seconds,
-        sam_skipped=skipped,
-    )
-
-
 # ---------------------------------------------------------------------------
-# evaluation studies
+# iteration-budget study
 
 
 def sweep_iterations(bundle, pairs, iters_list) -> list:
@@ -177,19 +140,3 @@ def sweep_iterations(bundle, pairs, iters_list) -> list:
             per_budget.setdefault(k, []).append(psnr(cube, clean))
     return [{"engine": bundle.engine, "iters": k,
              "psnr": float(np.mean(v))} for k, v in per_budget.items()]
-
-
-def metrics_csv_rows(results) -> str:
-    """CSV with the comparison-table layout (method, sigma, psnr, ssim, sam)."""
-    lines = ["method,sigma,psnr,ssim,sam"]
-    for r in results:
-        lines.append(f"{r['method']},{r['sigma']},{r['psnr']:.4f},"
-                     f"{r['ssim']:.4f},{r['sam']:.4f}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv_rows(rows) -> str:
-    lines = ["engine,iters,psnr"]
-    for r in rows:
-        lines.append(f"{r['engine']},{r['iters']},{r['psnr']:.4f}")
-    return "\n".join(lines) + "\n"

@@ -7,9 +7,10 @@ sweep into a single map
 
     G+ = ((1+b) D^T D + I)^-1 (D^T Y + b soft(G, mu/b) + b D^T N(D G))
 
-whose fixed point the equilibrium engine solves.  The fast variant
-restricts D to a shared support chosen by OMP on the block centroid and
-drops the soft-threshold branch:
+which the equilibrium engine solves to its fixed point and the unrolled
+engine applies K times; only the tests run the three-split sweep, as the
+oracle for this map.  The fast variant restricts D to a shared support
+chosen by OMP on the block centroid and drops the soft-threshold branch:
 
     Gs+ = ((1+b) Ds^T Ds + eps I)^-1 (Ds^T Y + b Ds^T N(Ds Gs))
 
@@ -42,13 +43,6 @@ class StaleContextError(RuntimeError):
 
 
 @dataclass
-class HqsState:
-    G: np.ndarray  # (M, N) codes
-    V: np.ndarray  # (M, N) sparsity split
-    Z: np.ndarray  # (d, N) denoiser split
-
-
-@dataclass
 class SolverContext:
     """Immutable per-block solve context with a cached factorization.
 
@@ -66,10 +60,6 @@ class SolverContext:
     @property
     def mode(self) -> str:
         return "full" if self.support is None else "fast"
-
-    @property
-    def code_rows(self) -> int:
-        return self.D.shape[1]
 
     def check(self, params: ModelParams) -> None:
         if params.scalars.b != self.b:
@@ -94,18 +84,6 @@ def make_context(D: Dictionary, params: ModelParams, Y: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # forward maps
-
-
-def hqs_step_full(ctx: SolverContext, state: HqsState,
-                  params: ModelParams) -> HqsState:
-    """One full splitting sweep: G linear solve, V shrinkage, Z denoise."""
-    ctx.check(params)
-    b, mu = ctx.b, params.scalars.mu
-    rhs = ctx.dty + b * state.V + b * (ctx.D.T @ state.Z)
-    G = cho_solve(ctx.factor, rhs)
-    V = soft_threshold(G, mu / b)
-    Z = denoise(params.denoiser, ctx.D @ G)
-    return HqsState(G, V, Z)
 
 
 def iteration_map(ctx: SolverContext, G: np.ndarray,
@@ -216,13 +194,6 @@ def select_support(Y, D: Dictionary, s: int, eps: float = 1e-10) -> SupportSet:
 def reconstruct(ctx: SolverContext, G: np.ndarray) -> np.ndarray:
     """Estimated clean block D G (or D_S G_S on the fast path)."""
     return ctx.D @ G
-
-
-def initial_state(ctx: SolverContext, Y: np.ndarray) -> HqsState:
-    """G = 0, V = 0, Z = Y: the denoiser sees the raw block first."""
-    return HqsState(np.zeros((ctx.code_rows, Y.shape[1])),
-                    np.zeros((ctx.code_rows, Y.shape[1])),
-                    Y.copy())
 
 
 def initial_codes(ctx: SolverContext) -> np.ndarray:

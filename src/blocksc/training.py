@@ -17,6 +17,7 @@ from .anderson import DivergenceError
 from .denoiser import (DenoiserParams, ModelParams, denoise,
                        denoise_linearize, denoise_vjp, init_denoiser,
                        spectral_normalize)
+from .metrics import block_psnr
 
 
 @dataclass
@@ -211,7 +212,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     info dict); ``infer_fn(noisy, params)`` returns a reconstructed block
     for validation PSNR.  Divergent blocks (a ``FloatingPointError`` or
     ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
-    gradient) are skipped and counted in each history entry's
+    gradient) are skipped and counted per epoch in each history entry's
     ``skipped``; each step averages loss and gradients over the blocks
     kept.  Kept blocks whose info reports ``fwd_converged`` or
     ``adj_converged`` False are counted per step in the log and per epoch
@@ -229,21 +230,16 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     def val_psnr():
         if not val:
             return None
-        vals = []
-        for noisy, clean in val:
-            recon = infer_fn(noisy, params)
-            mse = float(((recon - clean) ** 2).mean())
-            vals.append(100.0 if mse == 0 else min(100.0, -10.0 * np.log10(mse)))
-        return float(np.mean(vals))
+        return float(np.mean([block_psnr(infer_fn(noisy, params), clean)
+                              for noisy, clean in val]))
 
     best = params.copy()
     best_psnr = -np.inf
     history = []
-    skipped = 0
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = _epoch_order(len(train), cfg.seed, epoch)
         epoch_loss = 0.0
-        steps = epoch_fwd_nc = epoch_adj_nc = 0
+        steps = skipped = epoch_fwd_nc = epoch_adj_nc = 0
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
             t0 = time.perf_counter()

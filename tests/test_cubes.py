@@ -181,19 +181,6 @@ class TestHsc1:
         with pytest.raises(ValueError, match="HSC1"):
             C.read_hsc1(p)
 
-    def test_manifest_round_trip(self, tmp_path):
-        entries = [{"clean_path": "c.hsc1", "noisy_path": "n.hsc1",
-                    "sigma_255": 50, "seed": 3}]
-        p = tmp_path / "manifest.json"
-        C.write_manifest(p, entries)
-        assert C.read_manifest(p) == entries
-
-    def test_manifest_schema(self, tmp_path):
-        p = tmp_path / "manifest.json"
-        p.write_text('[{"clean_path": "c"}]')
-        with pytest.raises(ValueError, match="missing"):
-            C.read_manifest(p)
-
 
 class TestIndexMapping:
     def test_exhaustive_small_cube(self):

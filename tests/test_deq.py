@@ -243,7 +243,8 @@ class TestDeqTrain:
             anderson=AndersonConfig(m=5, max_iters=10, tol=1e-6))
         _, history, adam = dq.deq_train(pairs, D, params0, cfg)
         assert len(calls) == 8
-        assert [h["skipped"] for h in history] == [1, 1]
+        # the first epoch lost one block; the count restarts each epoch
+        assert [h["skipped"] for h in history] == [1, 0]
         assert all(np.isfinite(h["loss"]) for h in history)
         # the batch that lost a block still took its step
         assert adam.t == 4
@@ -317,6 +318,31 @@ class TestDeqTrain:
         (record,) = [json.loads(line) for line in log.read_text().splitlines()]
         assert record["loss"] == survivor["loss"]
         assert history[0]["loss"] == survivor["loss"]
+
+    def test_val_psnr_is_mean_block_psnr(self):
+        from blocksc.metrics import block_psnr
+        from blocksc.training import split_validation
+        D, pairs = micro_dataset(13, count=6)
+        params = make_params(6, hidden=4, seed=13)
+        anderson = AndersonConfig(m=5, max_iters=10, tol=1e-6)
+        _, val = split_validation(pairs, 0.5, 0)
+        assert len(val) == 3
+
+        def infer(noisy, p):
+            ctx = sv.make_context(D, p, noisy, sv.select_support(noisy, D, 3))
+            return sv.reconstruct(ctx, dq.deq_forward(ctx, p, anderson).solution)
+
+        # one epoch per run, so the returned params are the ones validated
+        adam = None
+        for epoch in range(2):
+            cfg = dq.DeqTrainConfig(
+                variant="fast", support_size=3, epochs=1, lr=1e-3,
+                batch_size=2, seed=0, val_fraction=0.5, anderson=anderson)
+            params, history, adam = dq.deq_train(pairs, D, params, cfg,
+                                                 adam=adam, start_epoch=epoch)
+            expected = np.mean([block_psnr(infer(noisy, params), clean)
+                                for noisy, clean in val])
+            assert history[0]["val_psnr"] == expected
 
     def test_resume_is_bitwise_reproducible(self):
         D, pairs = micro_dataset(10, count=6)

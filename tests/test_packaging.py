@@ -56,3 +56,53 @@ def test_no_unused_imports():
     assert files
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert not unused
+
+
+# Public names that stay without a caller outside tests/, each for a reason.
+SURFACE_ALLOWLIST = {
+    "fista_lasso": "the l1 sparse-coding oracle, the convex reference for OMP",
+    "mutual_coherence": "the dictionary property the decorrelation test pins",
+    "param_count": "pins the paper's denoiser parameter count",
+    "contraction_estimate": "ROADMAP direction 1 logs it per training epoch",
+    "estimated_spectral_norms": "checks spectral_normalize until ROADMAP "
+                                "direction 1 replaces it",
+    "ssim": "one of the paper's three reported quality metrics",
+    "sam": "one of the paper's three reported quality metrics",
+    "pretrain": "the paper's denoiser pretraining stage",
+}
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def test_no_test_only_public_surface():
+    # a public function or class that only tests call is surface to delete;
+    # a name counts as used when any other top-level statement in src/,
+    # perfbench/ or tools/ refers to it
+    files = sorted(p for d in ("src", "perfbench", "tools")
+                   for p in (ROOT / d).rglob("*.py"))
+    refs = {}  # (path, statement index) -> names used by that statement
+    public = []  # (path, statement index, name) of src's public definitions
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for index, node in enumerate(tree.body):
+            refs[path, index] = _referenced_names(node)
+            if (path.parent == ROOT / "src" / "blocksc"
+                    and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((path, index, node.name))
+    unused = [f"{path.relative_to(ROOT)}: {name}"
+              for path, index, name in public
+              if name not in SURFACE_ALLOWLIST
+              and not any(name in names for key, names in refs.items()
+                          if key != (path, index))]
+    assert not unused

@@ -1,5 +1,8 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.optimize import brentq
 
 from blocksc import solver as sv
@@ -32,14 +35,44 @@ def identity_denoise_vjp(params, block, cot, n=None):
     return cot, grads
 
 
+# The three-split HQS sweep, kept here as the oracle for the collapsed map.
+
+@dataclass
+class HqsState:
+    G: np.ndarray  # (M, N) codes
+    V: np.ndarray  # (M, N) sparsity split
+    Z: np.ndarray  # (d, N) denoiser split
+
+
+def initial_state(ctx, Y):
+    """G = 0, V = 0, Z = Y: the denoiser sees the raw block first."""
+    shape = (ctx.D.shape[1], Y.shape[1])
+    return HqsState(np.zeros(shape), np.zeros(shape), Y.copy())
+
+
+def hqs_step_full(ctx, state, params):
+    """One full splitting sweep: G linear solve, V shrinkage, Z denoise.
+
+    It looks the denoiser up as ``sv.denoise`` so that a monkeypatched
+    denoiser reaches it.
+    """
+    ctx.check(params)
+    b, mu = ctx.b, params.scalars.mu
+    rhs = ctx.dty + b * state.V + b * (ctx.D.T @ state.Z)
+    G = cho_solve(ctx.factor, rhs)
+    V = soft_threshold(G, mu / b)
+    Z = sv.denoise(params.denoiser, ctx.D @ G)
+    return HqsState(G, V, Z)
+
+
 class TestHqsStepFull:
     def test_identity_dictionary_first_update(self):
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(4, 9))
         params = make_params(4, b=1.0, zero_net=True)
         ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
-        state = sv.HqsState(np.zeros((4, 9)), np.zeros((4, 9)), np.zeros((4, 9)))
-        new = sv.hqs_step_full(ctx, state, params)
+        state = HqsState(np.zeros((4, 9)), np.zeros((4, 9)), np.zeros((4, 9)))
+        new = hqs_step_full(ctx, state, params)
         assert np.allclose(new.G, Y / 3.0, atol=1e-14)
 
     def test_full_shrinkage_gives_zero_V(self):
@@ -47,8 +80,8 @@ class TestHqsStepFull:
         Y = 0.1 * rng.normal(size=(4, 9))
         params = make_params(4, b=1.0, mu=50.0, zero_net=True)
         ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
-        state = sv.initial_state(ctx, Y)
-        new = sv.hqs_step_full(ctx, state, params)
+        state = initial_state(ctx, Y)
+        new = hqs_step_full(ctx, state, params)
         assert np.array_equal(new.V, np.zeros_like(new.V))
 
     def test_scalar_root_oracle_with_identity_denoiser(self, monkeypatch):
@@ -58,9 +91,9 @@ class TestHqsStepFull:
         b, mu = 1.0, 0.3
         params = make_params(3, b=b, mu=mu)
         ctx = sv.make_context(Dictionary(np.eye(3)), params, Y)
-        state = sv.initial_state(ctx, Y)
+        state = initial_state(ctx, Y)
         for _ in range(400):
-            state = sv.hqs_step_full(ctx, state, params)
+            state = hqs_step_full(ctx, state, params)
         tau = mu / b
 
         def fixed_point_gap(g, y):
@@ -92,9 +125,9 @@ class TestIterationMapFull:
         ctx, D, Y, params, rng = self._setup()
         G = rng.normal(size=(10, 9))
         from blocksc.denoiser import denoise
-        state = sv.HqsState(G, soft_threshold(G, params.scalars.mu / ctx.b),
+        state = HqsState(G, soft_threshold(G, params.scalars.mu / ctx.b),
                             denoise(params.denoiser, ctx.D @ G))
-        swept = sv.hqs_step_full(ctx, state, params)
+        swept = hqs_step_full(ctx, state, params)
         mapped = sv.iteration_map(ctx, G, params)
         assert np.abs(swept.G - mapped).max() < 1e-12
 

@@ -6,11 +6,10 @@
 A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
 estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
 40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant;
-``sweep_iterations``; and two ``ksvd`` sweeps on the 1600 spectra of that cube.  It also runs on checkouts that predate the ``budgets``
-argument, where ``denoise_cube_traced`` gave the budgeted cubes.  ``compare``
-prints each array that differs with its max relative difference
-``max|a - b| / max|b|``, and exits 1 unless both files hold the same keys
-with ``np.array_equal`` values.
+``sweep_iterations``; and two ``ksvd`` sweeps on the 1600 spectra of that
+cube.  ``compare`` prints each array that differs with its max relative
+difference ``max|a - b| / max|b|``, and exits 1 unless both files hold the
+same keys with ``np.array_equal`` values.
 """
 
 from __future__ import annotations
@@ -37,12 +36,6 @@ def _inputs(side, hidden, seed=0):
     return D, params, clean, noisy
 
 
-def _budgeted(pipeline, bundle, cube, budgets):
-    if hasattr(pipeline, "denoise_cube_traced"):
-        return pipeline.denoise_cube_traced(bundle, cube, budgets)
-    return pipeline.denoise_cube(bundle, cube, budgets=budgets)
-
-
 def dump(path):
     from blocksc import cubes, deq, dictionary, metrics, pipeline, unroll
     from blocksc.anderson import AndersonConfig
@@ -61,7 +54,8 @@ def dump(path):
             bundle = pipeline.ModelBundle(D, params, engine=engine,
                                           variant=variant, n=20, K=4,
                                           anderson=anderson, support_size=5)
-            for k, cube in _budgeted(pipeline, bundle, noisy, [2, 3]).items():
+            staged = pipeline.denoise_cube(bundle, noisy, budgets=[2, 3])
+            for k, cube in staged.items():
                 out[f"staged.{engine}.{variant}.{k}"] = cube.data
             rows = metrics.sweep_iterations(bundle, [(noisy, clean)], [1, 3])
             out[f"sweep.{engine}.{variant}"] = np.array(
