@@ -65,14 +65,9 @@ def load_checkpoint(path) -> dict:
         magic = fh.read(8)
         if magic != MAGIC_DQC1:
             raise ValueError(f"{path}: not a DQC1 checkpoint")
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated index")
-            if ch == b"\n":
-                break
-            header.extend(ch)
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated index")
         index = json.loads(header.decode("utf-8"))
         payload = fh.read()
     entries = {}
@@ -80,7 +75,10 @@ def load_checkpoint(path) -> dict:
         dt = np.dtype(_DTYPES[spec["dtype"]])
         count = int(np.prod(spec["shape"])) if spec["shape"] else 1
         start = spec["offset"]
-        raw = payload[start:start + count * dt.itemsize]
-        arr = np.frombuffer(raw, dtype=dt, count=count).reshape(spec["shape"])
-        entries[name] = arr.copy()
+        end = start + count * dt.itemsize
+        if end > len(payload):
+            raise ValueError(f"{path}: entry {name!r} needs payload bytes "
+                             f"{start}..{end}, the file holds {len(payload)}")
+        arr = np.frombuffer(payload[start:end], dtype=dt, count=count)
+        entries[name] = arr.reshape(spec["shape"]).copy()
     return entries

@@ -212,18 +212,16 @@ def read_hsc1(path) -> HyperCube:
         magic = fh.read(8)
         if magic != MAGIC_HSC1:
             raise ValueError(f"{path}: not an HSC1 file")
-        header_line = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated header")
-            if ch == b"\n":
-                break
-            header_line.extend(ch)
+        header_line = fh.readline()
+        if not header_line.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated header")
         header = json.loads(header_line.decode("utf-8"))
-        np_dtype = "<f8" if header["dtype"] == "f64" else "<f4"
+        np_dtype = np.dtype("<f8" if header["dtype"] == "f64" else "<f4")
         count = header["bands"] * header["height"] * header["width"]
-        raw = np.frombuffer(fh.read(), dtype=np_dtype, count=count)
-        data = raw.reshape(header["bands"], header["height"], header["width"])
+        payload = fh.read()
+    if len(payload) < count * np_dtype.itemsize:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, the "
+                         f"header promises {count * np_dtype.itemsize}")
+    raw = np.frombuffer(payload, dtype=np_dtype, count=count)
+    data = raw.reshape(header["bands"], header["height"], header["width"])
     return HyperCube(np.asarray(data, dtype=np.float64))
-

@@ -215,8 +215,7 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     for i in reversed(range(4)):
         if i < 3:
             c = c * lin.masks[i]
-        c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i],
-                               params.biases[i], None, c)
+        c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i], c)
         grads[f"denoiser.layer{i + 1}.weight"] = cw
         grads[f"denoiser.layer{i + 1}.bias"] = cb
     return c.reshape(cot.shape), grads

@@ -69,7 +69,6 @@ class DeqTrainConfig(EndToEndConfig):
     variant: str = "full"  # or "fast"
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     support_size: int = 10
-    support_eps: float = 1e-10
 
     def __post_init__(self):
         if self.variant not in ("full", "fast"):
@@ -84,7 +83,7 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
     """
 
     def context(noisy, params):
-        support = (select_support(noisy, D, cfg.support_size, cfg.support_eps)
+        support = (select_support(noisy, D, cfg.support_size)
                    if cfg.variant == "fast" else None)
         return make_context(D, params, noisy, support)
 

@@ -2,17 +2,22 @@
 
 A ModelBundle packages everything inference needs (dictionary, learned
 parameters, engine choice, block size, solver budgets) and round-trips
-through the DQC1 checkpoint container.  Each block is solved on its own
-context; an iteration-budget argument reads several budgets off one
-solve.  Inference runs the regularizer network in float32 on a copy of
-the bundle's weights; the map, Anderson and the Cholesky solve stay
-float64, as does every training and gradient path.
+through the DQC1 checkpoint container.  Its settings go to the file's
+``meta.json`` as the field values and come back through the dataclass, so
+a setting an older file lacks takes its default and any other meta key
+(``support_eps`` in older files, say) stays in ``bundle.meta``.
+
+Each block is solved on its own context; an iteration-budget argument
+reads several budgets off one solve.  Inference runs the regularizer
+network in float32 on a copy of the bundle's weights; the map, Anderson
+and the Cholesky solve stay float64, as does every training and gradient
+path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,7 +42,6 @@ class ModelBundle:
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     K: int = 10
     support_size: int = 10
-    support_eps: float = 1e-10
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,8 +78,7 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
     if budgets is not None:
         budgets = _check_budgets(budgets)
     params = _float32_network(bundle.params)
-    support = (select_support(Y, bundle.dictionary, bundle.support_size,
-                              bundle.support_eps)
+    support = (select_support(Y, bundle.dictionary, bundle.support_size)
                if bundle.variant == "fast" else None)
     ctx = make_context(bundle.dictionary, params, Y, support)
     if bundle.engine == "du":
@@ -130,8 +133,12 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
 # checkpoint round trip
 
 
-def bundle_entries(bundle: ModelBundle, optimizer_entries=None,
-                   extra_meta=None) -> dict:
+# The bundle fields written to ``meta.json`` (``anderson`` as a dict).
+_SETTINGS = tuple(f.name for f in fields(ModelBundle)
+                  if f.name not in ("dictionary", "params", "meta"))
+
+
+def bundle_entries(bundle: ModelBundle, optimizer_entries=None) -> dict:
     entries = {"dictionary.atoms": bundle.dictionary.atoms}
     den = bundle.params.denoiser
     for i in range(4):
@@ -141,33 +148,32 @@ def bundle_entries(bundle: ModelBundle, optimizer_entries=None,
         entries[f"denoiser.layer{i + 1}.v"] = den.v[i]
     entries["scalars.raw_b"] = np.asarray(bundle.params.scalars.raw_b)
     entries["scalars.raw_mu"] = np.asarray(bundle.params.scalars.raw_mu)
-    meta = {"engine": bundle.engine, "variant": bundle.variant,
-            "n": bundle.n, "K": bundle.K,
-            "support_size": bundle.support_size,
-            "support_eps": bundle.support_eps,
-            "anderson": {"m": bundle.anderson.m, "beta": bundle.anderson.beta,
-                         "max_iters": bundle.anderson.max_iters,
-                         "tol": bundle.anderson.tol,
-                         "ridge": bundle.anderson.ridge}}
+    meta = {name: getattr(bundle, name) for name in _SETTINGS}
+    meta["anderson"] = asdict(bundle.anderson)
     meta.update(bundle.meta)
-    if extra_meta:
-        meta.update(extra_meta)
     entries["meta.json"] = pack_str(json.dumps(meta, sort_keys=True))
     if optimizer_entries:
         entries.update(optimizer_entries)
     return entries
 
 
-def save_model_bundle(path, bundle: ModelBundle, optimizer_entries=None,
-                      extra_meta=None) -> None:
-    save_checkpoint(path, bundle_entries(bundle, optimizer_entries,
-                                         extra_meta))
+def save_model_bundle(path, bundle: ModelBundle,
+                      optimizer_entries=None) -> None:
+    save_checkpoint(path, bundle_entries(bundle, optimizer_entries))
 
 
 def load_model_bundle(path):
-    """Returns (ModelBundle, optimizer entries dict)."""
+    """Returns (ModelBundle, optimizer entries dict).
+
+    A setting missing from the file takes its ``ModelBundle`` (or
+    ``AndersonConfig``) default; every other meta key stays in
+    ``bundle.meta``.
+    """
     entries = load_checkpoint(path)
     meta = json.loads(unpack_str(entries["meta.json"]))
+    settings = {k: meta.pop(k) for k in _SETTINGS if k in meta}
+    if "anderson" in settings:
+        settings["anderson"] = AndersonConfig(**settings["anderson"])
     weights, biases, us, vs = [], [], [], []
     for i in range(4):
         weights.append(entries[f"denoiser.layer{i + 1}.weight"])
@@ -178,24 +184,8 @@ def load_model_bundle(path):
         DenoiserParams(weights, biases, us, vs),
         ScalarParams(entries["scalars.raw_b"].reshape(()),
                      entries["scalars.raw_mu"].reshape(())))
-    a = meta.get("anderson", {})
-    bundle = ModelBundle(
-        dictionary=Dictionary(entries["dictionary.atoms"]),
-        params=params,
-        engine=meta.get("engine", "deq"),
-        variant=meta.get("variant", "fast"),
-        n=int(meta.get("n", 60)),
-        anderson=AndersonConfig(m=int(a.get("m", 5)),
-                                beta=float(a.get("beta", 1.0)),
-                                max_iters=int(a.get("max_iters", 20)),
-                                tol=float(a.get("tol", 1e-4)),
-                                ridge=float(a.get("ridge", 1e-10))),
-        K=int(meta.get("K", 10)),
-        support_size=int(meta.get("support_size", 10)),
-        support_eps=float(meta.get("support_eps", 1e-10)),
-        meta={k: v for k, v in meta.items()
-              if k not in ("engine", "variant", "n", "K", "support_size",
-                           "support_eps", "anderson")})
+    bundle = ModelBundle(dictionary=Dictionary(entries["dictionary.atoms"]),
+                         params=params, meta=meta, **settings)
     optimizer = {k: v for k, v in entries.items()
                  if k.startswith("optimizer.")}
     return bundle, optimizer

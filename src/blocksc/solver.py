@@ -164,7 +164,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         tau = mu / b
         S = soft_threshold(G, tau)
         rhs = rhs + b * S
-        cot_S_x, cot_tau = soft_threshold_vjp(G, tau, S, b * W)
+        cot_S_x, cot_tau = soft_threshold_vjp(G, tau, b * W)
         cot_G = cot_S_x + cot_G
         cot_b_rhs = float((W * S).sum()) + cot_b_rhs
         cot_b_tau = cot_tau * (-mu / (b * b))
@@ -183,11 +183,11 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
 # support selection and reconstruction
 
 
-def select_support(Y, D: Dictionary, s: int, eps: float = 1e-10) -> SupportSet:
+def select_support(Y, D: Dictionary, s: int) -> SupportSet:
     """OMP support of the block centroid (column mean) spectrum."""
     mat = Y.matrix if hasattr(Y, "matrix") else np.asarray(Y, float)
     centroid = mat.mean(axis=1)
-    support, _ = omp(centroid, D, s, eps)
+    support, _ = omp(centroid, D, s)
     return support
 
 

@@ -95,7 +95,7 @@ def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
     return _col2im3(cot_cols, c_in, h, w)
 
 
-def conv2d_vjp(x, weight, bias, out, cot):
+def conv2d_vjp(x, weight, cot):
     """Cotangents w.r.t. (x, weight, bias)."""
     c_out, c_in = weight.shape[:2]
     _, h, w = x.shape
@@ -121,7 +121,7 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def soft_threshold_vjp(x, tau, out, cot):
+def soft_threshold_vjp(x, tau, cot):
     """Cotangents w.r.t. (x, tau); subgradient 0 on the |x| = tau boundary."""
     mask = np.abs(x) > tau
     cot_x = cot * mask

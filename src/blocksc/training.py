@@ -1,8 +1,12 @@
-"""Adam optimizer, denoiser pretraining, and the shared end-to-end loop.
+"""Adam optimizer and the one minibatch loop every training stage runs.
 
-Training is deterministic given the master seed: batch order is derived
-from (seed, epoch), gradients are accumulated in a fixed order, and
-spectral normalization runs once after every optimizer step.
+``end_to_end_train`` trains the equilibrium and unrolled engines, and
+``pretrain`` runs the denoiser-only stage on the same loop, so all three
+share its validation split, divergence skipping, counters, JSONL log and
+best-checkpoint choice (mean validation block PSNR).  Training is
+deterministic given the master seed: batch order is derived from
+(seed, epoch), gradients are accumulated in a fixed order, and spectral
+normalization runs once after every optimizer step.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anderson import DivergenceError
-from .denoiser import (DenoiserParams, ModelParams, denoise,
+from .denoiser import (DenoiserParams, ModelParams, ScalarParams, denoise,
                        denoise_linearize, denoise_vjp, init_denoiser,
                        spectral_normalize)
 from .metrics import block_psnr
@@ -109,91 +113,6 @@ def split_validation(pairs, val_fraction, seed):
 
 
 @dataclass
-class PretrainConfig:
-    epochs: int = 150
-    lr: float = 1e-3
-    batch_size: int = 16
-    hidden: int = 64
-    seed: int = 0
-    val_fraction: float = 0.1
-    log_path: str | None = None
-
-
-def pretrain(pairs, cfg: PretrainConfig,
-             params0: DenoiserParams | None = None):
-    """Train the denoiser alone on (noisy, clean) block pairs with Adam.
-
-    Minimizes the batch-mean squared Frobenius error of the denoised
-    block, applies spectral normalization after every step, and returns
-    (best-validation params, per-epoch history).
-    """
-    if not pairs:
-        raise ValueError("pretrain needs at least one (noisy, clean) pair")
-    data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
-    d = data[0][0].shape[0]
-    params = params0.copy() if params0 is not None else init_denoiser(
-        d, hidden=cfg.hidden, seed=cfg.seed)
-    spectral_normalize(params)
-    pdict = {f"denoiser.layer{i}.weight": w
-             for i, w in enumerate(params.weights, start=1)}
-    pdict.update({f"denoiser.layer{i}.bias": b
-                  for i, b in enumerate(params.biases, start=1)})
-    adam = Adam(AdamConfig(lr=cfg.lr))
-    train, val = split_validation(data, cfg.val_fraction, cfg.seed)
-    logger = JsonlLogger(cfg.log_path)
-
-    def batch_loss_grads(batch):
-        loss = 0.0
-        grads = None
-        for noisy, clean in batch:
-            lin = denoise_linearize(params, noisy)
-            resid = lin.out - clean
-            loss += float((resid * resid).sum())
-            _, g = denoise_vjp(params, noisy, 2.0 * resid / len(batch),
-                               lin=lin)
-            if grads is None:
-                grads = g
-            else:
-                for k in g:
-                    grads[k] += g[k]
-        return loss / len(batch), grads
-
-    def eval_loss(blocks):
-        total = 0.0
-        for noisy, clean in blocks:
-            resid = denoise(params, noisy) - clean
-            total += float((resid * resid).sum())
-        return total / len(blocks)
-
-    best = params.copy()
-    best_val = np.inf
-    history = []
-    for epoch in range(cfg.epochs):
-        order = _epoch_order(len(train), cfg.seed, epoch)
-        epoch_loss = 0.0
-        steps = 0
-        for start in range(0, len(train), cfg.batch_size):
-            batch = [train[i] for i in order[start:start + cfg.batch_size]]
-            t0 = time.perf_counter()
-            loss, grads = batch_loss_grads(batch)
-            adam.step(pdict, grads)
-            spectral_normalize(params)
-            epoch_loss += loss
-            steps += 1
-            logger.write({"engine": "pretrain", "epoch": epoch,
-                          "step": adam.t, "loss": loss,
-                          "wall_ms": 1e3 * (time.perf_counter() - t0)})
-        val_loss = eval_loss(val) if val else epoch_loss / max(steps, 1)
-        history.append({"epoch": epoch, "loss": epoch_loss / max(steps, 1),
-                        "val_loss": val_loss})
-        if val_loss < best_val:
-            best_val = val_loss
-            best = params.copy()
-    logger.close()
-    return best, history
-
-
-@dataclass
 class EndToEndConfig:
     epochs: int = 100
     lr: float = 1e-4
@@ -206,7 +125,7 @@ class EndToEndConfig:
 def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                      block_grad_fn, infer_fn, engine: str,
                      adam: Adam | None = None, start_epoch: int = 0):
-    """Shared minibatch loop for the unrolled and equilibrium engines.
+    """Shared minibatch loop for the engines and denoiser pretraining.
 
     ``block_grad_fn(noisy, clean, params)`` returns (loss, grads dict,
     info dict); ``infer_fn(noisy, params)`` returns a reconstructed block
@@ -217,7 +136,9 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     kept.  Kept blocks whose info reports ``fwd_converged`` or
     ``adj_converged`` False are counted per step in the log and per epoch
     in ``fwd_nonconverged`` / ``adj_nonconverged``.  Returns (best params,
-    history, optimizer).
+    history, optimizer); the best params are those of the epoch with the
+    highest mean validation block PSNR, or of the last epoch when the
+    validation split is empty.
     """
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
@@ -297,3 +218,41 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             best = params.copy()
     logger.close()
     return best, history, adam
+
+
+@dataclass
+class PretrainConfig(EndToEndConfig):
+    epochs: int = 150
+    lr: float = 1e-3
+    hidden: int = 64
+
+
+def pretrain(pairs, cfg: PretrainConfig,
+             params0: DenoiserParams | None = None):
+    """Train the denoiser alone on (noisy, clean) block pairs.
+
+    Starts from a copy of ``params0`` (or a fresh ``init_denoiser``),
+    spectral-normalized once, and runs ``end_to_end_train`` on the
+    squared Frobenius error of the denoised block; the penalty scalars
+    ride along in the ``ModelParams`` and never receive a gradient.
+    Returns (best denoiser params, history).
+    """
+    if not pairs:
+        raise ValueError("pretrain needs at least one (noisy, clean) pair")
+    den = params0.copy() if params0 is not None else init_denoiser(
+        _block_matrix(pairs[0][0]).shape[0], hidden=cfg.hidden, seed=cfg.seed)
+    spectral_normalize(den)
+
+    def block_grad(noisy, clean, params):
+        lin = denoise_linearize(params.denoiser, noisy)
+        resid = lin.out - clean
+        _, grads = denoise_vjp(params.denoiser, noisy, 2.0 * resid, lin=lin)
+        return float((resid * resid).sum()), grads, {}
+
+    def infer(noisy, params):
+        return denoise(params.denoiser, noisy)
+
+    best, history, _ = end_to_end_train(
+        pairs, ModelParams(den, ScalarParams(0.0, 0.0)), cfg, block_grad,
+        infer, engine="pretrain")
+    return best.denoiser, history

@@ -65,7 +65,6 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
 class DuTrainConfig(EndToEndConfig):
     unroll: UnrollConfig = None
     support_size: int = 10
-    support_eps: float = 1e-10
 
     def __post_init__(self):
         if self.unroll is None:
@@ -77,7 +76,7 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
     """End-to-end training of the unrolled model; K is fixed at train time."""
 
     def context(noisy, params):
-        support = (select_support(noisy, D, cfg.support_size, cfg.support_eps)
+        support = (select_support(noisy, D, cfg.support_size)
                    if cfg.unroll.variant == "fast" else None)
         return make_context(D, params, noisy, support)
 

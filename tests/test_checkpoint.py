@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from blocksc import checkpoint as ck
 from blocksc.anderson import AndersonConfig
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser
 from blocksc.dictionary import Dictionary, normalize_atoms
-from blocksc.pipeline import ModelBundle, load_model_bundle, save_model_bundle
+from blocksc.pipeline import ModelBundle, bundle_entries, load_model_bundle, \
+    save_model_bundle
 from blocksc.training import Adam, AdamConfig
 
 
@@ -41,6 +45,21 @@ class TestContainer:
         p = tmp_path / "bad.dqc1"
         p.write_bytes(b"NOTDQC10{}\n")
         with pytest.raises(ValueError, match="DQC1"):
+            ck.load_checkpoint(p)
+
+    def test_truncated_index(self, tmp_path):
+        p = tmp_path / "x.dqc1"
+        ck.save_checkpoint(p, {"w": np.ones(3)})
+        raw = p.read_bytes()
+        p.write_bytes(raw[:raw.index(b"\n")])
+        with pytest.raises(ValueError, match=r"x\.dqc1: truncated index"):
+            ck.load_checkpoint(p)
+
+    def test_truncated_payload_names_the_entry(self, tmp_path):
+        p = tmp_path / "x.dqc1"
+        ck.save_checkpoint(p, {"a": np.ones(3), "b": np.ones(4)})
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=r"x\.dqc1: entry 'b' needs"):
             ck.load_checkpoint(p)
 
 
@@ -79,6 +98,55 @@ class TestModelBundle:
         p2 = tmp_path / "m2.dqc1"
         save_model_bundle(p1, bundle)
         back, _ = load_model_bundle(p1)
+        save_model_bundle(p2, back)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_setting_round_trips(self, tmp_path):
+        settings = [f.name for f in fields(ModelBundle)
+                    if f.name not in ("dictionary", "params", "meta")]
+        bundle = replace(
+            small_bundle(), engine="du", variant="full", n=5, K=4,
+            support_size=3, anderson=AndersonConfig(
+                m=3, beta=0.5, max_iters=7, tol=1e-3, ridge=1e-6))
+        default = ModelBundle(bundle.dictionary, bundle.params)
+        for name in settings:
+            assert getattr(bundle, name) != getattr(default, name), name
+        for f in fields(AndersonConfig):
+            assert (getattr(bundle.anderson, f.name)
+                    != getattr(default.anderson, f.name)), f.name
+        p = tmp_path / "m.dqc1"
+        save_model_bundle(p, bundle)
+        back, _ = load_model_bundle(p)
+        for name in settings:
+            assert getattr(back, name) == getattr(bundle, name), name
+        assert back.meta == bundle.meta
+
+    def test_missing_settings_take_the_defaults(self, tmp_path):
+        bundle = small_bundle(seed=5)
+        entries = bundle_entries(bundle)
+        entries["meta.json"] = ck.pack_str(json.dumps(
+            {"engine": "du", "anderson": {"m": 3}, "note": "old"}))
+        p = tmp_path / "m.dqc1"
+        ck.save_checkpoint(p, entries)
+        back, _ = load_model_bundle(p)
+        assert back.engine == "du"
+        assert back.anderson == AndersonConfig(m=3)
+        default = ModelBundle(bundle.dictionary, bundle.params)
+        for name in ("variant", "n", "K", "support_size"):
+            assert getattr(back, name) == getattr(default, name), name
+        assert back.meta == {"note": "old"}
+
+    def test_bundle_holding_support_eps_loads(self, tmp_path):
+        # bundles written while support_eps was a setting hold it in meta
+        entries = bundle_entries(small_bundle(seed=6))
+        meta = json.loads(ck.unpack_str(entries["meta.json"]))
+        meta["support_eps"] = 1e-10
+        entries["meta.json"] = ck.pack_str(json.dumps(meta, sort_keys=True))
+        p1 = tmp_path / "old.dqc1"
+        ck.save_checkpoint(p1, entries)
+        back, _ = load_model_bundle(p1)
+        assert back.meta == {"sigma_255": 50, "support_eps": 1e-10}
+        p2 = tmp_path / "resaved.dqc1"
         save_model_bundle(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -181,6 +181,22 @@ class TestHsc1:
         with pytest.raises(ValueError, match="HSC1"):
             C.read_hsc1(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "a.hsc1"
+        C.write_hsc1(p, random_cube(2, 3, 3, seed=17))
+        raw = p.read_bytes()
+        p.write_bytes(raw[:raw.index(b"\n")])
+        with pytest.raises(ValueError, match=r"a\.hsc1: truncated header"):
+            C.read_hsc1(p)
+
+    def test_truncated_payload(self, tmp_path):
+        p = tmp_path / "a.hsc1"
+        C.write_hsc1(p, random_cube(2, 3, 3, seed=18))
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ValueError,
+                           match=r"a\.hsc1: payload holds 143 bytes"):
+            C.read_hsc1(p)
+
 
 class TestIndexMapping:
     def test_exhaustive_small_cube(self):

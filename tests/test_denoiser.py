@@ -3,6 +3,7 @@ import pytest
 
 from blocksc import denoiser as dn
 from blocksc import tensor as T
+from blocksc import training
 from blocksc.training import PretrainConfig, pretrain
 
 
@@ -326,3 +327,50 @@ class TestPretrain:
         params, _ = pretrain(pairs, cfg)
         for est in dn.estimated_spectral_norms(params):
             assert est <= 1.0 + 1e-6
+
+    def test_divergent_block_is_skipped(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        pairs = [(rng.normal(size=(3, 9)), rng.normal(size=(3, 9)))
+                 for _ in range(4)]
+        real = training.denoise_linearize
+        calls = []
+
+        def first_block_diverges(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise FloatingPointError("overflow in the first block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "denoise_linearize",
+                            first_block_diverges)
+        cfg = PretrainConfig(epochs=2, lr=1e-3, batch_size=2, hidden=4,
+                             seed=3, val_fraction=0.0)
+        params, history = pretrain(pairs, cfg)
+        assert len(calls) == 8
+        assert [h["skipped"] for h in history] == [1, 0]
+        assert all(np.isfinite(h["loss"]) for h in history)
+        assert all(np.all(np.isfinite(w)) for w in params.weights)
+
+    def test_returns_the_epoch_with_the_best_val_psnr(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        clean = [rng.uniform(0, 1, size=(3, 16)) for _ in range(6)]
+        pairs = [(c + 0.1 * rng.normal(size=c.shape), c) for c in clean]
+        validated = []  # the network each validation block ran through
+        real = training.denoise
+
+        def spy(params, block, n=None):
+            validated.append(params.copy())
+            return real(params, block, n)
+
+        monkeypatch.setattr(training, "denoise", spy)
+        cfg = PretrainConfig(epochs=6, lr=0.1, batch_size=3, hidden=4,
+                             seed=4, val_fraction=0.5)
+        best, history = pretrain(pairs, cfg)
+        assert len(validated) == 3 * len(history)
+        epoch = int(np.argmax([h["val_psnr"] for h in history]))
+        # a best epoch that is also the last would not tell the two apart
+        assert 0 < epoch < len(history) - 1
+        chosen = validated[3 * epoch]
+        for got, want in zip(best.weights + best.biases,
+                             chosen.weights + chosen.biases):
+            assert np.array_equal(got, want)

@@ -104,7 +104,7 @@ class TestFloat32Inference:
         for blk in split_blocks(noisy, bundle.n).blocks:
             est = denoise_block(bundle, blk.matrix)
             support = (select_support(blk.matrix, bundle.dictionary,
-                                      bundle.support_size, bundle.support_eps)
+                                      bundle.support_size)
                        if variant == "fast" else None)
             ctx = make_context(bundle.dictionary, bundle.params, blk.matrix,
                                support)

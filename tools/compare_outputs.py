@@ -6,10 +6,12 @@
 A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
 estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
 40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant;
-``sweep_iterations``; and two ``ksvd`` sweeps on the 1600 spectra of that
-cube.  ``compare`` prints each array that differs with its max relative
-difference ``max|a - b| / max|b|``, and exits 1 unless both files hold the
-same keys with ``np.array_equal`` values.
+``sweep_iterations``; a three-epoch denoiser ``pretrain`` run (its weights
+and per-epoch ``loss``; no validation split, so the returned weights are the
+last epoch's whenever the loss falls every epoch); and two ``ksvd`` sweeps
+on the 1600 spectra of that cube.  ``compare`` prints each array that
+differs with its max relative difference ``max|a - b| / max|b|``, and exits
+1 unless both files hold the same keys with ``np.array_equal`` values.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ def _inputs(side, hidden, seed=0):
 
 
 def dump(path):
-    from blocksc import cubes, deq, dictionary, metrics, pipeline, unroll
+    from blocksc import cubes, deq, dictionary, metrics, pipeline, training, \
+        unroll
     from blocksc.anderson import AndersonConfig
 
     out = {}
@@ -77,6 +80,13 @@ def dump(path):
             out[f"du_train.{variant}.{k}"] = v
         out[f"du_train.{variant}.history"] = np.array(
             [(h["loss"], h["val_psnr"]) for h in history])
+    cfg = training.PretrainConfig(epochs=3, lr=1e-3, batch_size=2, hidden=16,
+                                  val_fraction=0.0)
+    den, history = training.pretrain(pairs, cfg)
+    for i, (w, b) in enumerate(zip(den.weights, den.biases), start=1):
+        out[f"pretrain.layer{i}.weight"] = w
+        out[f"pretrain.layer{i}.bias"] = b
+    out["pretrain.loss"] = np.array([h["loss"] for h in history])
     learned, history = dictionary.ksvd(noisy.data.reshape(31, -1), M=64, s=3,
                                        sweeps=2)
     out["ksvd.atoms"] = learned.atoms
