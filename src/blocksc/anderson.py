@@ -1,18 +1,19 @@
 """Anderson-accelerated fixed-point iteration.
 
-Keeps the m most recent iterates g and map values f(g), mixes them with
-coefficients alpha minimizing the combined residual norm subject to
-sum(alpha) = 1, and damps the update with beta:
+Keeps the m most recent iterates g_i and residuals u_i = f(g_i) - g_i as
+rows of two preallocated ring buffers, mixes them with coefficients alpha
+minimizing the combined residual norm subject to sum(alpha) = 1, and
+damps the update with beta:
 
-    g+ = (1 - beta) sum_i alpha_i g_i + beta sum_i alpha_i f(g_i)
+    g+ = sum_i alpha_i (g_i + beta u_i)
 
 The constrained least-squares is solved by eliminating the constraint:
-(U^T U + ridge I) w = 1, alpha = w / sum(w), with U the residual matrix.
+(U^T U + ridge I) w = 1, alpha = w / sum(w); each iteration updates the
+Gram matrix U^T U by the one row it writes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,32 +68,32 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
     """
     g = np.asarray(g0, dtype=np.float64)
     shape = g.shape
-    iterates: deque = deque(maxlen=cfg.m)
-    values: deque = deque(maxlen=cfg.m)
+    X = np.empty((cfg.m, g.size))  # ring buffers: one iterate per row
+    U = np.empty((cfg.m, g.size))  # and its residual f(g) - g
+    gram = np.empty((cfg.m, cfg.m))
     residuals = []
     alpha = None
     converged = False
-    k = 0
+    k = c = 0
     for k in range(1, cfg.max_iters + 1):
         fg = np.asarray(f(g), dtype=np.float64)
         if not np.all(np.isfinite(fg)):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k)
-        iterates.append(g.ravel().copy())
-        values.append(fg.ravel())
-        if len(iterates) == 1:
-            g_next = fg  # plain first step
+        j, c = (k - 1) % cfg.m, min(k, cfg.m)  # row j: the oldest, once full
+        X[j] = g.ravel()
+        np.subtract(fg.ravel(), X[j], out=U[j])
+        gram[j, :c] = gram[:c, j] = U[:c] @ U[j]
+        if c == 1:
+            g_next = fg  # plain step: first iteration, or m = 1
         else:
-            X = np.stack(iterates, axis=1)
-            F = np.stack(values, axis=1)
-            U = F - X
-            utu = U.T @ U
+            utu = gram[:c, :c]
             # ridge is relative to the residual scale so late iterations
             # keep refining instead of degenerating to plain averaging
-            scale = max(float(np.trace(utu)) / utu.shape[0], 1e-300)
-            h = utu + cfg.ridge * scale * np.eye(U.shape[1])
+            scale = max(float(np.trace(utu)) / c, 1e-300)
+            h = utu + cfg.ridge * scale * np.eye(c)
             try:
-                w = np.linalg.solve(h, np.ones(U.shape[1]))
+                w = np.linalg.solve(h, np.ones(c))
             except np.linalg.LinAlgError:
                 w = None
             if w is None or abs(w.sum()) < 1e-300:
@@ -100,7 +101,7 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
                 alpha = None
             else:
                 alpha = w / w.sum()
-                mix = (1.0 - cfg.beta) * (X @ alpha) + cfg.beta * (F @ alpha)
+                mix = alpha @ X[:c] + cfg.beta * (alpha @ U[:c])
                 g_next = mix.reshape(shape)
         res = _rel_residual(g, g_next)
         residuals.append(res)
@@ -110,4 +111,6 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
         if res < cfg.tol:
             converged = True
             break
+    if alpha is not None and c == cfg.m:  # report oldest first
+        alpha = np.roll(alpha, -(k % cfg.m))
     return FixedPointReport(g, k, residuals, converged, alpha, cfg.beta)

@@ -217,11 +217,10 @@ def read_hsc1(path) -> HyperCube:
             raise ValueError(f"{path}: truncated header")
         header = json.loads(header_line.decode("utf-8"))
         np_dtype = np.dtype("<f8" if header["dtype"] == "f64" else "<f4")
-        count = header["bands"] * header["height"] * header["width"]
-        payload = fh.read()
-    if len(payload) < count * np_dtype.itemsize:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, the "
-                         f"header promises {count * np_dtype.itemsize}")
-    raw = np.frombuffer(payload, dtype=np_dtype, count=count)
-    data = raw.reshape(header["bands"], header["height"], header["width"])
-    return HyperCube(np.asarray(data, dtype=np.float64))
+        data = np.empty((header["bands"], header["height"], header["width"]),
+                        dtype=np_dtype)
+        got = fh.readinto(data)
+    if got < data.nbytes:
+        raise ValueError(f"{path}: payload holds {got} bytes, the "
+                         f"header promises {data.nbytes}")
+    return HyperCube(data)

@@ -15,12 +15,13 @@ chosen by OMP on the block centroid and drops the soft-threshold branch:
     Gs+ = ((1+b) Ds^T Ds + eps I)^-1 (Ds^T Y + b Ds^T N(Ds Gs))
 
 (the eps ridge guards the identity-free matrix of the restricted scheme).
-``make_context`` builds one block's context: it factorizes the map's
-matrix and owns D^T Y (D_S^T Y on the fast map); its ``support`` selects
-the map, None for the full one.  ``iteration_map`` applies either map;
-``map_vjp`` gives the cotangents of one application w.r.t. the input
-codes and all learnable parameters; ``linearize_map`` runs the forward
-once at a point and then gives only the code cotangent per call.
+``make_context`` builds one block's context: it factors the map's matrix
+A, then keeps A^-1, P = A^-1 D^T and c0 = P Y (D_S on the fast map), so
+the map is G+ = c0 + b P N(D G) [+ b A^-1 soft(G)], GEMMs only; its
+``support`` selects the map, None for the full one.  ``iteration_map``
+applies either map; ``map_vjp`` gives the cotangents of one application
+w.r.t. the input codes and all learnable parameters; ``linearize_map``
+runs the forward once at a point and then gives only the code cotangent.
 """
 
 from __future__ import annotations
@@ -44,17 +45,19 @@ class StaleContextError(RuntimeError):
 
 @dataclass
 class SolverContext:
-    """Immutable per-block solve context with a cached factorization.
+    """Immutable per-block solve context: the map's matrix A, folded.
 
-    It owns the block's D^T Y product, computed once at construction, so
-    the maps take only the codes.  ``support`` selects the map: None is
-    the full map on every atom, a SupportSet the fast map on D_S.
+    It keeps A^-1, P = A^-1 D^T and c0 = P Y, all computed once at
+    construction, so the maps take only the codes and apply no solve.
+    ``support`` selects the map: None is the full map on every atom, a
+    SupportSet the fast map on D_S.
     """
 
     D: np.ndarray
     b: float
-    factor: tuple
-    dty: np.ndarray
+    Ainv: np.ndarray
+    P: np.ndarray
+    c0: np.ndarray
     support: SupportSet | None = None
 
     @property
@@ -70,7 +73,7 @@ class SolverContext:
 
 def make_context(D: Dictionary, params: ModelParams, Y: np.ndarray,
                  support: SupportSet | None = None) -> SolverContext:
-    """Factorize the map's matrix for block Y: full map, or fast on support."""
+    """Invert the map's matrix for block Y: full map, or fast on support."""
     atoms, ridge = D.atoms, 1.0
     if support is not None:
         if support.size > atoms.shape[0]:
@@ -78,8 +81,11 @@ def make_context(D: Dictionary, params: ModelParams, Y: np.ndarray,
                              f"{support.size} > {atoms.shape[0]}")
         atoms, ridge = atoms[:, support.indices], FAST_RIDGE
     b = params.scalars.b
-    A = (1.0 + b) * (atoms.T @ atoms) + ridge * np.eye(atoms.shape[1])
-    return SolverContext(atoms, b, chol_factor(A), atoms.T @ Y, support)
+    eye = np.eye(atoms.shape[1])
+    A = (1.0 + b) * (atoms.T @ atoms) + ridge * eye
+    Ainv = cho_solve(chol_factor(A), eye)
+    P = Ainv @ atoms.T
+    return SolverContext(atoms, b, Ainv, P, P @ Y, support)
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +100,10 @@ def iteration_map(ctx: SolverContext, G: np.ndarray,
     """
     ctx.check(params)
     b = ctx.b
-    nout = denoise(params.denoiser, ctx.D @ G)
-    rhs = ctx.dty
+    out = ctx.c0 + b * (ctx.P @ denoise(params.denoiser, ctx.D @ G))
     if ctx.mode == "full":
-        rhs = rhs + b * soft_threshold(G, params.scalars.mu / b)
-    return cho_solve(ctx.factor, rhs + b * (ctx.D.T @ nout))
+        out += b * (ctx.Ainv @ soft_threshold(G, params.scalars.mu / b))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,8 @@ class MapLinearization:
     """The map linearized at codes G: T = D G, the shrinkage mask
     |G| > mu/b (full mode only) and the denoiser linearization at T.
 
-    Calling it gives the code cotangent alone; with W = A^-1 cot,
+    Calling it gives the code cotangent alone; with W = A^-1 cot (formed
+    on the full map only) and D W = P^T cot,
     J^T cot = D^T N'(T)^T (b D W) [+ b W on the mask].
     """
 
@@ -121,11 +127,10 @@ class MapLinearization:
 
     def __call__(self, cot: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        W = cho_solve(ctx.factor, cot)  # A is symmetric
-        cot_G = ctx.D.T @ self.den.transpose(ctx.b * (ctx.D @ W))
+        cot_G = ctx.D.T @ self.den.transpose(ctx.b * (ctx.P.T @ cot))
         if self.mask is None:
             return cot_G
-        return (ctx.b * W) * self.mask + cot_G
+        return (ctx.b * (ctx.Ainv @ cot)) * self.mask + cot_G
 
 
 def linearize_map(ctx: SolverContext, G: np.ndarray,
@@ -151,27 +156,25 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         lin = linearize_map(ctx, G, params)
     b, mu = ctx.b, params.scalars.mu
     nout = lin.den.out
-    W = cho_solve(ctx.factor, cot)  # A is symmetric
-    DW = ctx.D @ W
+    DW = ctx.P.T @ cot  # D A^-1 cot, A being symmetric
     cot_T, grads = denoise_vjp(params.denoiser, lin.T, b * DW, lin=lin.den)
     cot_G = ctx.D.T @ cot_T
 
     # b enters the matrix (1+b) D^T D [+ I] and every rhs term
-    rhs = ctx.dty
+    G_next = ctx.c0 + b * (ctx.P @ nout)
     cot_b_rhs = float((DW * nout).sum())
     cot_b_tau = cot_mu = 0.0
     if ctx.mode == "full":  # the shrinkage branch, tau = mu / b
         tau = mu / b
+        W = ctx.Ainv @ cot
         S = soft_threshold(G, tau)
-        rhs = rhs + b * S
+        G_next += b * (ctx.Ainv @ S)
         cot_S_x, cot_tau = soft_threshold_vjp(G, tau, b * W)
         cot_G = cot_S_x + cot_G
         cot_b_rhs = float((W * S).sum()) + cot_b_rhs
         cot_b_tau = cot_tau * (-mu / (b * b))
         cot_mu = cot_tau / b
-    G_next = cho_solve(ctx.factor, rhs + b * (ctx.D.T @ nout))
-    cot_b = -float((W * (ctx.D.T @ (ctx.D @ G_next))).sum()) + cot_b_rhs \
-        + cot_b_tau
+    cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
 
     chain_b, chain_mu = params.scalars.grad_chain()
     grads["scalars.raw_b"] = np.float64(cot_b * chain_b)
@@ -197,7 +200,7 @@ def reconstruct(ctx: SolverContext, G: np.ndarray) -> np.ndarray:
 
 
 def initial_codes(ctx: SolverContext) -> np.ndarray:
-    return np.zeros(ctx.dty.shape)
+    return np.zeros(ctx.c0.shape)
 
 
 def contraction_estimate(ctx: SolverContext, params: ModelParams,
@@ -205,7 +208,7 @@ def contraction_estimate(ctx: SolverContext, params: ModelParams,
                          scale: float = 1.0) -> float:
     """Empirical Lipschitz ratio of the map over random code pairs."""
     rng = np.random.default_rng(seed)
-    shape = ctx.dty.shape
+    shape = ctx.c0.shape
     worst = 0.0
     for _ in range(pairs):
         G1 = scale * rng.normal(size=shape)

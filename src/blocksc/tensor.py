@@ -4,7 +4,10 @@ Arrays are plain numpy arrays, and every op keeps its input's dtype: the
 gradient paths run in float64, while inference may run the 3x3 convs in
 float32.  ``conv2d_vjp``, ``conv2d_transpose`` and ``soft_threshold_vjp``
 give the cotangents that the denoiser and map VJPs chain, so no general
-autograd graph is needed.
+autograd graph is needed.  The conv, its transpose and its weight
+cotangent each take one GEMM against the patch matrix of one image on the
+zero-padded flat grid, where output row i keeps w + 2 columns and the
+two extra ones are dropped.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import linalg as _sla
 
 
@@ -35,30 +39,17 @@ class FactorizationError(RuntimeError):
 # conv2d: 3x3 kernels, stride 1, zero padding 1, "same" output size
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """(c, h, w) -> (c*9, h*w) patch matrix for a 3x3/pad-1 window."""
+def _patches(x: np.ndarray) -> np.ndarray:
+    """(c, h, w) -> (9c, h*(w+2)) patches: column i*(w+2) + j holds the
+    3x3/pad-1 window at (i, j), junk for j >= w.  One extra zero row keeps
+    every tap of every column in bounds, so one strided view holds all nine
+    shifted windows."""
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((c, 9, h, w), dtype=x.dtype)
-    k = 0
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, k] = xp[:, ki:ki + h, kj:kj + w]
-            k += 1
-    return cols.reshape(c * 9, h * w)
-
-
-def _col2im3(cols: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col3: scatter-add patch columns back to an image."""
-    xp = np.zeros((c, h + 2, w + 2), dtype=cols.dtype)
-    cols = cols.reshape(c, 9, h, w)
-    k = 0
-    for ki in range(3):
-        for kj in range(3):
-            xp[:, ki:ki + h, kj:kj + w] += cols[:, k]
-            k += 1
-    return xp[:, 1:-1, 1:-1]
+    xp = np.zeros((c, h + 3, w + 2), dtype=x.dtype)
+    xp[:, 1:h + 1, 1:w + 1] = x
+    sc, sr, s = xp.strides
+    view = as_strided(xp, (c, 3, 3, h * (w + 2)), (sc, sr, s, s))
+    return view.reshape(9 * c, h * (w + 2))
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -78,31 +69,33 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
             f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
     c_out = weight.shape[0]
     _, h, w = x.shape
-    cols = _im2col3(x)
-    out = weight.reshape(c_out, -1) @ cols + bias[:, None]
-    return out.reshape(c_out, h, w)
+    out = weight.reshape(c_out, -1) @ _patches(x)
+    out += bias[:, None]
+    return out.reshape(c_out, h, w + 2)[:, :, :w]
 
 
 def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
-    """Input cotangent of conv2d alone: col2im(W^T @ cot).
+    """Input cotangent of conv2d alone: the same 3x3 kernel applied to cot
+    with the flipped, channel-transposed weight.
 
     Needs neither the input nor its patch matrix, so a caller that only
-    propagates cotangents pays one GEMM and one scatter per layer.
+    propagates cotangents pays one patch copy and one GEMM per layer.
     """
-    c_out, c_in = weight.shape[:2]
+    c_in = weight.shape[1]
     _, h, w = cot.shape
-    cot_cols = weight.reshape(c_out, -1).T @ cot.reshape(c_out, h * w)
-    return _col2im3(cot_cols, c_in, h, w)
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return (flipped @ _patches(cot)).reshape(c_in, h, w + 2)[:, :, :w]
 
 
 def conv2d_vjp(x, weight, cot):
     """Cotangents w.r.t. (x, weight, bias)."""
     c_out, c_in = weight.shape[:2]
     _, h, w = x.shape
-    cot_mat = cot.reshape(c_out, h * w)
-    cols = _im2col3(x)
-    cot_weight = (cot_mat @ cols.T).reshape(c_out, c_in, 3, 3)
-    cot_bias = cot_mat.sum(axis=1)
+    wide = np.zeros((c_out, h, w + 2), dtype=cot.dtype)  # zero junk columns
+    wide[:, :, :w] = cot
+    cot_weight = (wide.reshape(c_out, -1) @ _patches(x).T).reshape(
+        c_out, c_in, 3, 3)
+    cot_bias = cot.reshape(c_out, h * w).sum(axis=1)
     return conv2d_transpose(weight, cot), cot_weight, cot_bias
 
 

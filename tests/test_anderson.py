@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from blocksc.anderson import AndersonConfig, DivergenceError, anderson_solve
+from blocksc.anderson import AndersonConfig, DivergenceError, \
+    FixedPointReport, _rel_residual, anderson_solve
 
 
 def solve_scalar_affine(m, tol=1e-12, max_iters=100, beta=1.0):
@@ -112,3 +115,111 @@ class TestReportContract:
         assert [k for k, _ in seen] == list(range(1, len(seen) + 1))
         assert len(seen) >= 2
         assert seen[-1][1] == report.solution[0]
+
+
+def deque_anderson(f, g0, cfg, callback=None):
+    """The deque/np.stack solver the ring buffers replaced, as the oracle:
+    it rebuilds U^T U from scratch and mixes (1-beta) X alpha + beta F alpha.
+    """
+    g = np.asarray(g0, dtype=np.float64)
+    shape = g.shape
+    iterates = deque(maxlen=cfg.m)
+    values = deque(maxlen=cfg.m)
+    residuals = []
+    alpha = None
+    converged = False
+    k = 0
+    for k in range(1, cfg.max_iters + 1):
+        fg = np.asarray(f(g), dtype=np.float64)
+        if not np.all(np.isfinite(fg)):
+            raise DivergenceError(
+                f"non-finite iterate at iteration {k}", iteration=k)
+        iterates.append(g.ravel().copy())
+        values.append(fg.ravel())
+        if len(iterates) == 1:
+            g_next = fg
+        else:
+            X = np.stack(iterates, axis=1)
+            F = np.stack(values, axis=1)
+            U = F - X
+            utu = U.T @ U
+            scale = max(float(np.trace(utu)) / utu.shape[0], 1e-300)
+            h = utu + cfg.ridge * scale * np.eye(U.shape[1])
+            try:
+                w = np.linalg.solve(h, np.ones(U.shape[1]))
+            except np.linalg.LinAlgError:
+                w = None
+            if w is None or abs(w.sum()) < 1e-300:
+                g_next = fg
+                alpha = None
+            else:
+                alpha = w / w.sum()
+                mix = (1.0 - cfg.beta) * (X @ alpha) + cfg.beta * (F @ alpha)
+                g_next = mix.reshape(shape)
+        res = _rel_residual(g, g_next)
+        residuals.append(res)
+        g = g_next
+        if callback is not None:
+            callback(k, g)
+        if res < cfg.tol:
+            converged = True
+            break
+    return FixedPointReport(g, k, residuals, converged, alpha, cfg.beta)
+
+
+def smooth_contraction(dim, seed):
+    """A nonlinear contraction on (dim, 3) arrays: tanh of a linear map."""
+    A, c = linear_contraction(dim, 0.9, seed)
+    C = np.outer(c, [1.0, -0.5, 2.0])
+    return lambda g: np.tanh(A @ g) + C
+
+
+class TestRingBuffers:
+    """The ring-buffer solver against the deque/np.stack oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("tol,max_iters", [(1e-10, 200), (0.0, 25)])
+    def test_matches_the_deque_oracle(self, m, beta, tol, max_iters):
+        f = smooth_contraction(20, seed=m)
+        cfg = AndersonConfig(m=m, beta=beta, max_iters=max_iters, tol=tol)
+        g0 = np.zeros((20, 3))
+        got = anderson_solve(f, g0, cfg)
+        want = deque_anderson(f, g0, cfg)
+        assert got.iterations > m  # the buffers wrapped around
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.solution.shape == g0.shape
+        err = np.abs(got.solution - want.solution).max()
+        assert err <= 1e-12 * np.abs(want.solution).max()
+        if m == 1:
+            assert got.alpha is None and want.alpha is None
+        else:
+            # reported oldest first, as the oracle orders its columns; at
+            # convergence the Gram sits near rounding, so alpha agrees only
+            # loosely, yet any other order would miss by O(1)
+            assert np.abs(got.alpha - want.alpha).max() < 1e-3
+
+    def test_iterates_do_not_alias_the_buffers(self):
+        f = smooth_contraction(6, seed=7)
+        seen, copies = [], []
+
+        def keep(k, g):
+            seen.append(g)
+            copies.append(g.copy())
+
+        args = []
+
+        def traced(g):
+            args.append((g, g.copy()))
+            return f(g)
+
+        cfg = AndersonConfig(m=2, max_iters=12, tol=0.0)
+        report = anderson_solve(traced, np.zeros((6, 3)), cfg, callback=keep)
+        assert report.iterations == 12
+        for g, snapshot in zip(seen, copies):
+            assert np.array_equal(g, snapshot)
+        for g, snapshot in args:
+            assert np.array_equal(g, snapshot)
+        assert report.solution is seen[-1]
+        assert np.array_equal(report.solution, copies[-1])

@@ -175,6 +175,13 @@ class TestHsc1:
         C.write_hsc1(p2, back, dtype="f32")
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_loads_writable(self, tmp_path, dtype):
+        p = tmp_path / "a.hsc1"
+        C.write_hsc1(p, random_cube(2, 3, 3, seed=19), dtype=dtype)
+        back = C.read_hsc1(p)
+        assert back.data.flags.writeable
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.hsc1"
         p.write_bytes(b"NOTHSC10" + b"{}\n")

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from blocksc import solver as sv
@@ -50,19 +50,27 @@ def initial_state(ctx, Y):
     return HqsState(np.zeros(shape), np.zeros(shape), Y.copy())
 
 
-def hqs_step_full(ctx, state, params):
+def hqs_step_full(ctx, Y, state, params):
     """One full splitting sweep: G linear solve, V shrinkage, Z denoise.
 
-    It looks the denoiser up as ``sv.denoise`` so that a monkeypatched
-    denoiser reaches it.
+    It solves against a Cholesky factor of its own, and looks the
+    denoiser up as ``sv.denoise`` so that a monkeypatched denoiser
+    reaches it.
     """
     ctx.check(params)
     b, mu = ctx.b, params.scalars.mu
-    rhs = ctx.dty + b * state.V + b * (ctx.D.T @ state.Z)
-    G = cho_solve(ctx.factor, rhs)
+    rhs = ctx.D.T @ Y + b * state.V + b * (ctx.D.T @ state.Z)
+    G = cho_solve(cho_factor(map_matrix(ctx)), rhs)
     V = soft_threshold(G, mu / b)
     Z = sv.denoise(params.denoiser, ctx.D @ G)
     return HqsState(G, V, Z)
+
+
+def map_matrix(ctx):
+    """The map's matrix A = (1+b) D^T D + ridge I (D_S on the fast map)."""
+    ridge = 1.0 if ctx.mode == "full" else sv.FAST_RIDGE
+    return ((1.0 + ctx.b) * (ctx.D.T @ ctx.D)
+            + ridge * np.eye(ctx.D.shape[1]))
 
 
 class TestHqsStepFull:
@@ -72,7 +80,7 @@ class TestHqsStepFull:
         params = make_params(4, b=1.0, zero_net=True)
         ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
         state = HqsState(np.zeros((4, 9)), np.zeros((4, 9)), np.zeros((4, 9)))
-        new = hqs_step_full(ctx, state, params)
+        new = hqs_step_full(ctx, Y, state, params)
         assert np.allclose(new.G, Y / 3.0, atol=1e-14)
 
     def test_full_shrinkage_gives_zero_V(self):
@@ -81,7 +89,7 @@ class TestHqsStepFull:
         params = make_params(4, b=1.0, mu=50.0, zero_net=True)
         ctx = sv.make_context(Dictionary(np.eye(4)), params, Y)
         state = initial_state(ctx, Y)
-        new = hqs_step_full(ctx, state, params)
+        new = hqs_step_full(ctx, Y, state, params)
         assert np.array_equal(new.V, np.zeros_like(new.V))
 
     def test_scalar_root_oracle_with_identity_denoiser(self, monkeypatch):
@@ -93,7 +101,7 @@ class TestHqsStepFull:
         ctx = sv.make_context(Dictionary(np.eye(3)), params, Y)
         state = initial_state(ctx, Y)
         for _ in range(400):
-            state = hqs_step_full(ctx, state, params)
+            state = hqs_step_full(ctx, Y, state, params)
         tau = mu / b
 
         def fixed_point_gap(g, y):
@@ -127,7 +135,7 @@ class TestIterationMapFull:
         from blocksc.denoiser import denoise
         state = HqsState(G, soft_threshold(G, params.scalars.mu / ctx.b),
                             denoise(params.denoiser, ctx.D @ G))
-        swept = hqs_step_full(ctx, state, params)
+        swept = hqs_step_full(ctx, Y, state, params)
         mapped = sv.iteration_map(ctx, G, params)
         assert np.abs(swept.G - mapped).max() < 1e-12
 
@@ -248,6 +256,41 @@ class TestIterationMapFast:
             sv.make_context(D, params, Y, SupportSet(np.arange(4)))
         # |S| == d is fine
         sv.make_context(D, params, Y, SupportSet(np.arange(3)))
+
+
+class TestFoldedSolve:
+    """The context keeps A^-1 in place of a Cholesky factor: check that it
+    is accurate on the benchmark's dictionary shape, and that the folded
+    map equals the factored-solve form it replaced."""
+
+    def _contexts(self):
+        rng = np.random.default_rng(21)
+        D = Dictionary(decorrelate_atoms(rng.normal(size=(31, 64))))
+        Y = rng.normal(size=(31, 16))
+        params = make_params(31, hidden=4, b=0.8, mu=0.05, seed=21)
+        sup = SupportSet(np.sort(rng.choice(64, size=10, replace=False)))
+        full = sv.make_context(D, params, Y)
+        fast = sv.make_context(D, params, Y, sup)
+        return Y, params, full, fast, rng
+
+    def test_inverse_is_accurate(self):
+        _, _, full, fast, _ = self._contexts()
+        for ctx in (full, fast):
+            A = map_matrix(ctx)
+            eye = np.eye(A.shape[0])
+            assert np.linalg.norm(A @ ctx.Ainv - eye, 2) < 1e-13
+
+    def test_map_equals_the_factored_solve(self):
+        Y, params, full, fast, rng = self._contexts()
+        for ctx in (full, fast):
+            G = rng.normal(size=ctx.c0.shape)
+            rhs = ctx.D.T @ Y + ctx.b * (
+                ctx.D.T @ sv.denoise(params.denoiser, ctx.D @ G))
+            if ctx.mode == "full":
+                rhs += ctx.b * soft_threshold(G, params.scalars.mu / ctx.b)
+            want = cho_solve(cho_factor(map_matrix(ctx)), rhs)
+            got = sv.iteration_map(ctx, G, params)
+            assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
 class TestReconstruct:

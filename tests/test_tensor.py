@@ -80,6 +80,66 @@ class TestConv2dTranspose:
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def loop_conv2d(x, w, bias):
+    """Direct 3x3/pad-1 cross-correlation, one output pixel at a time."""
+    c_out = w.shape[0]
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.empty((c_out, h, wd))
+    for o in range(c_out):
+        for i in range(h):
+            for j in range(wd):
+                out[o, i, j] = bias[o] + (w[o] * xp[:, i:i + 3, j:j + 3]).sum()
+    return out
+
+
+def loop_conv2d_vjp(x, w, cot):
+    """(input, weight, bias) cotangents by scattering each output pixel."""
+    c_out = w.shape[0]
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cxp = np.zeros_like(xp)
+    cw = np.zeros_like(w)
+    for o in range(c_out):
+        for i in range(h):
+            for j in range(wd):
+                cxp[:, i:i + 3, j:j + 3] += w[o] * cot[o, i, j]
+                cw[o] += xp[:, i:i + 3, j:j + 3] * cot[o, i, j]
+    return cxp[:, 1:-1, 1:-1], cw, cot.sum(axis=(1, 2))
+
+
+class TestLoopReference:
+    """conv2d, conv2d_transpose and conv2d_vjp against the nested loops.
+
+    The references run in float64 on the same (rounded) inputs, so each
+    dtype is held to a tolerance set by its own precision.
+    """
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (7, 3), (20, 20)])
+    def test_all_three_ops(self, h, w, dtype, rtol):
+        rng = np.random.default_rng(h * 100 + w)
+        x = rng.normal(size=(2, h, w)).astype(dtype)
+        wt = rng.normal(size=(3, 2, 3, 3)).astype(dtype)
+        bias = rng.normal(size=3).astype(dtype)
+        cot = rng.normal(size=(3, h, w)).astype(dtype)
+        x64, w64, b64, cot64 = (a.astype(np.float64)
+                                for a in (x, wt, bias, cot))
+        ref_cx, ref_cw, ref_cb = loop_conv2d_vjp(x64, w64, cot64)
+        got = {"conv2d": T.conv2d(x, wt, bias),
+               "conv2d_transpose": T.conv2d_transpose(wt, cot)}
+        got.update(zip(("cot_x", "cot_weight", "cot_bias"),
+                       T.conv2d_vjp(x, wt, cot)))
+        want = {"conv2d": loop_conv2d(x64, w64, b64),
+                "conv2d_transpose": ref_cx, "cot_x": ref_cx,
+                "cot_weight": ref_cw, "cot_bias": ref_cb}
+        for name, ref in want.items():
+            assert got[name].dtype == dtype, name
+            assert got[name].shape == ref.shape, name
+            assert rel_err(got[name], ref) < rtol, name
+
+
 class TestRelu:
     def test_basic(self):
         assert np.array_equal(T.relu(np.array([-1.0, 0.0, 2.0])),

@@ -5,7 +5,11 @@
 
 A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
 estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
-40x40 cube; one ``deq_train`` and one ``du_train`` epoch per variant;
+40x40 cube; for each 20x20 block of that cube and each DEQ variant, the
+Anderson iteration counts and ``converged`` flags of the forward and the
+adjoint solve, run to tol 1e-8 so that they stop short of the 50-iteration
+cap, so a change that moves a count shows as a differing integer array; one
+``deq_train`` and one ``du_train`` epoch per variant;
 ``sweep_iterations``; a three-epoch denoiser ``pretrain`` run (its weights
 and per-epoch ``loss``; no validation split, so the returned weights are the
 last epoch's whenever the loss falls every epoch); and two ``ksvd`` sweeps
@@ -39,8 +43,8 @@ def _inputs(side, hidden, seed=0):
 
 
 def dump(path):
-    from blocksc import cubes, deq, dictionary, metrics, pipeline, training, \
-        unroll
+    from blocksc import cubes, deq, dictionary, metrics, pipeline, solver, \
+        training, unroll
     from blocksc.anderson import AndersonConfig
 
     out = {}
@@ -63,6 +67,19 @@ def dump(path):
             rows = metrics.sweep_iterations(bundle, [(noisy, clean)], [1, 3])
             out[f"sweep.{engine}.{variant}"] = np.array(
                 [(r["iters"], r["psnr"]) for r in rows])
+    converge = AndersonConfig(m=5, max_iters=50, tol=1e-8)
+    for variant in ("full", "fast"):
+        counts = []
+        for noisy_block, clean_block in pairs:
+            support = (solver.select_support(noisy_block.matrix, D, 5)
+                       if variant == "fast" else None)
+            ctx = solver.make_context(D, params, noisy_block.matrix, support)
+            fwd = deq.deq_forward(ctx, params, converge)
+            _, adj = deq.deq_backward(ctx, fwd.solution, clean_block.matrix,
+                                      params, converge)
+            counts.append((fwd.iterations, fwd.converged, adj.iterations,
+                           adj.converged))
+        out[f"anderson.deq.{variant}"] = np.array(counts, dtype=np.int64)
     for variant in ("full", "fast"):
         cfg = deq.DeqTrainConfig(variant=variant, anderson=anderson,
                                  support_size=5, epochs=1, lr=1e-3,
