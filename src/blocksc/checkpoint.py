@@ -72,13 +72,16 @@ def load_checkpoint(path) -> dict:
         payload = fh.read()
     entries = {}
     for name, spec in index.items():
-        dt = np.dtype(_DTYPES[spec["dtype"]])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        start = spec["offset"]
+        code, start, shape = spec["dtype"], spec["offset"], spec["shape"]
+        if code not in _DTYPES or start < 0 or min(shape, default=0) < 0:
+            raise ValueError(f"{path}: entry {name!r} has dtype {code!r}, "
+                             f"offset {start} and shape {shape}")
+        dt = np.dtype(_DTYPES[code])
+        count = int(np.prod(shape)) if shape else 1
         end = start + count * dt.itemsize
         if end > len(payload):
             raise ValueError(f"{path}: entry {name!r} needs payload bytes "
                              f"{start}..{end}, the file holds {len(payload)}")
         arr = np.frombuffer(payload[start:end], dtype=dt, count=count)
-        entries[name] = arr.reshape(spec["shape"]).copy()
+        entries[name] = arr.reshape(shape).copy()
     return entries

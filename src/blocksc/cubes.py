@@ -4,6 +4,10 @@ A cube is stored band-major as a (bands, height, width) float64 array with
 values normalized to [0, 1].  An n x n spatial patch stacks into a d x N
 signal block (N = n^2) whose column j is the spectrum of patch pixel
 (j // n, j % n).
+
+``scipy.ndimage`` is imported inside ``_smooth_field``, which only
+``synth_cube`` calls, so other users do not pay its 0.4 s import; the filter
+stays scipy's, so generated cubes stay bit-identical.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 MAGIC_HSC1 = b"HSC1\x00\x00\x00\x00"
+_HSC1_DTYPES = {"f64": "<f8", "f32": "<f4"}
 
 
 @dataclass
@@ -134,6 +138,8 @@ def add_noise(cube: HyperCube, nm: NoiseModel) -> HyperCube:
 
 
 def _smooth_field(rng, h, w, length_scale):
+    from scipy.ndimage import gaussian_filter
+
     noise = rng.normal(size=(h, w))
     if length_scale <= 0:
         return noise
@@ -190,7 +196,7 @@ def synth_cube(d: int, h: int, w: int, D, s: int, smoothness: float,
 
 def write_hsc1(path, cube: HyperCube, dtype: str = "f64") -> None:
     """Write a cube as magic + JSON header line + raw little-endian samples."""
-    if dtype not in ("f64", "f32"):
+    if dtype not in _HSC1_DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}")
     header = {
         "height": cube.height,
@@ -199,7 +205,7 @@ def write_hsc1(path, cube: HyperCube, dtype: str = "f64") -> None:
         "dtype": dtype,
         "order": "band-major",
     }
-    np_dtype = "<f8" if dtype == "f64" else "<f4"
+    np_dtype = _HSC1_DTYPES[dtype]
     with open(path, "wb") as fh:
         fh.write(MAGIC_HSC1)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -216,9 +222,13 @@ def read_hsc1(path) -> HyperCube:
         if not header_line.endswith(b"\n"):
             raise ValueError(f"{path}: truncated header")
         header = json.loads(header_line.decode("utf-8"))
-        np_dtype = np.dtype("<f8" if header["dtype"] == "f64" else "<f4")
+        for key, known in (("dtype", _HSC1_DTYPES),
+                           ("order", ("band-major",))):
+            if header.get(key) not in known:
+                raise ValueError(
+                    f"{path}: unsupported {key} {header.get(key)!r}")
         data = np.empty((header["bands"], header["height"], header["width"]),
-                        dtype=np_dtype)
+                        dtype=_HSC1_DTYPES[header["dtype"]])
         got = fh.readinto(data)
     if got < data.nbytes:
         raise ValueError(f"{path}: payload holds {got} bytes, the "

@@ -44,12 +44,9 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
     """
     seed = ctx.D.T @ (ctx.D @ g_star - X)
     lin = linearize_map(ctx, g_star, params)
-
-    def adjoint_map(gamma):
-        return lin(gamma) + seed
-
     try:
-        report = anderson_solve(adjoint_map, np.zeros_like(g_star), cfg)
+        report = anderson_solve(lambda gamma: lin(gamma) + seed,
+                                np.zeros_like(g_star), cfg)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "

@@ -49,9 +49,6 @@ class Dictionary:
     def M(self) -> int:
         return self.atoms.shape[1]
 
-    def restrict(self, support: "SupportSet") -> np.ndarray:
-        return self.atoms[:, support.indices]
-
 
 @dataclass
 class SupportSet:

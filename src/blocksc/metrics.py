@@ -5,6 +5,9 @@ convention used for hyperspectral comparisons); ``block_psnr`` is the
 whole-block PSNR that training validation reports.  SSIM follows the
 standard 11x11 Gaussian-window definition per band, and SAM is the mean
 spectral angle over pixels in radians.
+
+``scipy.signal`` is imported inside ``_ssim_stats``, its one user: at module
+level it cost every process, solves and training included, about 1 s.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .cubes import HyperCube
 
@@ -68,6 +70,8 @@ def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
 
 
 def _ssim_stats(a: np.ndarray, b: np.ndarray):
+    from scipy.signal import convolve2d
+
     kernel = _gaussian_window()
     mu1 = convolve2d(a, kernel, mode="valid")
     mu2 = convolve2d(b, kernel, mode="valid")

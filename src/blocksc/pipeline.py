@@ -139,15 +139,12 @@ _SETTINGS = tuple(f.name for f in fields(ModelBundle)
 
 
 def bundle_entries(bundle: ModelBundle, optimizer_entries=None) -> dict:
-    entries = {"dictionary.atoms": bundle.dictionary.atoms}
     den = bundle.params.denoiser
-    for i in range(4):
-        entries[f"denoiser.layer{i + 1}.weight"] = den.weights[i]
-        entries[f"denoiser.layer{i + 1}.bias"] = den.biases[i]
-        entries[f"denoiser.layer{i + 1}.u"] = den.u[i]
-        entries[f"denoiser.layer{i + 1}.v"] = den.v[i]
-    entries["scalars.raw_b"] = np.asarray(bundle.params.scalars.raw_b)
-    entries["scalars.raw_mu"] = np.asarray(bundle.params.scalars.raw_mu)
+    entries = {"dictionary.atoms": bundle.dictionary.atoms,
+               **bundle.params.as_dict()}
+    for i, (u, v) in enumerate(zip(den.u, den.v), start=1):
+        entries[f"denoiser.layer{i}.u"] = u
+        entries[f"denoiser.layer{i}.v"] = v
     meta = {name: getattr(bundle, name) for name in _SETTINGS}
     meta["anderson"] = asdict(bundle.anderson)
     meta.update(bundle.meta)
@@ -174,14 +171,10 @@ def load_model_bundle(path):
     settings = {k: meta.pop(k) for k in _SETTINGS if k in meta}
     if "anderson" in settings:
         settings["anderson"] = AndersonConfig(**settings["anderson"])
-    weights, biases, us, vs = [], [], [], []
-    for i in range(4):
-        weights.append(entries[f"denoiser.layer{i + 1}.weight"])
-        biases.append(entries[f"denoiser.layer{i + 1}.bias"])
-        us.append(entries[f"denoiser.layer{i + 1}.u"])
-        vs.append(entries[f"denoiser.layer{i + 1}.v"])
     params = ModelParams(
-        DenoiserParams(weights, biases, us, vs),
+        DenoiserParams(*([entries[f"denoiser.layer{i}.{part}"]
+                          for i in range(1, 5)]
+                         for part in ("weight", "bias", "u", "v"))),
         ScalarParams(entries["scalars.raw_b"].reshape(()),
                      entries["scalars.raw_mu"].reshape(())))
     bundle = ModelBundle(dictionary=Dictionary(entries["dictionary.atoms"]),

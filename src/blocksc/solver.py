@@ -189,9 +189,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
 def select_support(Y, D: Dictionary, s: int) -> SupportSet:
     """OMP support of the block centroid (column mean) spectrum."""
     mat = Y.matrix if hasattr(Y, "matrix") else np.asarray(Y, float)
-    centroid = mat.mean(axis=1)
-    support, _ = omp(centroid, D, s)
-    return support
+    return omp(mat.mean(axis=1), D, s)[0]
 
 
 def reconstruct(ctx: SolverContext, G: np.ndarray) -> np.ndarray:

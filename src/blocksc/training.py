@@ -55,12 +55,9 @@ class Adam:
             p[...] -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
 
     def state_entries(self) -> dict:
-        out = {"optimizer.t": np.float64(self.t)}
-        for name, m in self.m.items():
-            out[f"optimizer.m.{name}"] = m
-        for name, v in self.v.items():
-            out[f"optimizer.v.{name}"] = v
-        return out
+        return {"optimizer.t": np.float64(self.t),
+                **{f"optimizer.m.{k}": m for k, m in self.m.items()},
+                **{f"optimizer.v.{k}": v for k, v in self.v.items()}}
 
     def load_state_entries(self, entries: dict) -> None:
         """Restore ``state_entries`` output, also from pre-0-d-fix files.

@@ -53,11 +53,8 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     grads = None
     for k in range(len(trace) - 1, 0, -1):
         cot, layer_grads = map_vjp(ctx, trace[k - 1], params, cot)
-        if grads is None:
-            grads = layer_grads
-        else:
-            for key in layer_grads:
-                grads[key] = grads[key] + layer_grads[key]
+        grads = layer_grads if grads is None else {
+            key: grads[key] + layer_grads[key] for key in layer_grads}
     return loss, grads
 
 

@@ -62,6 +62,23 @@ class TestContainer:
         with pytest.raises(ValueError, match=r"x\.dqc1: entry 'b' needs"):
             ck.load_checkpoint(p)
 
+    @pytest.mark.parametrize("field, value", [("dtype", "f16"),
+                                              ("offset", -24),
+                                              ("shape", [-1])])
+    def test_bad_index_entry_names_the_entry(self, tmp_path, field, value):
+        # offset -24 would slice [3., 7.] off the payload's end for 'b', and
+        # shape [-1] would load whatever bytes follow its offset
+        p = tmp_path / "x.dqc1"
+        ck.save_checkpoint(p, {"a": np.array([1.0, 2.0, 3.0]),
+                               "b": np.array([7.0, 8.0])})
+        raw = p.read_bytes()
+        end = raw.index(b"\n")
+        index = json.loads(raw[8:end])
+        index["b"][field] = value
+        p.write_bytes(raw[:8] + json.dumps(index).encode() + raw[end:])
+        with pytest.raises(ValueError, match=r"x\.dqc1: entry 'b' has dtype"):
+            ck.load_checkpoint(p)
+
 
 def small_bundle(seed=0):
     rng = np.random.default_rng(seed)

@@ -196,6 +196,18 @@ class TestHsc1:
         with pytest.raises(ValueError, match=r"a\.hsc1: truncated header"):
             C.read_hsc1(p)
 
+    @pytest.mark.parametrize("field, value", [("dtype", "f16"),
+                                              ("order", "pixel-major")])
+    def test_unsupported_header_value(self, tmp_path, field, value):
+        p = tmp_path / "a.hsc1"
+        C.write_hsc1(p, random_cube(2, 3, 3, seed=20))
+        good = {"dtype": "f64", "order": "band-major"}[field]
+        p.write_bytes(p.read_bytes().replace(
+            f'"{field}": "{good}"'.encode(), f'"{field}": "{value}"'.encode()))
+        with pytest.raises(ValueError,
+                           match=rf"a\.hsc1: unsupported {field} '{value}'"):
+            C.read_hsc1(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "a.hsc1"
         C.write_hsc1(p, random_cube(2, 3, 3, seed=18))

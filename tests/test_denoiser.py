@@ -31,6 +31,20 @@ class TestScalarParams:
         sp = dn.ScalarParams(np.float64(-30.0), np.float64(-30.0))
         assert sp.b > 0 and sp.mu > 0
 
+    def test_grad_chain_equals_expit_bitwise(self):
+        from scipy.special import expit
+
+        raw = np.concatenate([
+            [0.0, 709.8, -709.8, 745.2, -745.2, 1000.0, -1000.0],
+            np.linspace(-800.0, 800.0, 4001),
+            np.random.default_rng(0).normal(scale=20.0, size=2000)])
+        got = [dn.ScalarParams(r, -r).grad_chain() for r in raw]
+        assert np.array_equal(np.array(got), np.stack([expit(raw),
+                                                       expit(-raw)], axis=1))
+
+    def test_grad_chain_at_large_negative_raw_is_zero(self):
+        assert dn.ScalarParams(-1000.0, 0.0).grad_chain() == (0.0, 0.5)
+
 
 class TestDenoise:
     def test_zero_weights_zero_output(self):

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +34,29 @@ def test_every_traced_probe_resolves_a_binding(monkeypatch):
     missing = [name for name, (bindings, _) in tracer.PROBES.items()
                if not any(tracer._resolve(b) for b in bindings)]
     assert not missing
+
+
+_IMPORT_GRAPH = """
+import pkgutil, sys
+import blocksc
+for mod in pkgutil.iter_modules(blocksc.__path__):
+    __import__(f"blocksc.{mod.name}")
+print(sorted(name for name, mod in sys.modules.items()
+             if name.count(".") == 1 and name.startswith("scipy.")
+             and not name.split(".")[1].startswith("_")
+             and hasattr(mod, "__path__")))
+"""
+
+
+def test_blocksc_imports_only_scipy_linalg():
+    # every other scipy subpackage costs each process import time that no
+    # solve or training step uses; import one where it is called
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['scipy.linalg']"
 
 
 def _unused_imports(path):

@@ -9,13 +9,16 @@ estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
 Anderson iteration counts and ``converged`` flags of the forward and the
 adjoint solve, run to tol 1e-8 so that they stop short of the 50-iteration
 cap, so a change that moves a count shows as a differing integer array; one
-``deq_train`` and one ``du_train`` epoch per variant;
-``sweep_iterations``; a three-epoch denoiser ``pretrain`` run (its weights
-and per-epoch ``loss``; no validation split, so the returned weights are the
-last epoch's whenever the loss falls every epoch); and two ``ksvd`` sweeps
-on the 1600 spectra of that cube.  ``compare`` prints each array that
-differs with its max relative difference ``max|a - b| / max|b|``, and exits
-1 unless both files hold the same keys with ``np.array_equal`` values.
+``deq_train`` epoch per variant, its solves capped at 50 iterations (tol
+1e-6) and its history rows carrying the epoch's non-converged forward and
+adjoint solve counts, so a solve that hits the cap shows; one ``du_train``
+epoch per variant; ``sweep_iterations``; a three-epoch denoiser ``pretrain``
+run (its weights and per-epoch ``loss``; no validation split, so the returned
+weights are the last epoch's whenever the loss falls every epoch); and two
+``ksvd`` sweeps on the 1600 spectra of that cube.  ``compare`` prints each
+array that differs with its max relative difference ``max|a - b| / max|b|``,
+and exits 1 unless both files hold the same keys with ``np.array_equal``
+values.
 """
 
 from __future__ import annotations
@@ -80,15 +83,17 @@ def dump(path):
             counts.append((fwd.iterations, fwd.converged, adj.iterations,
                            adj.converged))
         out[f"anderson.deq.{variant}"] = np.array(counts, dtype=np.int64)
+    train_anderson = AndersonConfig(m=5, max_iters=50, tol=1e-6)
     for variant in ("full", "fast"):
-        cfg = deq.DeqTrainConfig(variant=variant, anderson=anderson,
+        cfg = deq.DeqTrainConfig(variant=variant, anderson=train_anderson,
                                  support_size=5, epochs=1, lr=1e-3,
                                  batch_size=2, val_fraction=0.25)
         trained, history, _ = deq.deq_train(pairs, D, params, cfg)
         for k, v in trained.as_dict().items():
             out[f"deq_train.{variant}.{k}"] = v
         out[f"deq_train.{variant}.history"] = np.array(
-            [(h["loss"], h["val_psnr"]) for h in history])
+            [(h["loss"], h["val_psnr"], h["fwd_nonconverged"],
+              h["adj_nonconverged"]) for h in history])
         cfg = unroll.DuTrainConfig(
             unroll=unroll.UnrollConfig(K=3, variant=variant), support_size=5,
             epochs=1, lr=1e-3, batch_size=2, val_fraction=0.25)
