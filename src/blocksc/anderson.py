@@ -40,6 +40,8 @@ class AndersonConfig:
             raise ValueError("memory depth m must be >= 1")
         if self.beta <= 0:
             raise ValueError("damping beta must be positive")
+        if self.max_iters < 1:
+            raise ValueError("iteration cap max_iters must be >= 1")
 
 
 @dataclass

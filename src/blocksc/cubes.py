@@ -5,6 +5,9 @@ values normalized to [0, 1].  An n x n spatial patch stacks into a d x N
 signal block (N = n^2) whose column j is the spectrum of patch pixel
 (j // n, j % n).
 
+An HSC1 file holds one cube in the container layout ``checkpoint`` owns:
+its one entry, the band-major samples, must fill the payload exactly.
+
 ``scipy.ndimage`` is imported inside ``_smooth_field``, which only
 ``synth_cube`` calls, so other users do not pay its 0.4 s import; the filter
 stays scipy's, so generated cubes stay bit-identical.
@@ -12,13 +15,14 @@ stays scipy's, so generated cubes stay bit-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import _DTYPES, read_container, write_container
+
 MAGIC_HSC1 = b"HSC1\x00\x00\x00\x00"
-_HSC1_DTYPES = {"f64": "<f8", "f32": "<f4"}
+_HSC1_DTYPES = ("f64", "f32")
 
 
 @dataclass
@@ -191,46 +195,30 @@ def synth_cube(d: int, h: int, w: int, D, s: int, smoothness: float,
 
 
 # ---------------------------------------------------------------------------
-# HSC1 cube container
+# HSC1 cube container: a header schema over checkpoint's framing
 
 
 def write_hsc1(path, cube: HyperCube, dtype: str = "f64") -> None:
     """Write a cube as magic + JSON header line + raw little-endian samples."""
     if dtype not in _HSC1_DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}")
-    header = {
-        "height": cube.height,
-        "width": cube.width,
-        "bands": cube.bands,
-        "dtype": dtype,
-        "order": "band-major",
-    }
-    np_dtype = _HSC1_DTYPES[dtype]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_HSC1)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(cube.data, dtype=np_dtype).tobytes())
+    header = {"height": cube.height, "width": cube.width, "bands": cube.bands,
+              "dtype": dtype, "order": "band-major"}
+    write_container(path, MAGIC_HSC1, header, [np.ascontiguousarray(
+        cube.data, dtype=_DTYPES[dtype])])
 
 
 def read_hsc1(path) -> HyperCube:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC_HSC1:
-            raise ValueError(f"{path}: not an HSC1 file")
-        header_line = fh.readline()
-        if not header_line.endswith(b"\n"):
-            raise ValueError(f"{path}: truncated header")
-        header = json.loads(header_line.decode("utf-8"))
-        for key, known in (("dtype", _HSC1_DTYPES),
-                           ("order", ("band-major",))):
-            if header.get(key) not in known:
+    def index(header):  # the one entry, once the header checks out
+        for key, ok in (("dtype", _HSC1_DTYPES), ("order", ("band-major",))):
+            if header.get(key) not in ok:
                 raise ValueError(
                     f"{path}: unsupported {key} {header.get(key)!r}")
-        data = np.empty((header["bands"], header["height"], header["width"]),
-                        dtype=_HSC1_DTYPES[header["dtype"]])
-        got = fh.readinto(data)
-    if got < data.nbytes:
-        raise ValueError(f"{path}: payload holds {got} bytes, the "
-                         f"header promises {data.nbytes}")
+        return {"cube": {"dtype": header["dtype"], "offset": 0, "shape": [
+            header.get(key) for key in ("bands", "height", "width")]}}
+
+    data = read_container(path, MAGIC_HSC1, "an HSC1 file", "header",
+                          index)["cube"]
+    if len(data) < 1:
+        raise ValueError(f"{path}: a cube needs at least one band")
     return HyperCube(data)

@@ -130,32 +130,22 @@ def init_denoiser(d: int, hidden: int = 64, seed: int = 0) -> DenoiserParams:
     return DenoiserParams(weights, biases, us, vs)
 
 
-def param_count(d: int, hidden: int = 64):
-    """(weight count, bias count) for the 4-layer plan."""
-    weights = sum(9 * c_out * c_in for c_out, c_in in channel_plan(d, hidden))
-    biases = sum(c_out for c_out, _ in channel_plan(d, hidden))
-    return weights, biases
-
-
-def _as_image(block: np.ndarray, n: int | None) -> np.ndarray:
-    """View a d x N block as a (d, n, n) image; n defaults to sqrt(N)."""
+def _as_image(block: np.ndarray) -> np.ndarray:
+    """View a d x N block as a (d, n, n) image, n = sqrt(N)."""
     d, N = block.shape
-    side = math.isqrt(N) if n is None else n
+    side = math.isqrt(N)
     if side * side != N:
-        raise ValueError(f"block has N={N} columns, not a perfect square"
-                         if n is None else
-                         f"N={N} does not match patch side n={n}")
+        raise ValueError(f"block has N={N} columns, not a perfect square")
     return block.reshape(d, side, side)
 
 
-def denoise(params: DenoiserParams, block: np.ndarray,
-            n: int | None = None) -> np.ndarray:
+def denoise(params: DenoiserParams, block: np.ndarray) -> np.ndarray:
     """Apply the regularizer network to a d x N block.
 
     The network runs in the dtype of its weights; the output comes back
     in the block's dtype (both casts are no-ops for float64 weights).
     """
-    h = _as_image(block, n).astype(params.weights[0].dtype, copy=False)
+    h = _as_image(block).astype(params.weights[0].dtype, copy=False)
     for i in range(3):
         h = relu(conv2d(h, params.weights[i], params.biases[i]))
     out = conv2d(h, params.weights[3], params.biases[3])
@@ -185,10 +175,10 @@ class DenoiserLinearization:
         return c.reshape(cot.shape)
 
 
-def denoise_linearize(params: DenoiserParams, block: np.ndarray,
-                      n: int | None = None) -> DenoiserLinearization:
+def denoise_linearize(params: DenoiserParams,
+                      block: np.ndarray) -> DenoiserLinearization:
     """Run ``denoise`` once, keeping what its reverse sweeps reuse."""
-    h = _as_image(block, n)
+    h = _as_image(block)
     inputs, masks = [], []
     for i in range(4):
         inputs.append(h)
@@ -200,7 +190,6 @@ def denoise_linearize(params: DenoiserParams, block: np.ndarray,
 
 
 def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
-                n: int | None = None,
                 lin: DenoiserLinearization | None = None):
     """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
 
@@ -210,7 +199,7 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     weights.
     """
     if lin is None:
-        lin = denoise_linearize(params, block, n)
+        lin = denoise_linearize(params, block)
     grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
                           for kind in ("weight", "bias"))
     c = cot.reshape(lin.inputs[0].shape)

@@ -1,9 +1,9 @@
 """Fixed overcomplete dictionaries and classic sparse-coding baselines.
 
-Provides greedy OMP (single and Gram-precomputed batch form), a FISTA
-solver for the columnwise Lasso, and KSVD dictionary learning.  Besides
-serving as comparison methods, OMP picks the shared support for the fast
-solver path and FISTA is the convex oracle for the HQS equivalence checks.
+Provides greedy OMP (single and Gram-precomputed batch form) and KSVD
+dictionary learning.  Besides serving as a comparison method, OMP picks the
+shared support for the fast solver path.  Both OMPs stop early once the
+residual norm drops to ``OMP_EPS``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .tensor import soft_threshold
+OMP_EPS = 1e-10
 
 
 class RankError(RuntimeError):
@@ -69,12 +69,6 @@ def normalize_atoms(atoms: np.ndarray) -> np.ndarray:
     return atoms / np.maximum(np.linalg.norm(atoms, axis=0), 1e-300)
 
 
-def mutual_coherence(atoms: np.ndarray) -> float:
-    gram = np.abs(atoms.T @ atoms)
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
-
-
 def decorrelate_atoms(atoms: np.ndarray, target: float = 0.3,
                       iters: int = 60) -> np.ndarray:
     """Push mutual coherence towards ``target`` by alternating projections.
@@ -95,12 +89,12 @@ def decorrelate_atoms(atoms: np.ndarray, target: float = 0.3,
     return A
 
 
-def omp(y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
+def omp(y: np.ndarray, D: Dictionary, s: int):
     """Greedy orthogonal matching pursuit on a single signal.
 
     Picks argmax |<residual, atom>| (lowest index on ties), refits by
     least squares on the current support, and stops at s atoms or when
-    the residual norm drops to eps.  Returns (SupportSet, coeffs) with
+    the residual norm drops to OMP_EPS.  Returns (SupportSet, coeffs) with
     coefficients aligned to the sorted support.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -110,7 +104,7 @@ def omp(y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
     selected: list[int] = []
     coeffs = np.zeros(0)
     for step in range(s):
-        if np.linalg.norm(residual) <= eps:
+        if np.linalg.norm(residual) <= OMP_EPS:
             break
         corr = np.abs(D.atoms.T @ residual)
         corr[selected] = -np.inf
@@ -125,7 +119,7 @@ def omp(y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
     return support, coeffs[order] if len(selected) else coeffs
 
 
-def batch_omp(Y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
+def batch_omp(Y: np.ndarray, D: Dictionary, s: int):
     """Columnwise OMP sharing precomputed D^T D and D^T Y.
 
     Returns the (M, N) code matrix of the N columns of ``Y``: column j holds
@@ -145,7 +139,7 @@ def batch_omp(Y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
     dty = D.atoms.T @ Y
     yty = (Y * Y).sum(axis=0)
     codes = np.zeros((D.M, Y.shape[1]))
-    eps2 = eps * eps
+    eps2 = OMP_EPS * OMP_EPS
     for j in range(Y.shape[1]):
         alpha0 = alpha = dty[:, j]
         err2 = yty[j]
@@ -170,71 +164,14 @@ def batch_omp(Y: np.ndarray, D: Dictionary, s: int, eps: float = 1e-10):
     return codes
 
 
-def fista_lasso(Y: np.ndarray, D: Dictionary, mu: float, iters: int = 2000,
-                tol: float = 1e-10) -> np.ndarray:
-    """Minimize 0.5 ||Y - D G||_F^2 + mu ||G||_1 columnwise with FISTA.
-
-    Step size 1/L with L the top eigenvalue of D^T D (power iteration);
-    stops when the relative objective change drops below tol.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    gram = D.atoms.T @ D.atoms
-    dty = D.atoms.T @ Y
-    L = _power_iteration_norm(gram)
-    G = np.zeros((D.M, Y.shape[1]))
-    Z = G.copy()
-    t = 1.0
-    prev_obj = _lasso_objective(Y, D.atoms, G, mu)
-    for _ in range(iters):
-        grad = gram @ Z - dty
-        G_next = soft_threshold(Z - grad / L, mu / L)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Z = G_next + ((t - 1.0) / t_next) * (G_next - G)
-        G, t = G_next, t_next
-        obj = _lasso_objective(Y, D.atoms, G, mu)
-        if abs(prev_obj - obj) <= tol * max(abs(prev_obj), 1e-30):
-            break
-        prev_obj = obj
-    return G
-
-
-def _lasso_objective(Y, atoms, G, mu):
-    r = Y - atoms @ G
-    return 0.5 * float((r * r).sum()) + mu * float(np.abs(G).sum())
-
-
-def _power_iteration_norm(gram, iters=100, tol=1e-12, seed=0):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 1.0
-        v = w / nrm
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) < tol * max(1.0, lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return max(lam * (1.0 + 1e-10), 1e-12)
-
-
 def coding_error(X, atoms, codes) -> float:
     """Mean residual norm of the given coding."""
     resid = X - atoms @ codes
     return float(np.mean(np.linalg.norm(resid, axis=0)))
 
 
-def ksvd(training: np.ndarray, M: int, s: int, sweeps: int,
-         eps: float = 1e-10, seed: int = 0, mutual_thresh: float = 0.99,
-         stop_error: float = 0.0):
+def ksvd(training: np.ndarray, M: int, s: int, sweeps: int, seed: int = 0,
+         mutual_thresh: float = 0.99, stop_error: float = 0.0):
     """KSVD dictionary learning on column-stacked training vectors.
 
     Alternates batch-OMP coding with per-atom rank-1 SVD updates.  Atoms
@@ -254,7 +191,7 @@ def ksvd(training: np.ndarray, M: int, s: int, sweeps: int,
     atoms = normalize_atoms(X[:, init_idx].copy())
     history = []
     for _ in range(sweeps):
-        codes = batch_omp(X, Dictionary(atoms), s, eps)
+        codes = batch_omp(X, Dictionary(atoms), s)
         for k in range(M):
             users = np.nonzero(codes[k] != 0.0)[0]
             if len(users) == 0:

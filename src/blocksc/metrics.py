@@ -34,7 +34,7 @@ def _check_same_shape(x, ref):
         raise ValueError(f"shape mismatch: {x.shape} vs {ref.shape}")
 
 
-def band_psnr(x, ref, peak: float = 1.0) -> list:
+def band_psnr(x, ref) -> list:
     """Per-band PSNR in dB, capped at 100 dB for exact matches."""
     x = _as_data(x)
     ref = _as_data(ref)
@@ -45,26 +45,26 @@ def band_psnr(x, ref, peak: float = 1.0) -> list:
         if mse == 0.0:
             out.append(PSNR_CAP_DB)
         else:
-            out.append(min(PSNR_CAP_DB, 10.0 * math.log10(peak * peak / mse)))
+            out.append(min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse)))
     return out
 
 
-def psnr(x, ref, peak: float = 1.0) -> float:
-    return float(np.mean(band_psnr(x, ref, peak)))
+def psnr(x, ref) -> float:
+    return float(np.mean(band_psnr(x, ref)))
 
 
-def block_psnr(x: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
+def block_psnr(x: np.ndarray, ref: np.ndarray) -> float:
     """PSNR of a signal block (used by training validation)."""
     mse = float(np.mean((np.asarray(x) - np.asarray(ref)) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return float(min(PSNR_CAP_DB, -10.0 * np.log10(mse / (peak * peak))))
+    return float(min(PSNR_CAP_DB, -10.0 * np.log10(mse)))
 
 
-def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma * sigma))
+def _gaussian_window():
+    half = (SSIM_WINDOW - 1) / 2.0
+    coords = np.arange(SSIM_WINDOW) - half
+    g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     kernel = np.outer(g, g)
     return kernel / kernel.sum()
 
@@ -81,7 +81,7 @@ def _ssim_stats(a: np.ndarray, b: np.ndarray):
     return mu1, mu2, s11, s22, s12
 
 
-def ssim(x, ref, data_range: float = 1.0) -> float:
+def ssim(x, ref) -> float:
     """Mean per-band SSIM, 11x11 Gaussian window, standard constants."""
     x = _as_data(x)
     ref = _as_data(ref)
@@ -90,8 +90,8 @@ def ssim(x, ref, data_range: float = 1.0) -> float:
         raise ValueError(
             f"spatial dims {x.shape[1:]} smaller than the {SSIM_WINDOW}x"
             f"{SSIM_WINDOW} window")
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = SSIM_K1 ** 2  # data range 1.0
+    c2 = SSIM_K2 ** 2
     vals = []
     for band in range(x.shape[0]):
         mu1, mu2, s11, s22, s12 = _ssim_stats(x[band], ref[band])

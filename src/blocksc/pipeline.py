@@ -49,6 +49,10 @@ class ModelBundle:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.variant not in ("full", "fast"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("n", "K", "support_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _check_budgets(budgets) -> list:
@@ -164,21 +168,30 @@ def load_model_bundle(path):
 
     A setting missing from the file takes its ``ModelBundle`` (or
     ``AndersonConfig``) default; every other meta key stays in
-    ``bundle.meta``.
+    ``bundle.meta``.  A missing entry, a ``meta.json`` that is not a JSON
+    object, an unknown ``anderson`` key or a setting out of range raises
+    ValueError naming the path.
     """
     entries = load_checkpoint(path)
-    meta = json.loads(unpack_str(entries["meta.json"]))
-    settings = {k: meta.pop(k) for k in _SETTINGS if k in meta}
-    if "anderson" in settings:
-        settings["anderson"] = AndersonConfig(**settings["anderson"])
-    params = ModelParams(
-        DenoiserParams(*([entries[f"denoiser.layer{i}.{part}"]
-                          for i in range(1, 5)]
-                         for part in ("weight", "bias", "u", "v"))),
-        ScalarParams(entries["scalars.raw_b"].reshape(()),
-                     entries["scalars.raw_mu"].reshape(())))
-    bundle = ModelBundle(dictionary=Dictionary(entries["dictionary.atoms"]),
-                         params=params, meta=meta, **settings)
+    try:
+        meta = json.loads(unpack_str(entries["meta.json"]))
+        if not isinstance(meta, dict):
+            raise ValueError("meta.json is not a JSON object")
+        settings = {k: meta.pop(k) for k in _SETTINGS if k in meta}
+        if "anderson" in settings:
+            settings["anderson"] = AndersonConfig(**settings["anderson"])
+        params = ModelParams(
+            DenoiserParams(*([entries[f"denoiser.layer{i}.{part}"]
+                              for i in range(1, 5)]
+                             for part in ("weight", "bias", "u", "v"))),
+            ScalarParams(entries["scalars.raw_b"].reshape(()),
+                         entries["scalars.raw_mu"].reshape(())))
+        bundle = ModelBundle(Dictionary(entries["dictionary.atoms"]), params,
+                             meta=meta, **settings)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no entry {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     optimizer = {k: v for k, v in entries.items()
                  if k.startswith("optimizer.")}
     return bundle, optimizer

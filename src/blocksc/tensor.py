@@ -18,6 +18,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import linalg as _sla
 
+SYM_TOL = 1e-10  # relative asymmetry chol_factor accepts
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -126,7 +128,7 @@ def soft_threshold_vjp(x, tau, cot):
 # SPD solve
 
 
-def chol_factor(a: np.ndarray, sym_tol: float = 1e-10):
+def chol_factor(a: np.ndarray):
     """Cholesky-factor a symmetric positive definite matrix.
 
     The returned handle is reusable across ``scipy.linalg.cho_solve``
@@ -134,7 +136,7 @@ def chol_factor(a: np.ndarray, sym_tol: float = 1e-10):
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"chol_factor: matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=sym_tol * max(1.0, np.abs(a).max())):
+    if not np.allclose(a, a.T, atol=SYM_TOL * max(1.0, np.abs(a).max())):
         raise FactorizationError("matrix is not symmetric")
     try:
         return _sla.cho_factor(a, lower=True)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anderson import DivergenceError
-from .denoiser import (DenoiserParams, ModelParams, ScalarParams, denoise,
-                       denoise_linearize, denoise_vjp, init_denoiser,
-                       spectral_normalize)
+from .denoiser import (ModelParams, ScalarParams, denoise, denoise_linearize,
+                       denoise_vjp, init_denoiser, spectral_normalize)
 from .metrics import block_psnr
 
 
@@ -224,20 +223,19 @@ class PretrainConfig(EndToEndConfig):
     hidden: int = 64
 
 
-def pretrain(pairs, cfg: PretrainConfig,
-             params0: DenoiserParams | None = None):
+def pretrain(pairs, cfg: PretrainConfig):
     """Train the denoiser alone on (noisy, clean) block pairs.
 
-    Starts from a copy of ``params0`` (or a fresh ``init_denoiser``),
-    spectral-normalized once, and runs ``end_to_end_train`` on the
-    squared Frobenius error of the denoised block; the penalty scalars
-    ride along in the ``ModelParams`` and never receive a gradient.
+    Starts from a fresh ``init_denoiser``, spectral-normalized once, and
+    runs ``end_to_end_train`` on the squared Frobenius error of the
+    denoised block; the penalty scalars ride along in the ``ModelParams``
+    and never receive a gradient.
     Returns (best denoiser params, history).
     """
     if not pairs:
         raise ValueError("pretrain needs at least one (noisy, clean) pair")
-    den = params0.copy() if params0 is not None else init_denoiser(
-        _block_matrix(pairs[0][0]).shape[0], hidden=cfg.hidden, seed=cfg.seed)
+    den = init_denoiser(_block_matrix(pairs[0][0]).shape[0],
+                        hidden=cfg.hidden, seed=cfg.seed)
     spectral_normalize(den)
 
     def block_grad(noisy, clean, params):

@@ -1,10 +1,13 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksc import checkpoint as ck
+from blocksc import cubes
 from blocksc.anderson import AndersonConfig
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser
 from blocksc.dictionary import Dictionary, normalize_atoms
@@ -237,3 +240,195 @@ class TestModelBundle:
             resumed[path] = back_params
         for name in params:
             assert np.array_equal(resumed[legacy][name], resumed[fresh][name])
+
+
+def hsc1_file(payload=bytes(144), **header_fields):
+    """A 2x3x3 f64 HSC1 file as (magic, header, payload); a field set to
+    None is left out of the header."""
+    header = {"bands": 2, "height": 3, "width": 3, "dtype": "f64",
+              "order": "band-major", **header_fields}
+    return cubes.MAGIC_HSC1, {k: v for k, v in header.items()
+                              if v is not None}, payload
+
+
+def dqc1_file(payload=bytes(40), **b_fields):
+    """A DQC1 file of f64 entries a (3) and b (2), with ``b_fields`` set on
+    b's index entry (None leaves the field out)."""
+    b = {"dtype": "f64", "offset": 24, "shape": [2], **b_fields}
+    return ck.MAGIC_DQC1, {"a": {"dtype": "f64", "offset": 0, "shape": [3]},
+                           "b": {k: v for k, v in b.items()
+                                 if v is not None}}, payload
+
+
+# Each of these escaped the readers as an untyped error or an error that
+# did not name the file, or loaded without complaint.
+MALFORMED = {
+    "hsc1-missing-width": hsc1_file(width=None),
+    "hsc1-fractional-bands": hsc1_file(bands=2.5),
+    "hsc1-list-header": (cubes.MAGIC_HSC1, [2, 3, 3], bytes(144)),
+    "hsc1-invalid-json": (cubes.MAGIC_HSC1, b'{"bands": 2,', bytes(144)),
+    "hsc1-bytes-past-payload": hsc1_file(payload=bytes(145)),
+    "hsc1-zero-bands": hsc1_file(payload=b"", bands=0),
+    "dqc1-int-shape": dqc1_file(shape=2),
+    "dqc1-float-offset": dqc1_file(offset=24.0),
+    "dqc1-missing-dtype": dqc1_file(dtype=None),
+    "dqc1-overlapping-entries": dqc1_file(payload=bytes(32), offset=16),
+    "dqc1-trailing-payload": dqc1_file(payload=bytes(48)),
+    "dqc1-invalid-json": (ck.MAGIC_DQC1, b'{"a": }', bytes(40)),
+    "dqc1-list-index": (ck.MAGIC_DQC1, [{"dtype": "f64"}], bytes(40)),
+    "dqc1-overflowing-shape": dqc1_file(shape=[2**32, 2**32]),
+    "dqc1-gap-between-entries": dqc1_file(payload=bytes(48), offset=32),
+    "dqc1-bool-shape": dqc1_file(shape=[True, 2]),
+    "dqc1-empty-entry": dqc1_file(payload=bytes(24), shape=None,
+                                  dtype=None, offset=None),
+    "dqc1-non-utf8-index": (ck.MAGIC_DQC1, b'{"\xff": 1}', bytes(0)),
+    "dqc1-entry-not-an-object": (ck.MAGIC_DQC1, {**dqc1_file()[1], "b": 5},
+                                 bytes(24)),
+}
+
+
+def write_framed(path, magic, header, payload):
+    line = header if isinstance(header, bytes) else json.dumps(
+        header).encode()
+    path.write_bytes(magic + line + b"\n" + payload)
+
+
+def read_any(path, magic):
+    return (cubes.read_hsc1 if magic == cubes.MAGIC_HSC1
+            else ck.load_checkpoint)(path)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("magic", [cubes.MAGIC_HSC1, ck.MAGIC_DQC1])
+    def test_the_unaltered_files_load(self, tmp_path, magic):
+        p = tmp_path / "good.bin"
+        write_framed(p, *(hsc1_file() if magic == cubes.MAGIC_HSC1
+                          else dqc1_file()))
+        read_any(p, magic)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_value_error_naming_the_file(self, tmp_path, case):
+        magic, header, payload = MALFORMED[case]
+        p = tmp_path / "bad.bin"
+        write_framed(p, magic, header, payload)
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            read_any(p, magic)
+
+    def test_loaded_cube_is_not_copied_again(self, tmp_path):
+        # the payload buffer read from the file is the cube's own memory
+        p = tmp_path / "x.hsc1"
+        cubes.write_hsc1(p, cubes.HyperCube(np.ones((2, 3, 3))))
+        data = cubes.read_hsc1(p).data
+        assert data.base.dtype == np.uint8 and data.base.nbytes == data.nbytes
+        assert data.flags.aligned and data.flags.writeable
+
+
+VALID_FILES = ["bundle.dqc1", "cube.f32.hsc1", "cube.f64.hsc1"]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """(directory, name -> bytes) of a model bundle and of one cube stored
+    as f64 and as f32."""
+    root = tmp_path_factory.mktemp("containers")
+    save_model_bundle(root / "bundle.dqc1", small_bundle(seed=7))
+    cube = cubes.HyperCube(np.random.default_rng(30).uniform(size=(3, 4, 5)))
+    for dtype in ("f64", "f32"):
+        cubes.write_hsc1(root / f"cube.{dtype}.hsc1", cube, dtype=dtype)
+    return root, {name: (root / name).read_bytes() for name in VALID_FILES}
+
+
+def _load(path):
+    if path.suffix == ".hsc1":
+        return cubes.read_hsc1(path)
+    return load_model_bundle(path)
+
+
+_FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestCorruptedFiles:
+    """Truncated, extended, flipped and spliced copies of valid files."""
+
+    @_FUZZ
+    @given(name=st.sampled_from(VALID_FILES), data=st.data())
+    def test_truncation_or_appended_bytes_raise(self, valid_files, name,
+                                                 data):
+        root, raw = valid_files
+        good = raw[name]
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[:data.draw(st.integers(0, len(good) - 1), label="cut")]
+        else:
+            bad = good + data.draw(st.binary(min_size=1, max_size=16),
+                                   label="tail")
+        p = root / f"bad-{name}"
+        p.write_bytes(bad)
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            _load(p)
+
+    @_FUZZ
+    @given(name=st.sampled_from(VALID_FILES), data=st.data())
+    def test_header_damage_loads_or_raises_value_error(self, valid_files,
+                                                        name, data):
+        root, raw = valid_files
+        good = raw[name]
+        line_end = good.index(b"\n")  # damage magic, header or its newline
+        start = data.draw(st.integers(0, line_end), label="start")
+        if data.draw(st.booleans(), label="flip"):
+            flip = data.draw(st.integers(1, 255), label="xor")
+            bad = good[:start] + bytes([good[start] ^ flip]) + good[start + 1:]
+        else:
+            stop = data.draw(st.integers(start, line_end + 1), label="stop")
+            bad = good[:start] + data.draw(st.binary(max_size=12),
+                                           label="splice") + good[stop:]
+        p = root / f"bad-{name}"
+        p.write_bytes(bad)
+        try:
+            _load(p)
+        except ValueError as exc:
+            assert str(p) in str(exc)
+
+
+class TestBundleSettingsChecked:
+    @pytest.mark.parametrize("field", ["n", "K", "support_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bundle_rejects_sizes_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(small_bundle(), **{field: value})
+
+    def test_anderson_rejects_no_iterations(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            AndersonConfig(max_iters=0)
+
+    def _write(self, path, change):
+        entries = bundle_entries(small_bundle(seed=8))
+        change(entries)
+        ck.save_checkpoint(path, entries)
+
+    @pytest.mark.parametrize("meta", [{"K": 0, "engine": "du"},
+                                      {"anderson": {"max_iters": 0}},
+                                      {"anderson": {"m": 3, "depth": 2}},
+                                      {"anderson": [3]}])
+    def test_bad_settings_name_the_file(self, tmp_path, meta):
+        p = tmp_path / "m.dqc1"
+        self._write(p, lambda e: e.update(
+            {"meta.json": ck.pack_str(json.dumps(meta))}))
+        with pytest.raises(ValueError, match=r"m\.dqc1: "):
+            load_model_bundle(p)
+
+    @pytest.mark.parametrize("meta", ["[1, 2]", "3", "not json"])
+    def test_meta_that_is_not_an_object_names_the_file(self, tmp_path, meta):
+        p = tmp_path / "m.dqc1"
+        self._write(p, lambda e: e.update({"meta.json": ck.pack_str(meta)}))
+        with pytest.raises(ValueError, match=r"m\.dqc1: "):
+            load_model_bundle(p)
+
+    @pytest.mark.parametrize("name", ["meta.json", "dictionary.atoms",
+                                      "denoiser.layer3.bias",
+                                      "scalars.raw_mu"])
+    def test_missing_entry_names_the_file_and_entry(self, tmp_path, name):
+        p = tmp_path / "m.dqc1"
+        self._write(p, lambda e: e.pop(name))
+        with pytest.raises(ValueError,
+                           match=rf"m\.dqc1: no entry '{re.escape(name)}'"):
+            load_model_bundle(p)

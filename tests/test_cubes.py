@@ -212,8 +212,8 @@ class TestHsc1:
         p = tmp_path / "a.hsc1"
         C.write_hsc1(p, random_cube(2, 3, 3, seed=18))
         p.write_bytes(p.read_bytes()[:-1])
-        with pytest.raises(ValueError,
-                           match=r"a\.hsc1: payload holds 143 bytes"):
+        with pytest.raises(ValueError, match=r"a\.hsc1: entry 'cube' needs "
+                           r"payload bytes 0\.\.144, the file holds 143"):
             C.read_hsc1(p)
 
 

@@ -298,19 +298,27 @@ class TestLayerStack:
         assert cached < one_patch_matrix
 
 
+def param_count(d: int, hidden: int = 64):
+    """(weight count, bias count) for the 4-layer plan."""
+    weights = sum(9 * c_out * c_in
+                  for c_out, c_in in dn.channel_plan(d, hidden))
+    biases = sum(c_out for c_out, _ in dn.channel_plan(d, hidden))
+    return weights, biases
+
+
 class TestParamCount:
     def test_formula_matches_arrays(self):
         for d, hidden in [(31, 64), (16, 32), (3, 5)]:
             params = dn.init_denoiser(d, hidden=hidden, seed=0)
             weights = sum(w.size for w in params.weights)
             biases = sum(b.size for b in params.biases)
-            fw, fb = dn.param_count(d, hidden)
+            fw, fb = param_count(d, hidden)
             assert (weights, biases) == (fw, fb)
             assert fw == 9 * (d * hidden + 2 * hidden * hidden + hidden * d)
             assert fb == 3 * hidden + d
 
     def test_paper_scale_bias_count(self):
-        _, fb = dn.param_count(31, 64)
+        _, fb = param_count(31, 64)
         assert fb == 223
 
 
@@ -372,9 +380,9 @@ class TestPretrain:
         validated = []  # the network each validation block ran through
         real = training.denoise
 
-        def spy(params, block, n=None):
+        def spy(params, block):
             validated.append(params.copy())
-            return real(params, block, n)
+            return real(params, block)
 
         monkeypatch.setattr(training, "denoise", spy)
         cfg = PretrainConfig(epochs=6, lr=0.1, batch_size=3, hidden=4,

@@ -3,9 +3,72 @@ import pytest
 from scipy import linalg as sla
 
 from blocksc.dictionary import (Dictionary, SupportSet, batch_omp,
-                                coding_error, decorrelate_atoms, fista_lasso,
-                                ksvd, mutual_coherence, normalize_atoms, omp)
+                                coding_error, decorrelate_atoms, ksvd,
+                                normalize_atoms, omp)
 from blocksc.tensor import soft_threshold
+
+
+def mutual_coherence(atoms: np.ndarray) -> float:
+    gram = np.abs(atoms.T @ atoms)
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
+
+
+def fista_lasso(Y: np.ndarray, D: Dictionary, mu: float, iters: int = 2000,
+                tol: float = 1e-10) -> np.ndarray:
+    """Minimize 0.5 ||Y - D G||_F^2 + mu ||G||_1 columnwise with FISTA.
+
+    The l1 sparse-coding oracle, the convex reference for OMP.  Step size
+    1/L with L the top eigenvalue of D^T D (power iteration); stops when
+    the relative objective change drops below tol.
+    """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    gram = D.atoms.T @ D.atoms
+    dty = D.atoms.T @ Y
+    L = _power_iteration_norm(gram)
+    G = np.zeros((D.M, Y.shape[1]))
+    Z = G.copy()
+    t = 1.0
+    prev_obj = _lasso_objective(Y, D.atoms, G, mu)
+    for _ in range(iters):
+        grad = gram @ Z - dty
+        G_next = soft_threshold(Z - grad / L, mu / L)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        Z = G_next + ((t - 1.0) / t_next) * (G_next - G)
+        G, t = G_next, t_next
+        obj = _lasso_objective(Y, D.atoms, G, mu)
+        if abs(prev_obj - obj) <= tol * max(abs(prev_obj), 1e-30):
+            break
+        prev_obj = obj
+    return G
+
+
+def _lasso_objective(Y, atoms, G, mu):
+    r = Y - atoms @ G
+    return 0.5 * float((r * r).sum()) + mu * float(np.abs(G).sum())
+
+
+def _power_iteration_norm(gram, iters=100, tol=1e-12, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=gram.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = gram @ v
+        nrm = np.linalg.norm(w)
+        if nrm == 0:
+            return 1.0
+        v = w / nrm
+        lam_new = float(v @ (gram @ v))
+        if abs(lam_new - lam) < tol * max(1.0, lam_new):
+            lam = lam_new
+            break
+        lam = lam_new
+    return max(lam * (1.0 + 1e-10), 1e-12)
 
 
 def random_dictionary(d, M, seed=0):

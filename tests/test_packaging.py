@@ -109,11 +109,68 @@ def test_no_unread_parameters():
     assert not unread
 
 
+# Defaulted parameters no call sets, each kept for a reason.
+DEFAULT_ALLOWLIST = {
+    "contraction_estimate(scale)": "ROADMAP direction 1 logs the estimate "
+                                   "per epoch and sets the code scale",
+}
+
+
+def _defaulted_parameters(path):
+    """(callee name, parameter, positional index or None, where) for each
+    defaulted parameter; a class's ``__init__`` is called by the class
+    name, and a method's index does not count ``self``."""
+    out = []
+
+    def visit(body, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            pos = [*args.posonlyargs, *args.args][1 if cls else 0:]
+            name = cls if node.name == "__init__" else node.name
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            first = len(pos) - len(args.defaults)
+            out.extend((name, arg.arg, i, where)
+                       for i, arg in enumerate(pos[first:], start=first))
+            out.extend((name, arg.arg, None, where) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults) if default)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body)
+    return out
+
+
+def _passed_arguments():
+    """Callee name -> the keywords and positional indices its calls pass."""
+    passed = {}
+    for path in (p for d in ("src", "perfbench", "tools", "tests")
+                 for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                got = passed.setdefault(name, set())
+                got.update(kw.arg for kw in node.keywords if kw.arg)
+                got.update(range(len(node.args)))
+    return passed
+
+
+def test_no_unused_defaults():
+    # a default no caller overrides is a constant dressed as a parameter;
+    # calls are matched by name, so a shared name can only hide a hit
+    passed = _passed_arguments()
+    unused = [f"{where}: {name}({arg})"
+              for path in sorted(ROOT.glob("src/blocksc/*.py"))
+              for name, arg, index, where in _defaulted_parameters(path)
+              if not {arg, index} & passed.get(name, set())
+              and f"{name}({arg})" not in DEFAULT_ALLOWLIST]
+    assert not unused
+
+
 # Public names that stay without a caller outside tests/, each for a reason.
 SURFACE_ALLOWLIST = {
-    "fista_lasso": "the l1 sparse-coding oracle, the convex reference for OMP",
-    "mutual_coherence": "the dictionary property the decorrelation test pins",
-    "param_count": "pins the paper's denoiser parameter count",
     "contraction_estimate": "ROADMAP direction 1 logs it per training epoch",
     "estimated_spectral_norms": "checks spectral_normalize until ROADMAP "
                                 "direction 1 replaces it",

@@ -155,9 +155,9 @@ class TestIterationMapFull:
         calls = {"n": 0}
         real = sv.denoise
 
-        def counting(p, block, n=None):
+        def counting(p, block):
             calls["n"] += 1
-            return real(p, block, n)
+            return real(p, block)
 
         monkeypatch.setattr(sv, "denoise", counting)
         sv.iteration_map(ctx, np.zeros((10, 9)), params)

@@ -199,3 +199,26 @@ class TestDuTrain:
         _, history, _ = du.du_train(pairs, D, params0, cfg)
         assert history[0]["fwd_nonconverged"] == 0
         assert history[0]["adj_nonconverged"] == 0
+
+    def test_resume_is_bitwise_reproducible(self):
+        D, pairs = self._dataset(count=6)
+        params0 = make_params(6, hidden=4, seed=14)
+
+        def cfg(epochs):
+            return du.DuTrainConfig(
+                unroll=du.UnrollConfig(K=3, variant="fast"), support_size=3,
+                epochs=epochs, lr=1e-3, batch_size=3, seed=5,
+                val_fraction=0.0)
+
+        one_shot, full_history, full_adam = du.du_train(pairs, D, params0,
+                                                        cfg(4))
+        mid, _, adam = du.du_train(pairs, D, params0, cfg(2))
+        resumed, history, adam = du.du_train(pairs, D, mid, cfg(2),
+                                             adam=adam, start_epoch=2)
+        assert adam.t == full_adam.t == 8
+        assert history == full_history[2:]
+        a = one_shot.as_dict()
+        b = resumed.as_dict()
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
+            assert np.array_equal(adam.m[k], full_adam.m[k]), k
