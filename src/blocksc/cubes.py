@@ -87,7 +87,8 @@ class NoiseModel:
 def block_from_patch(patch: np.ndarray, origin=(0, 0)) -> SignalBlock:
     """Stack a (d, n, n) patch into a d x N block, row-major pixel order."""
     d, n, n2 = patch.shape
-    assert n == n2
+    if n != n2:
+        raise ValueError(f"patch {patch.shape} is not square")
     return SignalBlock(patch.reshape(d, n * n).copy(), n, tuple(origin))
 
 
@@ -214,8 +215,11 @@ def read_hsc1(path) -> HyperCube:
             if header.get(key) not in ok:
                 raise ValueError(
                     f"{path}: unsupported {key} {header.get(key)!r}")
+        for key in ("bands", "height", "width"):
+            if type(header.get(key)) is not int:
+                raise ValueError(f"{path}: no int header {key!r}")
         return {"cube": {"dtype": header["dtype"], "offset": 0, "shape": [
-            header.get(key) for key in ("bands", "height", "width")]}}
+            header[key] for key in ("bands", "height", "width")]}}
 
     data = read_container(path, MAGIC_HSC1, "an HSC1 file", "header",
                           index)["cube"]

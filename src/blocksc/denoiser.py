@@ -3,10 +3,11 @@
 A 4-layer CNN (channel plan d -> hidden -> hidden -> hidden -> d, 3x3
 kernels, ReLU after the first three layers, linear output) that maps a
 d x N signal block, viewed as an n x n image with d channels, back to a
-d x N block.  Spectral normalization keeps every layer 1-Lipschitz so the
-whole network is non-expansive, which is what the fixed-point solvers
-lean on.  The positive penalty scalars of the splitting scheme live here
-too, realized through softplus so they stay positive during training.
+d x N block.  ``spectral_normalize`` caps the largest singular value of
+each layer's unfolded (c_out, 9 c_in) weight matrix at 1, which does not
+bound the conv: operator norms measured 1.39-1.72 per layer, so the
+network is not non-expansive.  The positive penalty scalars of the
+splitting scheme live here too, kept positive by softplus.
 
 ``denoise`` keeps no activations and runs in its weights' dtype, so the
 inference path (``pipeline``) runs the network in float32 while every

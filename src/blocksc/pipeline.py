@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .anderson import AndersonConfig
+from .anderson import AndersonConfig, DivergenceError
 from .checkpoint import load_checkpoint, pack_str, save_checkpoint, unpack_str
 from .cubes import BlockSet, HyperCube, block_from_patch, reassemble, \
     split_blocks
@@ -108,6 +108,7 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     """Full pipeline; the uncovered border keeps the input values.
 
     A cube smaller than one block comes back unchanged (zero tiles).
+    A block whose solve goes non-finite raises DivergenceError naming it.
     With ``budgets``, return {k: HyperCube} built from ``denoise_block``'s
     estimates at each budget.
     """
@@ -121,7 +122,11 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
         blocks = split_blocks(cube, n)
 
         def solve(blk):  # a function, so no estimate outlives its block
-            est = denoise_block(bundle, blk.matrix, budgets)
+            try:
+                est = denoise_block(bundle, blk.matrix, budgets)
+            except DivergenceError as exc:
+                raise DivergenceError(f"block at {blk.origin}: {exc}",
+                                      iteration=exc.iteration) from exc
             return {k: block_from_patch(e.reshape(blk.d, blk.n, blk.n),
                                         blk.origin)
                     for k, e in (est if budgets else {None: est}).items()}

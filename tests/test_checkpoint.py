@@ -314,6 +314,15 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=re.escape(str(p))):
             read_any(p, magic)
 
+    @pytest.mark.parametrize("value", [None, "3"])
+    @pytest.mark.parametrize("key", ["bands", "height", "width"])
+    def test_hsc1_bad_dimension_names_the_key(self, tmp_path, key, value):
+        p = tmp_path / "bad.hsc1"
+        write_framed(p, *hsc1_file(**{key: value}))
+        with pytest.raises(ValueError, match=re.escape(str(p))) as exc:
+            cubes.read_hsc1(p)
+        assert repr(key) in str(exc.value)
+
     def test_loaded_cube_is_not_copied_again(self, tmp_path):
         # the payload buffer read from the file is the cube's own memory
         p = tmp_path / "x.hsc1"

@@ -41,6 +41,10 @@ class TestSplitBlocks:
         with pytest.raises(ValueError, match="empty tiling"):
             C.split_blocks(random_cube(3, 4, 4), 5)
 
+    def test_non_square_patch_error(self):
+        with pytest.raises(ValueError, match="not square"):
+            C.block_from_patch(np.zeros((2, 3, 4)))
+
 
 class TestReassemble:
     def test_round_trip_bitwise(self):

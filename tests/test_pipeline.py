@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocksc import pipeline
-from blocksc.anderson import AndersonConfig
+from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.cubes import HyperCube, NoiseModel, add_noise, split_blocks, \
     synth_cube
 from blocksc.deq import deq_forward
@@ -76,6 +76,21 @@ class TestDenoiseCube:
         out = denoise_cube(bundle, cube)
         assert np.array_equal(out.data[:, 8, :], cube.data[:, 8, :])
         assert np.array_equal(out.data[:, :, 8], cube.data[:, :, 8])
+
+
+class TestDivergence:
+    def test_error_names_the_block(self):
+        # 1e39 is finite in float64 but overflows the float32 network, so
+        # only the block at (4, 0) goes non-finite, at its second iterate
+        bundle = tiny_bundle(variant="full")
+        noisy, _ = noisy_cube()
+        data = noisy.data.copy()
+        data[:, 4:, :4] = 1e39
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"\(4, 0\)") as exc:
+            denoise_cube(bundle, HyperCube(data))
+        assert exc.value.iteration == 2
+        assert isinstance(exc.value.__cause__, DivergenceError)
 
 
 class TestFloat32Inference:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,7 +119,8 @@ class TestLoopReference:
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
                                             (np.float32, 1e-5)])
-    @pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (7, 3), (20, 20)])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (7, 3), (20, 20),
+                                     (30, 40), (2, 600)])
     def test_all_three_ops(self, h, w, dtype, rtol):
         rng = np.random.default_rng(h * 100 + w)
         x = rng.normal(size=(2, h, w)).astype(dtype)
@@ -138,6 +141,38 @@ class TestLoopReference:
             assert got[name].dtype == dtype, name
             assert got[name].shape == ref.shape, name
             assert rel_err(got[name], ref) < rtol, name
+
+
+class TestStrips:
+    """Grids past STRIP_COLS columns run by strips; smaller ones keep the
+    single GEMM, bit for bit."""
+
+    def test_small_grid_is_the_single_gemm(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(64, 20, 20))
+        wt = rng.normal(size=(64, 64, 3, 3))
+        bias = rng.normal(size=64)
+        assert 20 * 22 <= T.STRIP_COLS
+        one = wt.reshape(64, -1) @ T._patches(x) + bias[:, None]
+        assert np.array_equal(T.conv2d(x, wt, bias),
+                              one.reshape(64, 20, 22)[:, :, :20])
+
+    def test_wide_grid_peaks_below_one_patch_matrix(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(64, 60, 60)).astype(np.float32)
+        wt = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=64).astype(np.float32)
+        full = 576 * 3720 * 4  # the whole float32 patch matrix, bytes
+        tracemalloc.start()
+        try:
+            T.conv2d(x, wt, bias)
+            strip_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            wt.reshape(64, -1) @ T._patches(x)
+            whole_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strip_peak < full <= whole_peak
 
 
 class TestRelu:

@@ -15,10 +15,12 @@ adjoint solve counts, so a solve that hits the cap shows; one ``du_train``
 epoch per variant; ``sweep_iterations``; a three-epoch denoiser ``pretrain``
 run (its weights and per-epoch ``loss``; no validation split, so the returned
 weights are the last epoch's whenever the loss falls every epoch); and two
-``ksvd`` sweeps on the 1600 spectra of that cube.  ``compare`` prints each
-array that differs with its max relative difference ``max|a - b| / max|b|``,
-and exits 1 unless both files hold the same keys with ``np.array_equal``
-values.
+``ksvd`` sweeps on the 1600 spectra of that cube; and ``conv2d`` and
+``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60 float32 and 20x20
+float64 inputs, so a kernel change shows per op, the multi-strip transpose
+included.  ``compare`` prints each array that differs with its max relative
+difference ``max|a - b| / max|b|``, and exits 1 unless both files hold the
+same keys with ``np.array_equal`` values.
 """
 
 from __future__ import annotations
@@ -113,8 +115,24 @@ def dump(path):
                                        sweeps=2)
     out["ksvd.atoms"] = learned.atoms
     out["ksvd.history"] = np.array(history)
+    out.update(_conv_outputs())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
+
+
+def _conv_outputs() -> dict:
+    from blocksc import tensor
+
+    out = {}
+    rng = np.random.default_rng(20)
+    for side, dtype in ((60, np.float32), (20, np.float64)):
+        x, cot = rng.normal(size=(2, 64, side, side)).astype(dtype)
+        weight = rng.normal(size=(64, 64, 3, 3)).astype(dtype)
+        bias = rng.normal(size=64).astype(dtype)
+        tag = f"{side}x{side}.{np.dtype(dtype).name}"
+        out[f"conv2d.{tag}"] = tensor.conv2d(x, weight, bias)
+        out[f"conv2d_transpose.{tag}"] = tensor.conv2d_transpose(weight, cot)
+    return out
 
 
 def compare(path_a, path_b) -> int:
