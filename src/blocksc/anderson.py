@@ -14,6 +14,7 @@ Gram matrix U^T U by the one row it writes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,15 @@ class AndersonConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("memory depth m must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("damping beta must be positive")
+        if not 0 < self.beta < math.inf:  # False for NaN too
+            raise ValueError(
+                f"damping beta must be positive and finite, got {self.beta}")
         if self.max_iters < 1:
             raise ValueError("iteration cap max_iters must be >= 1")
+        for name in ("tol", "ridge"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -61,11 +67,13 @@ def _rel_residual(prev, cur):
 
 
 def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
-                   callback=None) -> FixedPointReport:
+                   callback=None, f0: np.ndarray | None = None
+                   ) -> FixedPointReport:
     """Run the accelerated iteration from g0 until tol or max_iters.
 
     ``callback(k, g)`` is invoked after every update with the iterate so
-    callers can log per-iteration quality.  Raises DivergenceError on a
+    callers can log per-iteration quality.  ``f0``, when given, is f(g0)
+    and takes the place of the first call.  Raises DivergenceError on a
     non-finite iterate.
     """
     g = np.asarray(g0, dtype=np.float64)
@@ -78,7 +86,8 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
     converged = False
     k = c = 0
     for k in range(1, cfg.max_iters + 1):
-        fg = np.asarray(f(g), dtype=np.float64)
+        fg, f0 = (f(g) if f0 is None else f0), None  # not held past use
+        fg = np.asarray(fg, dtype=np.float64)
         if not np.all(np.isfinite(fg)):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k)

@@ -146,11 +146,13 @@ def denoise(params: DenoiserParams, block: np.ndarray) -> np.ndarray:
     The network runs in the dtype of its weights; the output comes back
     in the block's dtype (both casts are no-ops for float64 weights).
     """
+    shape, dtype = block.shape, block.dtype
     h = _as_image(block).astype(params.weights[0].dtype, copy=False)
+    del block  # a float64 block is dead once its float32 copy exists
     for i in range(3):
         h = relu(conv2d(h, params.weights[i], params.biases[i]))
     out = conv2d(h, params.weights[3], params.biases[3])
-    return out.reshape(block.shape).astype(block.dtype, copy=False)
+    return out.reshape(shape).astype(dtype, copy=False)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Equilibrium engine: Anderson forward solve, implicit adjoint backward.
 
-The forward pass finds g* = f(g*, Y) for the HQS iteration map.  The
+The forward pass finds g* = f(g*, Y) for the HQS iteration map by
+Anderson from g0 = 0, whose first step may take a precomputed network
+output N(0) (shared by every block of a cube, see ``pipeline``).  The
 backward pass never unrolls the forward trajectory: it seeds the adjoint
 with D^T (D g* - x), solves the fixed point
 
@@ -30,10 +32,18 @@ from .training import Adam, EndToEndConfig, end_to_end_train
 
 
 def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
-                callback=None) -> FixedPointReport:
-    """Solve the code fixed point from g0 = 0."""
-    return anderson_solve(lambda g: iteration_map(ctx, g, params),
-                          initial_codes(ctx), cfg, callback=callback)
+                callback=None, n0: np.ndarray | None = None
+                ) -> FixedPointReport:
+    """Solve the code fixed point from g0 = 0.
+
+    The first map step runs the network on D g0 = 0.  ``n0``, the
+    network's output N(0) on an all-zero block, replaces that call: it is
+    the same for every block, so ``pipeline`` computes it once per cube.
+    """
+    g0 = initial_codes(ctx)
+    return anderson_solve(lambda g: iteration_map(ctx, g, params), g0, cfg,
+                          callback=callback,
+                          f0=iteration_map(ctx, g0, params, n0))
 
 
 def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,

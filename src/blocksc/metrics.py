@@ -4,7 +4,9 @@ PSNR is computed per band against peak 1.0 and averaged (the mean-PSNR
 convention used for hyperspectral comparisons); ``block_psnr`` is the
 whole-block PSNR that training validation reports.  SSIM follows the
 standard 11x11 Gaussian-window definition per band, and SAM is the mean
-spectral angle over pixels in radians.
+spectral angle over pixels in radians.  A non-finite reconstruction scores
+NaN in each of them, never the 100 dB cap or a zero angle, so a diverged
+estimate cannot rank as the best one.
 
 ``scipy.signal`` is imported inside ``_ssim_stats``, its one user: at module
 level it cost every process, solves and training included, about 1 s.
@@ -35,7 +37,7 @@ def _check_same_shape(x, ref):
 
 
 def band_psnr(x, ref) -> list:
-    """Per-band PSNR in dB, capped at 100 dB for exact matches."""
+    """Per-band PSNR in dB, capped at 100 dB; NaN for a non-finite band."""
     x = _as_data(x)
     ref = _as_data(ref)
     _check_same_shape(x, ref)
@@ -44,6 +46,8 @@ def band_psnr(x, ref) -> list:
         mse = float(np.mean((x[band] - ref[band]) ** 2))
         if mse == 0.0:
             out.append(PSNR_CAP_DB)
+        elif not math.isfinite(mse):
+            out.append(math.nan)
         else:
             out.append(min(PSNR_CAP_DB, 10.0 * math.log10(1.0 / mse)))
     return out
@@ -58,6 +62,8 @@ def block_psnr(x: np.ndarray, ref: np.ndarray) -> float:
     mse = float(np.mean((np.asarray(x) - np.asarray(ref)) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
+    if not math.isfinite(mse):
+        return math.nan
     return float(min(PSNR_CAP_DB, -10.0 * np.log10(mse)))
 
 
@@ -102,7 +108,10 @@ def ssim(x, ref) -> float:
 
 
 def sam_with_count(x, ref):
-    """(mean spectral angle in radians, skipped zero-norm pixel count)."""
+    """(mean spectral angle in radians, skipped zero-norm pixel count).
+
+    A pixel with a NaN or infinite norm is kept: the mean comes out NaN.
+    """
     x = _as_data(x)
     ref = _as_data(ref)
     _check_same_shape(x, ref)
@@ -110,7 +119,7 @@ def sam_with_count(x, ref):
     rf = ref.reshape(ref.shape[0], -1)
     nx = np.linalg.norm(xf, axis=0)
     nr = np.linalg.norm(rf, axis=0)
-    valid = (nx > 0) & (nr > 0)
+    valid = (nx != 0) & (nr != 0)
     skipped = int((~valid).sum())
     if not valid.any():
         return 0.0, skipped

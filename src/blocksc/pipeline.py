@@ -11,7 +11,11 @@ Each block is solved on its own context; an iteration-budget argument
 reads several budgets off one solve.  Inference runs the regularizer
 network in float32 on a copy of the bundle's weights; the map, Anderson
 and the Cholesky solve stay float64, as does every training and gradient
-path.
+path.  Every block's solve starts from the zero code, so its first map
+step needs the network's output on an all-zero block, N(0), which depends
+only on the weights and the block size: ``denoise_cube`` makes the
+float32 copy and N(0) once and every block reuses both, bit-identical to
+running the network per block.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .anderson import AndersonConfig, DivergenceError
 from .checkpoint import load_checkpoint, pack_str, save_checkpoint, unpack_str
 from .cubes import BlockSet, HyperCube, block_from_patch, reassemble, \
     split_blocks
-from .denoiser import DenoiserParams, ModelParams, ScalarParams
+from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise
 from .deq import deq_forward
 from .dictionary import Dictionary
 from .solver import make_context, reconstruct, select_support
@@ -62,36 +66,46 @@ def _check_budgets(budgets) -> list:
     return budgets
 
 
-def _float32_network(params: ModelParams) -> ModelParams:
-    """``params`` with float32 denoiser weights and biases, same scalars."""
+def _inference_network(params: ModelParams, shape) -> tuple:
+    """(float32 copy of ``params``, its N(0) on an all-zero ``shape`` block).
+
+    The copy has float32 denoiser weights and biases and the same scalars.
+    Both are built per ``denoise_cube`` call and kept by nothing past it:
+    training changes the weights in place.
+    """
     den = params.denoiser
-    return ModelParams(
+    net = ModelParams(
         DenoiserParams([w.astype(np.float32) for w in den.weights],
                        [b.astype(np.float32) for b in den.biases],
                        den.u, den.v),
         params.scalars)
+    return net, denoise(net.denoiser, np.zeros(shape, np.float32))
 
 
-def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
+def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
+                  network=None):
     """Solve one block and return the reconstructed d x N estimate.
 
     With ``budgets``, return {k: estimate after k iterations} for each k,
     all from one solve run to max(budgets) with no early stop.  The
     network runs in float32; ``bundle.params`` is left as it is.
+    ``network`` is the (float32 network, N(0)) pair of
+    ``_inference_network`` for Y's shape, built here when None.
     """
     if budgets is not None:
         budgets = _check_budgets(budgets)
-    params = _float32_network(bundle.params)
+    params, n0 = network or _inference_network(bundle.params, np.shape(Y))
     support = (select_support(Y, bundle.dictionary, bundle.support_size)
                if bundle.variant == "fast" else None)
     ctx = make_context(bundle.dictionary, params, Y, support)
     if bundle.engine == "du":
-        G, trace = du_forward(ctx, params, budgets[-1] if budgets else bundle.K)
+        G, trace = du_forward(ctx, params,
+                              budgets[-1] if budgets else bundle.K, n0)
         if budgets is None:
             return reconstruct(ctx, G)
         return {k: reconstruct(ctx, trace[k]) for k in budgets}
     if budgets is None:
-        G = deq_forward(ctx, params, bundle.anderson).solution
+        G = deq_forward(ctx, params, bundle.anderson, n0=n0).solution
         return reconstruct(ctx, G)
     staged = {}
 
@@ -100,7 +114,7 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None):
             staged[k] = reconstruct(ctx, g)
 
     cfg = replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
-    deq_forward(ctx, params, cfg, callback=keep)
+    deq_forward(ctx, params, cfg, callback=keep, n0=n0)
     return staged
 
 
@@ -120,10 +134,11 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
         out = {k: HyperCube(cube.data.copy()) for k in keys}
     else:
         blocks = split_blocks(cube, n)
+        network = _inference_network(bundle.params, (cube.bands, n * n))
 
         def solve(blk):  # a function, so no estimate outlives its block
             try:
-                est = denoise_block(bundle, blk.matrix, budgets)
+                est = denoise_block(bundle, blk.matrix, budgets, network)
             except DivergenceError as exc:
                 raise DivergenceError(f"block at {blk.origin}: {exc}",
                                       iteration=exc.iteration) from exc

@@ -19,9 +19,12 @@ chosen by OMP on the block centroid and drops the soft-threshold branch:
 A, then keeps A^-1, P = A^-1 D^T and c0 = P Y (D_S on the fast map), so
 the map is G+ = c0 + b P N(D G) [+ b A^-1 soft(G)], GEMMs only; its
 ``support`` selects the map, None for the full one.  ``iteration_map``
-applies either map; ``map_vjp`` gives the cotangents of one application
-w.r.t. the input codes and all learnable parameters; ``linearize_map``
-runs the forward once at a point and then gives only the code cotangent.
+applies either map, taking the network output when the caller has it:
+N(D 0) = N(0) is the same for every block, so the solves of a cube's
+blocks from G = 0 share one call.  ``map_vjp`` gives the cotangents of
+one application w.r.t. the input codes and all learnable parameters;
+``linearize_map`` runs the forward once at a point and then gives only the
+code cotangent.
 """
 
 from __future__ import annotations
@@ -92,15 +95,21 @@ def make_context(D: Dictionary, params: ModelParams, Y: np.ndarray,
 # forward maps
 
 
-def iteration_map(ctx: SolverContext, G: np.ndarray,
-                  params: ModelParams) -> np.ndarray:
-    """One map application; exactly one denoiser call.
+def iteration_map(ctx: SolverContext, G: np.ndarray, params: ModelParams,
+                  net_out: np.ndarray | None = None) -> np.ndarray:
+    """One map application; exactly one denoiser call, or none when the
+    caller passes ``net_out``, the network's output N(D G) at this G.
 
-    The fast map has no shrinkage branch: its sparsity is structural.
+    At G = 0 that is N(0), which depends only on the weights and the block
+    shape, so ``pipeline`` computes it once per cube; the rest of the map,
+    the full map's b A^-1 soft(0) included, runs as for any G.  The fast
+    map has no shrinkage branch: its sparsity is structural.
     """
     ctx.check(params)
     b = ctx.b
-    out = ctx.c0 + b * (ctx.P @ denoise(params.denoiser, ctx.D @ G))
+    if net_out is None:
+        net_out = denoise(params.denoiser, ctx.D @ G)
+    out = ctx.c0 + b * (ctx.P @ net_out)
     if ctx.mode == "full":
         out += b * (ctx.Ainv @ soft_threshold(G, params.scalars.mu / b))
     return out

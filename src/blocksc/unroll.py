@@ -32,11 +32,17 @@ class UnrollConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def du_forward(ctx: SolverContext, params: ModelParams, K: int):
-    """K map applications from G0 = 0; returns (G_K, full iterate trace)."""
+def du_forward(ctx: SolverContext, params: ModelParams, K: int,
+               n0: np.ndarray | None = None):
+    """K map applications from G0 = 0; returns (G_K, full iterate trace).
+
+    ``n0``, the network's output N(0) on an all-zero block, replaces the
+    network call of the first application, as in ``deq.deq_forward``.
+    """
     trace = [initial_codes(ctx)]
-    for _ in range(K):
-        trace.append(iteration_map(ctx, trace[-1], params))
+    for k in range(K):
+        trace.append(iteration_map(ctx, trace[-1], params,
+                                   n0 if k == 0 else None))
     return trace[-1], trace
 
 

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestReportContract:
             AndersonConfig(m=0)
         with pytest.raises(ValueError):
             AndersonConfig(beta=0.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("beta", math.nan), ("beta", math.inf), ("beta", -1.0),
+        ("tol", math.nan), ("tol", -1e-6), ("tol", math.inf),
+        ("ridge", math.nan), ("ridge", -1e-10), ("ridge", math.inf)])
+    def test_rejects_bad_float_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            AndersonConfig(**{name: value})
+
+    def test_zero_tol_and_ridge_accepted(self):
+        cfg = AndersonConfig(tol=0.0, ridge=0.0)
+        assert (cfg.tol, cfg.ridge) == (0.0, 0.0)
 
     def test_callback_sees_every_iterate(self):
         seen = []

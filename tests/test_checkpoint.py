@@ -425,6 +425,19 @@ class TestBundleSettingsChecked:
         with pytest.raises(ValueError, match=r"m\.dqc1: "):
             load_model_bundle(p)
 
+    @pytest.mark.parametrize("anderson", [{"beta": float("nan")},
+                                          {"tol": -1.0},
+                                          {"tol": float("nan")},
+                                          {"ridge": -1.0},
+                                          {"ridge": float("nan")}])
+    def test_bad_anderson_floats_name_the_file(self, tmp_path, anderson):
+        p = tmp_path / "m.dqc1"
+        meta = json.dumps({"anderson": anderson})  # NaN is written as NaN
+        self._write(p, lambda e: e.update({"meta.json": ck.pack_str(meta)}))
+        (name,) = anderson
+        with pytest.raises(ValueError, match=rf"m\.dqc1: .*\b{name} must be"):
+            load_model_bundle(p)
+
     @pytest.mark.parametrize("meta", ["[1, 2]", "3", "not json"])
     def test_meta_that_is_not_an_object_names_the_file(self, tmp_path, meta):
         p = tmp_path / "m.dqc1"

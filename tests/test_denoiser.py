@@ -396,3 +396,29 @@ class TestPretrain:
         for got, want in zip(best.weights + best.biases,
                              chosen.weights + chosen.biases):
             assert np.array_equal(got, want)
+
+    def test_a_nan_validation_epoch_is_not_best(self, monkeypatch):
+        # the data of the test above; the last epoch validates to NaN,
+        # which scored the 100 dB cap before and so won
+        rng = np.random.default_rng(16)
+        clean = [rng.uniform(0, 1, size=(3, 16)) for _ in range(6)]
+        pairs = [(c + 0.1 * rng.normal(size=c.shape), c) for c in clean]
+        cfg = PretrainConfig(epochs=6, lr=0.1, batch_size=3, hidden=4,
+                             seed=4, val_fraction=0.5)
+        validated = []
+        real = training.denoise
+
+        def spy(params, block):
+            validated.append(params.copy())
+            out = real(params, block)
+            return out * np.nan if len(validated) > 3 * 5 else out
+
+        monkeypatch.setattr(training, "denoise", spy)
+        best, history = pretrain(pairs, cfg)
+        scores = [h["val_psnr"] for h in history]
+        assert len(validated) == 3 * 6
+        assert np.isnan(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+        chosen = validated[3 * int(np.argmax(scores[:-1]))]
+        for got, want in zip(best.weights + best.biases,
+                             chosen.weights + chosen.biases):
+            assert np.array_equal(got, want)

@@ -46,6 +46,22 @@ class TestPsnr:
         blk = np.ones((4, 9))
         assert mx.block_psnr(blk, blk) == 100.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_band_scores_nan(self, bad):
+        ref = random_cube(3, 8, 8, seed=20)
+        x = HyperCube(ref.data.copy())
+        x.data[1, 2, 3] = bad  # min(100, nan) would give the cap
+        scores = mx.band_psnr(x, ref)
+        assert scores[0] == scores[2] == 100.0
+        assert math.isnan(scores[1])
+        assert math.isnan(mx.psnr(x, ref))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_scores_nan(self, bad):
+        blk = np.ones((4, 9))
+        assert math.isnan(mx.block_psnr(np.full_like(blk, bad), blk))
+        assert math.isnan(mx.block_psnr(blk, np.full_like(blk, bad)))
+
 
 class TestSsim:
     def test_identical_is_one(self):
@@ -110,6 +126,20 @@ class TestSam:
         angle, skipped = mx.sam_with_count(x, ref)
         assert skipped == 2
         assert np.isfinite(angle)
+
+    def test_all_nan_input_is_nan(self):
+        ref = random_cube(3, 4, 4, seed=21)
+        x = HyperCube(np.full_like(ref.data, np.nan))
+        assert math.isnan(mx.sam(x, ref))
+        assert math.isnan(mx.sam(ref, x))
+
+    def test_one_nan_pixel_is_nan(self):
+        x = random_cube(3, 4, 4, seed=22)
+        ref = random_cube(3, 4, 4, seed=23)
+        x.data[0, 1, 1] = np.nan
+        angle, skipped = mx.sam_with_count(x, ref)
+        assert math.isnan(angle)
+        assert skipped == 0
 
     def test_symmetry(self):
         x = random_cube(3, 8, 8, seed=18)

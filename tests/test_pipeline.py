@@ -3,18 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blocksc import pipeline
+from blocksc import denoiser, pipeline
 from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.cubes import HyperCube, NoiseModel, add_noise, split_blocks, \
     synth_cube
 from blocksc.deq import deq_forward
-from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
-    spectral_normalize
+from blocksc.denoiser import DenoiserParams, ModelParams, ScalarParams, \
+    denoise, init_denoiser, spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.metrics import psnr, sweep_iterations
 from blocksc.pipeline import (ModelBundle, denoise_block, denoise_cube,
                               load_model_bundle, save_model_bundle)
 from blocksc.solver import make_context, reconstruct, select_support
+from blocksc.unroll import du_forward
 
 
 def tiny_bundle(engine="deq", variant="fast", seed=0):
@@ -109,9 +110,9 @@ class TestFloat32Inference:
                          anderson=AndersonConfig())
         reports = []
 
-        def spy(ctx, params, cfg, callback=None):
+        def spy(ctx, params, cfg, callback=None, n0=None):
             assert params.denoiser.weights[0].dtype == np.float32
-            reports.append(deq_forward(ctx, params, cfg, callback))
+            reports.append(deq_forward(ctx, params, cfg, callback, n0))
             return reports[-1]
 
         monkeypatch.setattr(pipeline, "deq_forward", spy)
@@ -129,6 +130,97 @@ class TestFloat32Inference:
             assert reports[-1].iterations == ref.iterations
             assert reports[-1].converged == ref.converged
         assert len(reports) == 4
+
+
+def with_biases(bundle, seed=0):
+    """``bundle`` with nonzero denoiser biases, so that N(0) is not 0."""
+    params = bundle.params.copy()
+    rng = np.random.default_rng(seed)
+    for bias in params.denoiser.biases:
+        bias[:] = rng.normal(scale=0.1, size=bias.shape)
+    return replace(bundle, params=params)
+
+
+def float32_network(params):
+    den = params.denoiser
+    return ModelParams(DenoiserParams([w.astype(np.float32)
+                                       for w in den.weights],
+                                      [b.astype(np.float32)
+                                       for b in den.biases], den.u, den.v),
+                       params.scalars)
+
+
+def unshared_block(bundle, Y, budgets=None):
+    """One block solved with a network call at every map step, N(0) too."""
+    net = float32_network(bundle.params)
+    support = (select_support(Y, bundle.dictionary, bundle.support_size)
+               if bundle.variant == "fast" else None)
+    ctx = make_context(bundle.dictionary, net, Y, support)
+    if bundle.engine == "du":
+        final, trace = du_forward(ctx, net,
+                                  max(budgets) if budgets else bundle.K)
+        staged = dict(enumerate(trace))
+    else:
+        staged = {}
+        cfg = (replace(bundle.anderson, max_iters=max(budgets), tol=0.0)
+               if budgets else bundle.anderson)
+        final = deq_forward(ctx, net, cfg,
+                            callback=staged.__setitem__).solution
+    if budgets is None:
+        return reconstruct(ctx, final)
+    return {k: reconstruct(ctx, staged[k]) for k in budgets}
+
+
+class TestSharedZeroResponse:
+    """``denoise_cube`` runs the network once on the zero block for all
+    blocks; each block's first map step takes that N(0)."""
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("variant", ["fast", "full"])
+    @pytest.mark.parametrize("budgets", [None, [1, 3, 5]])
+    def test_cube_equals_unshared_block_solves(self, engine, variant,
+                                               budgets):
+        bundle = with_biases(tiny_bundle(engine, variant))
+        net = float32_network(bundle.params)
+        assert np.abs(denoise(net.denoiser, np.zeros((4, 16)))).min() > 0
+        noisy, _ = noisy_cube(seed=6)
+        out = denoise_cube(bundle, noisy, budgets)
+        cubes = out if budgets else {None: out}
+        n = bundle.n
+        blocks = split_blocks(noisy, n).blocks
+        assert len(blocks) == 4
+        for blk in blocks:
+            r, c = blk.origin
+            ref = unshared_block(bundle, blk.matrix, budgets)
+            ref = ref if budgets else {None: ref}
+            for k, cube in cubes.items():
+                got = cube.data[:, r:r + n, c:c + n].reshape(blk.d, -1)
+                assert np.array_equal(got, ref[k]), (blk.origin, k)
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("budgets", [None, [2, 5]])
+    def test_network_calls_per_cube(self, engine, budgets, monkeypatch):
+        bundle = with_biases(tiny_bundle(engine, "full"))
+        convs, iters = [], []
+        conv2d = denoiser.conv2d
+
+        def count_conv(*args):
+            convs.append(1)
+            return conv2d(*args)
+
+        def spy(*args, **kwargs):
+            report = deq_forward(*args, **kwargs)
+            iters.append(report.iterations)
+            return report
+
+        monkeypatch.setattr(denoiser, "conv2d", count_conv)
+        monkeypatch.setattr(pipeline, "deq_forward", spy)
+        denoise_cube(bundle, noisy_cube(seed=7)[0], budgets)
+        steps = (iters if engine == "deq"
+                 else [max(budgets) if budgets else bundle.K] * 4)
+        assert len(steps) == 4 and min(steps) > 1
+        network_calls = sum(k - 1 for k in steps) + 1  # 4 x (k - 1) + 1
+        assert len(convs) == 4 * network_calls
 
 
 class TestBudgets:

@@ -4,23 +4,23 @@
     python tools/compare_outputs.py compare a.npz b.npz
 
 A dump holds: ``denoise_cube`` on a 120x120x31 cube (DEQ, fast variant, n=60);
-estimates at budgets [2, 3] from one solve for DEQ and DU, full and fast, on a
-40x40 cube; for each 20x20 block of that cube and each DEQ variant, the
-Anderson iteration counts and ``converged`` flags of the forward and the
-adjoint solve, run to tol 1e-8 so that they stop short of the 50-iteration
-cap, so a change that moves a count shows as a differing integer array; one
-``deq_train`` epoch per variant, its solves capped at 50 iterations (tol
-1e-6) and its history rows carrying the epoch's non-converged forward and
-adjoint solve counts, so a solve that hits the cap shows; one ``du_train``
-epoch per variant; ``sweep_iterations``; a three-epoch denoiser ``pretrain``
-run (its weights and per-epoch ``loss``; no validation split, so the returned
-weights are the last epoch's whenever the loss falls every epoch); and two
-``ksvd`` sweeps on the 1600 spectra of that cube; and ``conv2d`` and
-``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60 float32 and 20x20
-float64 inputs, so a kernel change shows per op, the multi-strip transpose
-included.  ``compare`` prints each array that differs with its max relative
-difference ``max|a - b| / max|b|``, and exits 1 unless both files hold the
-same keys with ``np.array_equal`` values.
+``denoise_cube`` without budgets and its estimates at budgets [2, 3] from one
+solve for DEQ and DU, full and fast, on a 40x40 cube; for each 20x20 block of
+that cube and each DEQ variant, the Anderson iteration counts and ``converged``
+flags of the forward and the adjoint solve, run to tol 1e-8 so that they stop
+short of the 50-iteration cap, so a change that moves a count shows as a
+differing integer array; one ``deq_train`` epoch per variant, its solves capped
+at 50 iterations (tol 1e-6) and its history rows carrying the epoch's
+non-converged forward and adjoint solve counts, so a solve that hits the cap
+shows; one ``du_train`` epoch per variant; ``sweep_iterations``; a three-epoch
+denoiser ``pretrain`` run (its weights and per-epoch ``loss``; no validation
+split, so the returned weights are the last epoch's whenever the loss falls
+every epoch); and two ``ksvd`` sweeps on the 1600 spectra of that cube; and
+``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60 float32
+and 20x20 float64 inputs, so a kernel change shows per op, the multi-strip
+transpose included.  ``compare`` prints each array that differs with its max
+relative difference ``max|a - b| / max|b|``, and exits 1 unless both files hold
+the same keys with ``np.array_equal`` values.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def dump(path):
             bundle = pipeline.ModelBundle(D, params, engine=engine,
                                           variant=variant, n=20, K=4,
                                           anderson=anderson, support_size=5)
+            out[f"denoise_cube.{engine}.{variant}"] = pipeline.denoise_cube(
+                bundle, noisy).data
             staged = pipeline.denoise_cube(bundle, noisy, budgets=[2, 3])
             for k, cube in staged.items():
                 out[f"staged.{engine}.{variant}.{k}"] = cube.data
