@@ -100,6 +100,8 @@ def split_blocks(cube: HyperCube, n: int) -> BlockSet:
     """Tile the cube into non-overlapping n x n blocks, row-major scan order.
 
     Trailing rows/columns that do not fill a whole block are cropped.
+    Every block's ``matrix`` is an owned, writable copy that shares no
+    memory with ``cube.data``, so a caller may overwrite it in place.
     """
     if n < 1:
         raise ValueError("patch side n must be >= 1")

@@ -16,6 +16,9 @@ step needs the network's output on an all-zero block, N(0), which depends
 only on the weights and the block size: ``denoise_cube`` makes the
 float32 copy and N(0) once and every block reuses both, bit-identical to
 running the network per block.
+
+``denoise_cube`` holds one cube of block data (one per budget) beside one
+block's solve: ``split_blocks``' owned copies double as estimate storage.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ import numpy as np
 
 from .anderson import AndersonConfig, DivergenceError
 from .checkpoint import load_checkpoint, pack_str, save_checkpoint, unpack_str
-from .cubes import BlockSet, HyperCube, block_from_patch, reassemble, \
-    split_blocks
+from .cubes import HyperCube, reassemble, split_blocks
 from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise
 from .deq import deq_forward
 from .dictionary import Dictionary
@@ -124,7 +126,9 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     A cube smaller than one block comes back unchanged (zero tiles).
     A block whose solve goes non-finite raises DivergenceError naming it.
     With ``budgets``, return {k: HyperCube} built from ``denoise_block``'s
-    estimates at each budget.
+    estimates at each budget.  ``cube`` is left as it is.  Each block's
+    estimate overwrites its ``split_blocks`` copy once solved, so the peak
+    is one cube of block data (per budget) plus one block's solve.
     """
     if budgets is not None:
         budgets = _check_budgets(budgets)
@@ -133,23 +137,20 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     if n > min(cube.height, cube.width):
         out = {k: HyperCube(cube.data.copy()) for k in keys}
     else:
-        blocks = split_blocks(cube, n)
+        sets = {k: split_blocks(cube, n) for k in keys}
         network = _inference_network(bundle.params, (cube.bands, n * n))
 
-        def solve(blk):  # a function, so no estimate outlives its block
+        for row in zip(*(sets[k].blocks for k in keys)):
+            blk = row[0]
             try:
                 est = denoise_block(bundle, blk.matrix, budgets, network)
             except DivergenceError as exc:
                 raise DivergenceError(f"block at {blk.origin}: {exc}",
                                       iteration=exc.iteration) from exc
-            return {k: block_from_patch(e.reshape(blk.d, blk.n, blk.n),
-                                        blk.origin)
-                    for k, e in (est if budgets else {None: est}).items()}
-
-        solved = [solve(blk) for blk in blocks.blocks]
-        out = {k: reassemble(BlockSet([s[k] for s in solved],
-                                      blocks.cube_shape, n), base=cube)
-               for k in keys}
+            for k, target in zip(keys, row):
+                target.matrix[...] = est[k] if budgets else est
+            del est  # so no estimate is held through the next block's solve
+        out = {k: reassemble(sets.pop(k), base=cube) for k in keys}
     return out if budgets else out[None]
 
 

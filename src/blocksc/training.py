@@ -172,6 +172,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                 if not np.isfinite(blk_loss) or any(
                         not np.all(np.isfinite(v)) for v in g.values()):
                     skipped += 1
+                    del g  # not held through the next block's gradient
                     continue
                 loss += blk_loss
                 kept += 1
@@ -184,6 +185,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                 else:
                     for k in g:
                         grads[k] += g[k] / len(batch)
+                del g
             if grads is None:
                 continue
             if kept < len(batch):  # average over the kept blocks only

@@ -51,7 +51,7 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
     Returns (loss, grads dict) with gradients for theta and the raw
-    penalty scalars, accumulated across all layers.
+    penalty scalars, accumulated in place across all layers.
     """
     resid = reconstruct(ctx, trace[-1]) - X
     loss = float((resid * resid).sum())
@@ -59,8 +59,12 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     grads = None
     for k in range(len(trace) - 1, 0, -1):
         cot, layer_grads = map_vjp(ctx, trace[k - 1], params, cot)
-        grads = layer_grads if grads is None else {
-            key: grads[key] + layer_grads[key] for key in layer_grads}
+        if grads is None:
+            grads = layer_grads
+        else:
+            for key in grads:
+                grads[key] += layer_grads[key]
+        del layer_grads
     return loss, grads
 
 

@@ -37,6 +37,15 @@ class TestSplitBlocks:
         # column j is the spectrum of patch pixel (j // n, j % n)
         assert np.array_equal(blk.matrix[:, 3], cube.data[:, 1, 3])
 
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_blocks_are_owned_writable_copies(self, n):
+        data = np.random.default_rng(12).uniform(0, 1, (3, 9, 9))
+        data.flags.writeable = False
+        cube = C.HyperCube(data)
+        for blk in C.split_blocks(cube, n).blocks:
+            assert blk.matrix.flags.writeable
+            assert not np.shares_memory(blk.matrix, cube.data)
+
     def test_empty_tiling_error(self):
         with pytest.raises(ValueError, match="empty tiling"):
             C.split_blocks(random_cube(3, 4, 4), 5)
