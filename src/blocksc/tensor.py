@@ -7,24 +7,50 @@ give the cotangents that the denoiser and map VJPs chain, so no general
 autograd graph is needed.  The conv, its transpose and its weight
 cotangent are GEMMs against the patch matrix of one image on the
 zero-padded flat grid, where output row i keeps w + 2 columns and the
-two extra ones are dropped.  Past ``STRIP_COLS`` columns the conv and its
-transpose run by L2-sized strips of grid rows.  Smaller grids (20x20
-training blocks) keep one GEMM: strips there gained nothing, moved
-float64 bits and kept the padded grid alive during the GEMM.
+two extra ones are dropped.
+
+A grid wider than ``STRIP_COLS`` columns whose patch matrix exceeds
+``STRIP_BYTES`` runs the conv and its transpose by L2-sized strips of grid
+rows.  Any other grid keeps one GEMM on the caller's thread: on 20x20
+training blocks strips gained nothing, moved float64 bits and kept the
+padded grid alive during the GEMM, and a few-channel grid's whole patch
+matrix already fits in L2.
+
+The strips of a wide grid are shared out between the caller and one
+persistent worker thread per other usable CPU (``os.sched_getaffinity``):
+the 60x60 inference convs otherwise left a core idle, and on two CPUs
+a ``denoise`` cube took 22% less time.  Each strip is the same
+copy-and-GEMM, written into its own columns of one output, so the result
+is bit for bit that of the same strips run in turn; numpy releases the GIL
+inside the GEMM.  A strip gets as many whole grid rows as fit in
+``STRIP_BYTES / workers`` of patches, so all strips in flight together
+hold no more than ``STRIP_BYTES``, as one strip did before, and the peak
+stays flat; only as many workers take part as leave each strip a row.
+The workers are made on the first wide conv of each process, so a forked
+child makes its own.  The pool assumes single-threaded BLAS, as the
+benchmark pins it: two BLAS threads on two cores made ``denoise`` 2.5x
+slower even before the convs ran in parallel.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import linalg as _sla
 
 SYM_TOL = 1e-10  # relative asymmetry chol_factor accepts
-# Grid columns per conv GEMM strip: one BLAS thread ran a 576 x 440 float32
-# strip, which fits in L2, at 79 GFLOP/s and a 60x60 image's 8.6 MB at 55.
+# A grid of at most this many columns (a 20x20 block has 440) keeps one GEMM.
 STRIP_COLS = 512
+# Patch bytes of all the strips in flight at once, one 576 x 496 float32
+# strip: one BLAS thread ran a 576 x 440 float32 strip, which fits in L2,
+# at 79 GFLOP/s and a 60x60 image's 8.6 MB at 55.  A grid whose whole patch
+# matrix is no larger keeps one GEMM (a 2 -> 3 channel 30x40 float64 conv
+# ran 0.037 ms as one GEMM and 0.051 ms by strips).
+STRIP_BYTES = 576 * 496 * 4
 
 
 class DimensionError(ValueError):
@@ -59,21 +85,58 @@ def _windows(x: np.ndarray) -> np.ndarray:
 
 
 def _patches(x: np.ndarray) -> np.ndarray:
-    """The whole (9c, h*(w+2)) patch matrix: grids of at most STRIP_COLS
-    columns, where strips did not pay, and the weight cotangent take it."""
+    """The whole (9c, h*(w+2)) patch matrix: grids that keep one GEMM, where
+    strips did not pay, and the weight cotangent take it."""
     return _windows(x).reshape(9 * x.shape[0], -1)
 
 
+_pool = None  # (pid, workers, executor) of this process's strip threads
+
+
+def _strip_pool():
+    """(workers, executor): the caller plus one thread per other usable CPU,
+    or (1, None) on one CPU.  Made on first use, and again in a forked
+    child, which inherits the executor but none of its threads.  Two
+    threads racing on the first use each make one; the spare is dropped."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity off Linux
+            cpus = os.cpu_count() or 1
+        _pool = (os.getpid(), cpus,
+                 ThreadPoolExecutor(cpus - 1, "conv-strip") if cpus > 1
+                 else None)
+    return _pool[1:]
+
+
 def _conv_gemm(wmat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``wmat @ _patches(x)``, by strips of whole grid rows past STRIP_COLS."""
+    """``wmat @ _patches(x)``; for a grid past STRIP_COLS columns and
+    STRIP_BYTES of patches, by strips of whole grid rows, every
+    ``workers``-th strip on one thread, the caller's included."""
     c, h, w = x.shape
-    if h * (w + 2) <= STRIP_COLS:
+    cols, row = h * (w + 2), 9 * c * (w + 2) * x.itemsize  # row: patch bytes
+    if cols <= STRIP_COLS or h * row <= STRIP_BYTES:
         return wmat @ _patches(x)
-    view, step = _windows(x), max(1, STRIP_COLS // (w + 2)) * (w + 2)
-    out = np.empty((len(wmat), h * (w + 2)), np.result_type(wmat, x))
-    for a in range(0, out.shape[1], step):
-        np.matmul(wmat, view[..., a:a + step].reshape(9 * c, -1),
-                  out=out[:, a:a + step])
+    workers, pool = _strip_pool()
+    workers = min(workers, max(1, STRIP_BYTES // row))  # a row apiece
+    view = _windows(x)
+    step = max(1, STRIP_BYTES // (workers * row)) * (w + 2)
+    out = np.empty((len(wmat), cols), np.result_type(wmat, x))
+    starts = range(0, cols, step)
+
+    def run(share):
+        for a in share:
+            np.matmul(wmat, view[..., a:a + step].reshape(9 * c, -1),
+                      out=out[:, a:a + step])
+
+    tasks = [pool.submit(run, starts[k::workers]) for k in range(1, workers)]
+    try:
+        run(starts[::workers])
+    finally:  # no strip may still write into out once the caller has it
+        wait(tasks)
+    for task in tasks:
+        task.result()
     return out
 
 

@@ -1,4 +1,11 @@
+import os
+import select
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,11 +150,60 @@ class TestLoopReference:
             assert rel_err(got[name], ref) < rtol, name
 
 
-class TestStrips:
-    """Grids past STRIP_COLS columns run by strips; smaller ones keep the
-    single GEMM, bit for bit."""
+class SpyPool:
+    """A real executor that keeps every task it is handed."""
 
-    def test_small_grid_is_the_single_gemm(self):
+    def __init__(self, threads):
+        self.executor = ThreadPoolExecutor(threads)
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(self.executor.submit(fn, *args))
+        return self.tasks[-1]
+
+
+@pytest.fixture
+def strip_pool(monkeypatch):
+    """``strip_pool(workers)`` runs wide convs on a SpyPool of
+    ``workers - 1`` threads beside the caller, whatever the CPU count."""
+    spies = []
+
+    def use(workers):
+        spies.append(SpyPool(max(1, workers - 1)))
+        monkeypatch.setattr(T, "_strip_pool", lambda: (workers, spies[-1]))
+        return spies[-1]
+
+    yield use
+    for spy in spies:
+        spy.executor.shutdown()
+
+
+def serial_strips(wmat, x, rows):
+    """``wmat @ _patches(x)`` one strip of ``rows`` grid rows at a time, on
+    the calling thread."""
+    c, h, w = x.shape
+    view, step = T._windows(x), rows * (w + 2)
+    out = np.empty((len(wmat), h * (w + 2)), np.result_type(wmat, x))
+    for a in range(0, out.shape[1], step):
+        np.matmul(wmat, view[..., a:a + step].reshape(9 * c, -1),
+                  out=out[:, a:a + step])
+    return out
+
+
+def wide_conv(dtype=np.float32, c=64, h=60, w=60, seed=22):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(c, h, w)).astype(dtype),
+            rng.normal(size=(64, c, 3, 3)).astype(dtype),
+            rng.normal(size=64).astype(dtype))
+
+
+class TestStrips:
+    """Grids past STRIP_COLS columns and STRIP_BYTES of patches run by
+    strips shared with the pool; smaller ones keep the single GEMM on the
+    caller's thread, bit for bit."""
+
+    def test_small_grid_is_the_single_gemm(self, strip_pool):
+        spy = strip_pool(2)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(64, 20, 20))
         wt = rng.normal(size=(64, 64, 3, 3))
@@ -156,12 +212,115 @@ class TestStrips:
         one = wt.reshape(64, -1) @ T._patches(x) + bias[:, None]
         assert np.array_equal(T.conv2d(x, wt, bias),
                               one.reshape(64, 20, 22)[:, :, :20])
+        T.conv2d_transpose(wt, x)
+        assert spy.tasks == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("h,w", [(2, 600), (30, 40)])
+    def test_few_channel_wide_grid_is_the_single_gemm(self, strip_pool, h,
+                                                      w, dtype):
+        spy = strip_pool(2)
+        rng = np.random.default_rng(h + w)
+        x = rng.normal(size=(2, h, w)).astype(dtype)
+        wt = rng.normal(size=(3, 2, 3, 3)).astype(dtype)
+        assert h * (w + 2) > T.STRIP_COLS
+        one = wt.reshape(3, -1) @ T._patches(x)
+        assert np.array_equal(T._conv_gemm(wt.reshape(3, -1), x), one)
+        assert spy.tasks == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-5)])
+    def test_partial_last_strip(self, strip_pool, workers, dtype, rtol):
+        """29 grid rows: strips of more than one row leave a partial last
+        strip."""
+        strip_pool(workers)
+        x, wt, _ = wide_conv(dtype, h=29, w=40, seed=23)
+        wmat = wt.reshape(64, -1)
+        got, one = T._conv_gemm(wmat, x), wmat @ T._patches(x)
+        assert rel_err(got, one) < rtol
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parallel_strips_equal_the_serial_loop(self, strip_pool,
+                                                   workers, dtype):
+        """More threads than cores and a short switch interval, so a strip
+        lost or written twice would show in the (uninitialised) output."""
+        spy = strip_pool(workers)
+        x, wt, bias = wide_conv(dtype)
+        rows = T.STRIP_BYTES // (workers * 9 * 64 * 62 * x.itemsize)
+        flipped = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(64, -1)
+        want_conv = (serial_strips(wt.reshape(64, -1), x, rows)
+                     + bias[:, None]).reshape(64, 60, 62)[:, :, :60]
+        want_t = serial_strips(flipped, x, rows).reshape(64, 60, 62)[..., :60]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(T.conv2d(x, wt, bias), want_conv)
+                assert np.array_equal(T.conv2d_transpose(wt, x), want_t)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(spy.tasks) == 6 * (workers - 1)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failed_strip_raises_after_every_strip(self, strip_pool,
+                                                     monkeypatch, failing):
+        spy = strip_pool(2)
+        matmul = np.matmul
+        failed = []
+
+        def flaky(*args, out):
+            caller = threading.current_thread() is threading.main_thread()
+            if caller == (failing == "caller") and not failed:
+                failed.append(threading.current_thread())
+                raise FloatingPointError("strip failed")
+            if not caller:
+                time.sleep(0.02)  # the worker's share outlasts the caller's
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", flaky)
+        x, wt, bias = wide_conv()
+        with pytest.raises(FloatingPointError, match="strip failed"):
+            T.conv2d(x, wt, bias)
+        assert failed and all(task.done() for task in spy.tasks)
+        assert (failed[0] is threading.main_thread()) == (failing == "caller")
+
+    def test_forked_child_makes_its_own_workers(self, monkeypatch):
+        """The child inherits the parent's executor but not its threads; a
+        child that handed them strips would hang until its alarm."""
+        monkeypatch.setattr(T, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        x, wt, bias = wide_conv()
+        want = T.conv2d(x, wt, bias)
+        assert T._pool[1] == 2
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: never return into pytest
+            code = 1
+            try:
+                os.close(read)
+                signal.alarm(10)
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(T.conv2d(x, wt, bias).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        data = b""
+        with os.fdopen(read, "rb") as fh:
+            while select.select([fh], [], [], 30)[0]:
+                chunk = fh.read1(1 << 20)
+                if not chunk:
+                    break
+                data += chunk
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        got = np.frombuffer(data, want.dtype).reshape(want.shape)
+        assert np.array_equal(got, want)
 
     def test_wide_grid_peaks_below_one_patch_matrix(self):
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=(64, 60, 60)).astype(np.float32)
-        wt = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
-        bias = rng.normal(size=64).astype(np.float32)
+        x, wt, bias = wide_conv()
         full = 576 * 3720 * 4  # the whole float32 patch matrix, bytes
         tracemalloc.start()
         try:
@@ -173,6 +332,9 @@ class TestStrips:
         finally:
             tracemalloc.stop()
         assert strip_peak < full <= whole_peak
+        # the strips in flight together hold one serial 576 x 496 strip
+        grid, out = 64 * 63 * 62 * 4, 64 * 3720 * 4
+        assert strip_peak <= grid + out + 576 * 496 * 4 + 64 * 1024
 
 
 class TestRelu:
