@@ -9,9 +9,9 @@ bound the conv: operator norms measured 1.39-1.72 per layer, so the
 network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
-``denoise`` keeps no activations and runs in its weights' dtype, so the
-inference path (``pipeline``) runs the network in float32 while every
-gradient path keeps float64 weights; ``denoise_linearize`` runs the same
+``denoise`` keeps no activations and runs in its weights' dtype: inference
+and the training forward solve run on ``float32_params``' copy, the adjoint
+and every VJP on float64 weights.  ``denoise_linearize`` runs the same
 forward keeping layer inputs and ReLU masks for the reverse sweeps.
 
 ``grad_chain`` computes the logistic with ``math``: importing
@@ -110,6 +110,15 @@ class ModelParams:
         return ModelParams(self.denoiser.copy(),
                            ScalarParams(self.scalars.raw_b.copy(),
                                         self.scalars.raw_mu.copy()))
+
+
+def float32_params(params: ModelParams) -> ModelParams:
+    """Copy with float32 denoiser weights and biases, sharing u, v, scalars."""
+    den = params.denoiser
+    return ModelParams(DenoiserParams(
+        [w.astype(np.float32) for w in den.weights],
+        [b.astype(np.float32) for b in den.biases], den.u, den.v),
+        params.scalars)
 
 
 def channel_plan(d: int, hidden: int = 64):

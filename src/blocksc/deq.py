@@ -9,10 +9,13 @@ with D^T (D g* - x), solves the fixed point
     gamma = (df/dg)^T gamma + seed
 
 with the same Anderson machinery, and contracts gamma* against the
-parameter VJP.  The map is linearized once at g*, so each adjoint
-iteration is a transposed product on the cached denoiser state (no
-network forward, no parameter cotangents); the single parameter VJP
-after convergence reuses that state too.
+parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
+``seed``.  The map is linearized once at g*, so each adjoint iteration is
+a transposed product on the cached denoiser state (no network forward, no
+parameter cotangents); the single parameter VJP after convergence reuses
+that state too.  Training solves the forward with float32 weights and the
+adjoint and VJP in float64: the implicit gradient depends only on g*, and
+float32 rounding (about 6e-8) is far below the tol 1e-4 stop.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .anderson import AndersonConfig, DivergenceError, FixedPointReport, \
     anderson_solve
-from .denoiser import ModelParams
+from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
                      linearize_map, make_context, map_vjp, reconstruct,
@@ -56,7 +59,7 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
     lin = linearize_map(ctx, g_star, params)
     try:
         report = anderson_solve(lambda gamma: lin(gamma) + seed,
-                                np.zeros_like(g_star), cfg)
+                                np.zeros_like(g_star), cfg, f0=seed)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "
@@ -86,6 +89,8 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
+    Each block's forward solve runs on a float32 copy of the network,
+    dropped before the float64 ``deq_backward``; validation stays float64.
     Returns (best params, history, optimizer) so training can resume.
     """
 
@@ -96,7 +101,7 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
 
     def block_grad(noisy, clean, params):
         ctx = context(noisy, params)
-        fwd = deq_forward(ctx, params, cfg.anderson)
+        fwd = deq_forward(ctx, float32_params(params), cfg.anderson)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson)
         info = {"fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,

@@ -9,13 +9,13 @@ a setting an older file lacks takes its default and any other meta key
 
 Each block is solved on its own context; an iteration-budget argument
 reads several budgets off one solve.  Inference runs the regularizer
-network in float32 on a copy of the bundle's weights; the map, Anderson
-and the Cholesky solve stay float64, as does every training and gradient
-path.  Every block's solve starts from the zero code, so its first map
-step needs the network's output on an all-zero block, N(0), which depends
-only on the weights and the block size: ``denoise_cube`` makes the
-float32 copy and N(0) once and every block reuses both, bit-identical to
-running the network per block.
+network in float32 on ``float32_params``' copy of the bundle's weights;
+the map, Anderson and the Cholesky solve stay float64.  Every block's
+solve starts from the zero code, so its first map step needs the
+network's output on an all-zero block, N(0), which depends only on the
+weights and the block size: ``denoise_cube`` makes the float32 copy and
+N(0) once and every block reuses both, bit-identical to running the
+network per block.
 
 ``denoise_cube`` holds one cube of block data (one per budget) beside one
 block's solve: ``split_blocks``' owned copies double as estimate storage.
@@ -31,7 +31,8 @@ import numpy as np
 from .anderson import AndersonConfig, DivergenceError
 from .checkpoint import load_checkpoint, pack_str, save_checkpoint, unpack_str
 from .cubes import HyperCube, reassemble, split_blocks
-from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise
+from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise, \
+    float32_params
 from .deq import deq_forward
 from .dictionary import Dictionary
 from .solver import make_context, reconstruct, select_support
@@ -69,18 +70,13 @@ def _check_budgets(budgets) -> list:
 
 
 def _inference_network(params: ModelParams, shape) -> tuple:
-    """(float32 copy of ``params``, its N(0) on an all-zero ``shape`` block).
+    """(``float32_params(params)``, its N(0) on an all-zero ``shape`` block).
 
-    The copy has float32 denoiser weights and biases and the same scalars.
-    Both are built per ``denoise_cube`` call and kept by nothing past it:
-    training changes the weights in place.
+    Only N(0) is added to what ``deq_train``'s forward solves use: float32
+    rounding (about 6e-8) sits far below the tol 1e-4 stop.  Neither
+    outlives the call that builds it: training changes weights in place.
     """
-    den = params.denoiser
-    net = ModelParams(
-        DenoiserParams([w.astype(np.float32) for w in den.weights],
-                       [b.astype(np.float32) for b in den.biases],
-                       den.u, den.v),
-        params.scalars)
+    net = float32_params(params)
     return net, denoise(net.denoiser, np.zeros(shape, np.float32))
 
 

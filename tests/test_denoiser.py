@@ -79,9 +79,8 @@ class TestDenoise:
 
 class TestDenoiseDtype:
     def _as_float32(self, params):
-        return dn.DenoiserParams([w.astype(np.float32) for w in params.weights],
-                                 [b.astype(np.float32) for b in params.biases],
-                                 params.u, params.v)
+        model = dn.ModelParams(params, dn.ScalarParams(0.0, 0.0))
+        return dn.float32_params(model).denoiser
 
     def test_float32_weights_keep_the_block_dtype(self, monkeypatch):
         params = converge_normalization(tiny_params(d=4, hidden=12, seed=7))

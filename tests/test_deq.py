@@ -1,3 +1,6 @@
+import json
+import weakref
+
 import numpy as np
 import pytest
 
@@ -170,11 +173,40 @@ class TestDeqBackward:
         # 4 conv layers: one network forward, at any adjoint iteration count
         assert seen == {2: 4, 12: 4}
 
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_adjoint_skips_its_known_first_step(self, monkeypatch, variant):
+        # the adjoint map is linear: its value at gamma = 0 is the seed
+        D, Y, X, params, ctx = tiny_instance(13, variant)
+        g_star = dq.deq_forward(ctx, params, TIGHT).solution
+        cfg = AndersonConfig(m=5, max_iters=60, tol=1e-12)
+        calls = []
+        real_call = sv.MapLinearization.__call__
+
+        def counting(self, cot):
+            calls.append(1)
+            return real_call(self, cot)
+
+        def without_f0(f, g0, cfg, callback=None, f0=None):
+            return anderson_solve(f, g0, cfg, callback)
+
+        monkeypatch.setattr(sv.MapLinearization, "__call__", counting)
+        grads, report = dq.deq_backward(ctx, g_star, X, params, cfg)
+        assert report.iterations > 2
+        assert len(calls) == report.iterations - 1
+        calls.clear()
+        monkeypatch.setattr(dq, "anderson_solve", without_f0)
+        expect, ref = dq.deq_backward(ctx, g_star, X, params, cfg)
+        assert len(calls) == ref.iterations == report.iterations
+        assert np.array_equal(report.solution, ref.solution)
+        assert set(grads) == set(expect)
+        for k in expect:
+            assert np.array_equal(grads[k], expect[k]), k
+
     def test_divergence_advice(self, monkeypatch):
         D, Y, X, params, ctx = tiny_instance(7)
         fwd = dq.deq_forward(ctx, params, TIGHT)
 
-        def blow_up(f, g0, cfg, callback=None):
+        def blow_up(f, g0, cfg, callback=None, f0=None):
             raise DivergenceError("boom", iteration=3)
 
         monkeypatch.setattr(dq, "anderson_solve", blow_up)
@@ -367,3 +399,99 @@ class TestDeqTrain:
         b = resumed.as_dict()
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+
+class TestTrainPrecisionSplit:
+    """``deq_train`` solves each block's forward on ``float32_params``'
+    copy, drops it, and runs ``deq_backward`` on the float64 weights."""
+
+    @staticmethod
+    def train(variant, log=None):
+        D, pairs = micro_dataset(14, count=4)
+        params0 = make_params(6, hidden=4, b=0.8, mu=0.05, seed=14)
+        cfg = dq.DeqTrainConfig(
+            variant=variant, support_size=3, epochs=2, lr=1e-3, batch_size=2,
+            seed=0, val_fraction=0.0, log_path=log and str(log),
+            anderson=AndersonConfig())
+        return dq.deq_train(pairs, D, params0, cfg)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_forward_convs_float32_backward_convs_float64(self, monkeypatch,
+                                                          variant):
+        phase, seen = [None], {None: [], "forward": [], "backward": []}
+
+        def spy(name):
+            real = getattr(dn, name)
+
+            def run(*args):
+                out = real(*args)  # conv2d_vjp returns a tuple
+                arrays = (*args, *(out if isinstance(out, tuple) else [out]))
+                seen[phase[-1]].append((name, {a.dtype for a in arrays}))
+                return out
+            return run
+
+        def in_phase(label, fn):
+            def run(*args, **kwargs):
+                phase.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return run
+
+        for name in ("conv2d", "conv2d_transpose", "conv2d_vjp"):
+            monkeypatch.setattr(dn, name, spy(name))
+        monkeypatch.setattr(dq, "deq_forward",
+                            in_phase("forward", dq.deq_forward))
+        monkeypatch.setattr(dq, "deq_backward",
+                            in_phase("backward", dq.deq_backward))
+        self.train(variant)
+        assert seen[None] == []  # no validation split: no other solve
+        fwd, bwd = seen["forward"], seen["backward"]
+        assert {name for name, _ in fwd} == {"conv2d"}
+        assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)
+        assert {name for name, _ in bwd} == {"conv2d", "conv2d_transpose",
+                                             "conv2d_vjp"}
+        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in bwd)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_float32_copy_is_dead_before_the_backward(self, monkeypatch,
+                                                      variant):
+        real_copy, real_backward = dq.float32_params, dq.deq_backward
+        copies, alive = [], []
+
+        def tracked_copy(params):
+            net = real_copy(params)
+            copies.append([weakref.ref(net), *map(
+                weakref.ref, net.denoiser.weights + net.denoiser.biases)])
+            return net
+
+        def backward(*args, **kwargs):
+            alive.append(any(ref() is not None for ref in copies[-1]))
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(dq, "float32_params", tracked_copy)
+        monkeypatch.setattr(dq, "deq_backward", backward)
+        self.train(variant)
+        assert len(copies) == len(alive) == 8  # one per block and epoch
+        assert not any(alive)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_matches_a_float64_forward(self, monkeypatch, variant, tmp_path):
+        keys = ("fwd_iters", "bwd_iters", "fwd_nonconverged",
+                "adj_nonconverged")
+
+        def run(log):
+            params, history, _ = self.train(variant, log)
+            steps = [json.loads(line) for line in log.read_text().splitlines()]
+            return (params.as_dict(), [[r[k] for k in keys] for r in steps],
+                    [[h[k] for k in keys[2:]] for h in history])
+
+        got, got_steps, got_epochs = run(tmp_path / "float32.jsonl")
+        monkeypatch.setattr(dq, "float32_params", lambda params: params)
+        expect, steps, epochs = run(tmp_path / "float64.jsonl")
+        assert got_steps == steps and got_epochs == epochs == [[0, 0]] * 2
+        assert not all(np.array_equal(got[k], expect[k]) for k in expect)
+        for k in expect:
+            np.testing.assert_allclose(got[k], expect[k], rtol=1e-6,
+                                       atol=0, err_msg=k)

@@ -9,7 +9,7 @@ from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.cubes import HyperCube, NoiseModel, add_noise, split_blocks, \
     synth_cube
 from blocksc.deq import deq_forward
-from blocksc.denoiser import DenoiserParams, ModelParams, ScalarParams, \
+from blocksc.denoiser import ModelParams, ScalarParams, \
     denoise, init_denoiser, spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.metrics import psnr, sweep_iterations
@@ -155,13 +155,7 @@ def with_biases(bundle, seed=0):
     return replace(bundle, params=params)
 
 
-def float32_network(params):
-    den = params.denoiser
-    return ModelParams(DenoiserParams([w.astype(np.float32)
-                                       for w in den.weights],
-                                      [b.astype(np.float32)
-                                       for b in den.biases], den.u, den.v),
-                       params.scalars)
+float32_network = denoiser.float32_params
 
 
 def unshared_block(bundle, Y, budgets=None):
