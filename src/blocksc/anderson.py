@@ -56,8 +56,6 @@ class FixedPointReport:
     iterations: int
     residuals: list
     converged: bool
-    alpha: np.ndarray | None = None  # last mixing coefficients
-    beta: float = 1.0
 
 
 def _rel_residual(prev, cur):
@@ -82,9 +80,8 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
     U = np.empty((cfg.m, g.size))  # and its residual f(g) - g
     gram = np.empty((cfg.m, cfg.m))
     residuals = []
-    alpha = None
     converged = False
-    k = c = 0
+    k = 0
     for k in range(1, cfg.max_iters + 1):
         fg, f0 = (f(g) if f0 is None else f0), None  # not held past use
         fg = np.asarray(fg, dtype=np.float64)
@@ -109,7 +106,6 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
                 w = None
             if w is None or abs(w.sum()) < 1e-300:
                 g_next = fg
-                alpha = None
             else:
                 alpha = w / w.sum()
                 mix = alpha @ X[:c] + cfg.beta * (alpha @ U[:c])
@@ -122,6 +118,4 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
         if res < cfg.tol:
             converged = True
             break
-    if alpha is not None and c == cfg.m:  # report oldest first
-        alpha = np.roll(alpha, -(k % cfg.m))
-    return FixedPointReport(g, k, residuals, converged, alpha, cfg.beta)
+    return FixedPointReport(g, k, residuals, converged)

@@ -10,7 +10,8 @@ save -> load -> save is byte-identical; strings are u8 entries.  HSC1's
 
 Every entry keeps its shape, so a 0-d scalar (``optimizer.t``, the penalty
 scalars) loads back 0-d.  Earlier files hold such scalars with shape ``[1]``
-and load back ``(1,)``; ``pipeline.load_model_bundle`` reshapes them.
+and load back ``(1,)``; ``ScalarParams`` and ``Adam.load_state_entries``
+reshape them.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ splitting scheme live here too, kept positive by softplus.
 ``denoise`` keeps no activations and runs in its weights' dtype: inference
 and the training forward solve run on ``float32_params``' copy, the adjoint
 and every VJP on float64 weights.  ``denoise_linearize`` runs the same
-forward keeping layer inputs and ReLU masks for the reverse sweeps.
+forward keeping the layer inputs for the reverse sweeps.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -168,13 +168,13 @@ def denoise(params: DenoiserParams, block: np.ndarray) -> np.ndarray:
 class DenoiserLinearization:
     """The network linearized at one block, for reverse sweeps.
 
-    Keeps the four layer inputs as (c_in, n, n) images, the three ReLU
-    masks (pre-activation > 0) and the d x N output; no patch matrices.
+    Keeps the four layer inputs as (c_in, n, n) images and the d x N
+    output; no patch matrices.  Layer i's ReLU mask is ``inputs[i + 1] > 0``:
+    relu(h) > 0 exactly where h > 0, NaN and -0.0 included.
     """
 
     params: DenoiserParams
     inputs: list
-    masks: list
     out: np.ndarray
 
     def transpose(self, cot: np.ndarray) -> np.ndarray:
@@ -182,7 +182,7 @@ class DenoiserLinearization:
         c = cot.reshape(self.inputs[0].shape)
         for i in reversed(range(4)):
             if i < 3:
-                c = c * self.masks[i]
+                c = c * (self.inputs[i + 1] > 0.0)
             c = conv2d_transpose(self.params.weights[i], c)
         return c.reshape(cot.shape)
 
@@ -191,14 +191,13 @@ def denoise_linearize(params: DenoiserParams,
                       block: np.ndarray) -> DenoiserLinearization:
     """Run ``denoise`` once, keeping what its reverse sweeps reuse."""
     h = _as_image(block)
-    inputs, masks = [], []
+    inputs = []
     for i in range(4):
         inputs.append(h)
         h = conv2d(h, params.weights[i], params.biases[i])
         if i < 3:
-            masks.append(h > 0.0)
             h = relu(h)
-    return DenoiserLinearization(params, inputs, masks, h.reshape(block.shape))
+    return DenoiserLinearization(params, inputs, h.reshape(block.shape))
 
 
 def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
@@ -217,7 +216,7 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     c = cot.reshape(lin.inputs[0].shape)
     for i in reversed(range(4)):
         if i < 3:
-            c = c * lin.masks[i]
+            c = c * (lin.inputs[i + 1] > 0.0)
         c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i], c)
         grads[f"denoiser.layer{i + 1}.weight"] = cw
         grads[f"denoiser.layer{i + 1}.bias"] = cb

@@ -81,6 +81,7 @@ class DeqTrainConfig(EndToEndConfig):
     support_size: int = 10
 
     def __post_init__(self):
+        super().__post_init__()
         if self.variant not in ("full", "fast"):
             raise ValueError(f"unknown variant {self.variant!r}")
 

@@ -2,8 +2,11 @@
 
 Provides greedy OMP (single and Gram-precomputed batch form) and KSVD
 dictionary learning.  Besides serving as a comparison method, OMP picks the
-shared support for the fast solver path.  Both OMPs stop early once the
-residual norm drops to ``OMP_EPS``.
+shared support for the fast solver path.  ``omp`` stops early once the
+residual norm drops to ``OMP_EPS``; ``batch_omp`` once yᵀy − bᵀg, the
+squared residual norm by the normal equations, drops to ``OMP_EPS``²: a
+difference that cancels to rounding level once the picked atoms fit the
+column, so there the stop is down to rounding.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     """Full pipeline; the uncovered border keeps the input values.
 
     A cube smaller than one block comes back unchanged (zero tiles).
-    A block whose solve goes non-finite raises DivergenceError naming it.
+    A block whose solve goes non-finite, under either engine (Anderson for
+    DEQ, ``du_forward`` for DU), raises DivergenceError naming it.
     With ``budgets``, return {k: HyperCube} built from ``denoise_block``'s
     estimates at each budget.  ``cube`` is left as it is.  Each block's
     estimate overwrites its ``split_blocks`` copy once solved, so the peak
@@ -201,8 +202,7 @@ def load_model_bundle(path):
             DenoiserParams(*([entries[f"denoiser.layer{i}.{part}"]
                               for i in range(1, 5)]
                              for part in ("weight", "bias", "u", "v"))),
-            ScalarParams(entries["scalars.raw_b"].reshape(()),
-                         entries["scalars.raw_mu"].reshape(())))
+            ScalarParams(entries["scalars.raw_b"], entries["scalars.raw_mu"]))
         bundle = ModelBundle(Dictionary(entries["dictionary.atoms"]), params,
                              meta=meta, **settings)
     except KeyError as exc:

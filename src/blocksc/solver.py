@@ -197,8 +197,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
 
 def select_support(Y, D: Dictionary, s: int) -> SupportSet:
     """OMP support of the block centroid (column mean) spectrum."""
-    mat = Y.matrix if hasattr(Y, "matrix") else np.asarray(Y, float)
-    return omp(mat.mean(axis=1), D, s)[0]
+    return omp(np.asarray(Y, float).mean(axis=1), D, s)[0]
 
 
 def reconstruct(ctx: SolverContext, G: np.ndarray) -> np.ndarray:

@@ -222,7 +222,8 @@ def chol_factor(a: np.ndarray):
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"chol_factor: matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=SYM_TOL * max(1.0, np.abs(a).max())):
+    scale = max(1.0, np.abs(a).max(initial=0.0))  # 0 x 0: an empty support
+    if not np.allclose(a, a.T, atol=SYM_TOL * scale):
         raise FactorizationError("matrix is not symmetric")
     try:
         return _sla.cho_factor(a, lower=True)

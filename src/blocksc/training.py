@@ -12,6 +12,7 @@ normalization runs once after every optimizer step.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,35 +24,31 @@ from .denoiser import (ModelParams, ScalarParams, denoise, denoise_linearize,
 from .metrics import block_psnr
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
 
 
 class Adam:
     """Standard Adam over a dict of named parameter arrays (updated in place)."""
 
-    def __init__(self, cfg: AdamConfig):
-        self.cfg = cfg
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
 
     def step(self, params: dict, grads: dict) -> None:
-        cfg = self.cfg
         self.t += 1
-        b1t = 1.0 - cfg.beta1 ** self.t
-        b2t = 1.0 - cfg.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, g in grads.items():
             p = params[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - cfg.beta1) * (g - m)
-            v += (1.0 - cfg.beta2) * (g * g - v)
-            p[...] -= cfg.lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+            for moments in (self.m, self.v):
+                if name not in moments:  # allocate once, not every step
+                    moments[name] = np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            p[...] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
     def state_entries(self) -> dict:
         return {"optimizer.t": np.float64(self.t),
@@ -74,18 +71,11 @@ class Adam:
                     moments[name] = np.array(arr).reshape(shape)
 
 
-class JsonlLogger:
-    def __init__(self, path=None):
-        self._fh = open(path, "a", encoding="utf-8") if path else None
-
-    def write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+def _append_jsonl(path, record: dict) -> None:
+    """Append ``record`` as one JSON line to ``path``; no-op for no path."""
+    if path:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _block_matrix(block) -> np.ndarray:
@@ -117,6 +107,16 @@ class EndToEndConfig:
     val_fraction: float = 0.1
     log_path: str | None = None
 
+    def __post_init__(self):  # val_fraction 1 would leave nothing to train
+        for name, ok, want in (
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("lr", 0 <= self.lr < math.inf, ">= 0 and finite"),
+                ("val_fraction", 0 <= self.val_fraction < 1, "in [0, 1)")):
+            if not ok:  # also for NaN, which fails every comparison
+                raise ValueError(
+                    f"{name} must be {want}, got {getattr(self, name)}")
+
 
 def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                      block_grad_fn, infer_fn, engine: str,
@@ -139,10 +139,9 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
     pdict = params.as_dict()
-    adam = adam or Adam(AdamConfig(lr=cfg.lr))
-    adam.cfg.lr = cfg.lr
+    adam = adam or Adam(cfg.lr)
+    adam.lr = cfg.lr
     train, val = split_validation(data, cfg.val_fraction, cfg.seed)
-    logger = JsonlLogger(cfg.log_path)
 
     def val_psnr():
         if not val:
@@ -199,11 +198,12 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             steps += 1
             epoch_fwd_nc += fwd_nc
             epoch_adj_nc += adj_nc
-            logger.write({"engine": engine, "epoch": epoch, "step": adam.t,
-                          "loss": loss, "fwd_iters": fwd_iters,
-                          "bwd_iters": bwd_iters, "fwd_nonconverged": fwd_nc,
-                          "adj_nonconverged": adj_nc, "grad_norm": gnorm,
-                          "wall_ms": 1e3 * (time.perf_counter() - t0)})
+            _append_jsonl(cfg.log_path, {
+                "engine": engine, "epoch": epoch, "step": adam.t,
+                "loss": loss, "fwd_iters": fwd_iters, "bwd_iters": bwd_iters,
+                "fwd_nonconverged": fwd_nc, "adj_nonconverged": adj_nc,
+                "grad_norm": gnorm,
+                "wall_ms": 1e3 * (time.perf_counter() - t0)})
         psnr = val_psnr()
         history.append({"epoch": epoch, "loss": epoch_loss / max(steps, 1),
                         "val_psnr": psnr, "skipped": skipped,
@@ -214,7 +214,6 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
         elif psnr > best_psnr:
             best_psnr = psnr
             best = params.copy()
-    logger.close()
     return best, history, adam
 
 

@@ -9,10 +9,11 @@ reconstructed block D G_K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .anderson import DivergenceError
 from .denoiser import ModelParams
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
@@ -38,11 +39,15 @@ def du_forward(ctx: SolverContext, params: ModelParams, K: int,
 
     ``n0``, the network's output N(0) on an all-zero block, replaces the
     network call of the first application, as in ``deq.deq_forward``.
+    Raises DivergenceError on a non-finite iterate, as Anderson does.
     """
     trace = [initial_codes(ctx)]
-    for k in range(K):
+    for k in range(1, K + 1):
         trace.append(iteration_map(ctx, trace[-1], params,
-                                   n0 if k == 0 else None))
+                                   n0 if k == 1 else None))
+        if not np.all(np.isfinite(trace[-1])):
+            raise DivergenceError(
+                f"non-finite iterate at iteration {k}", iteration=k)
     return trace[-1], trace
 
 
@@ -70,12 +75,8 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
 
 @dataclass
 class DuTrainConfig(EndToEndConfig):
-    unroll: UnrollConfig = None
+    unroll: UnrollConfig = field(default_factory=UnrollConfig)
     support_size: int = 10
-
-    def __post_init__(self):
-        if self.unroll is None:
-            self.unroll = UnrollConfig()
 
 
 def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,

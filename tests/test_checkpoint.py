@@ -13,7 +13,7 @@ from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser
 from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.pipeline import ModelBundle, bundle_entries, load_model_bundle, \
     save_model_bundle
-from blocksc.training import Adam, AdamConfig
+from blocksc.training import Adam
 
 
 class TestContainer:
@@ -184,7 +184,7 @@ class TestModelBundle:
     def test_adam_state_resumes_from_bundle(self, tmp_path):
         bundle = small_bundle(seed=3)
         params = bundle.params.as_dict()
-        adam = Adam(AdamConfig(lr=1e-2))
+        adam = Adam(1e-2)
         rng = np.random.default_rng(3)
         for _ in range(2):
             adam.step(params, {name: rng.normal(size=arr.shape)
@@ -192,7 +192,7 @@ class TestModelBundle:
         p = tmp_path / "m.dqc1"
         save_model_bundle(p, bundle, optimizer_entries=adam.state_entries())
         back, opt_back = load_model_bundle(p)
-        resumed = Adam(AdamConfig(lr=1e-2))
+        resumed = Adam(1e-2)
         resumed.load_state_entries(opt_back)
         assert resumed.t == 2
         back_params = back.params.as_dict()
@@ -209,7 +209,7 @@ class TestModelBundle:
         # (the penalty scalars, optimizer.t, their moments) with shape [1]
         bundle = small_bundle(seed=4)
         params = bundle.params.as_dict()
-        adam = Adam(AdamConfig(lr=1e-2))
+        adam = Adam(1e-2)
         rng = np.random.default_rng(4)
         for _ in range(2):
             adam.step(params, {name: rng.normal(size=arr.shape)
@@ -229,7 +229,7 @@ class TestModelBundle:
         resumed = {}
         for path in (fresh, legacy):
             back, opt_back = load_model_bundle(path)
-            opt = Adam(AdamConfig(lr=1e-2))
+            opt = Adam(1e-2)
             opt.load_state_entries(opt_back)
             assert opt.t == 2
             back_params = back.params.as_dict()

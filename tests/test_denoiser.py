@@ -284,17 +284,21 @@ class TestLayerStack:
         for k in grads:
             assert np.array_equal(grads_lin[k], grads[k])
 
-    def test_cache_is_layer_inputs_and_masks(self):
+    def test_cache_is_layer_inputs(self):
         d, hidden, N = 4, 16, 64
         params = dn.init_denoiser(d, hidden=hidden, seed=22)
         block = np.random.default_rng(22).normal(size=(d, N))
         lin = dn.denoise_linearize(params, block)
         assert [x.shape for x in lin.inputs] == \
             [(d, 8, 8)] + [(hidden, 8, 8)] * 3
-        assert [m.dtype for m in lin.masks] == [np.dtype(bool)] * 3
-        cached = sum(a.nbytes for a in lin.inputs + lin.masks)
+        cached = sum(a.nbytes for a in lin.inputs)
         one_patch_matrix = 9 * hidden * N * 8
         assert cached < one_patch_matrix
+
+    def test_relu_output_gives_the_mask(self):
+        # the reverse sweeps read layer i's ReLU mask off inputs[i + 1]
+        h = np.array([np.nan, -np.inf, -1.0, -0.0, 0.0, 1e-300, np.inf])
+        assert np.array_equal(dn.relu(h) > 0.0, h > 0.0)
 
 
 def param_count(d: int, hidden: int = 64):

@@ -11,6 +11,8 @@ from blocksc.anderson import AndersonConfig, DivergenceError, anderson_solve
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
+from blocksc.training import EndToEndConfig, PretrainConfig
+from blocksc.unroll import DuTrainConfig
 
 
 def make_params(d, hidden=3, b=0.6, mu=0.15, seed=0, zero_net=False):
@@ -399,6 +401,27 @@ class TestDeqTrain:
         b = resumed.as_dict()
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+    def test_zero_block_trains(self):
+        # OMP picks no atom for an all-zero block: an empty fast support
+        D, pairs = micro_dataset(15, count=4)
+        pairs[0] = (np.zeros_like(pairs[0][0]), pairs[0][1])
+        cfg = dq.DeqTrainConfig(variant="fast", support_size=3, epochs=1,
+                                lr=1e-3, batch_size=2, seed=0,
+                                val_fraction=0.0)
+        _, history, adam = dq.deq_train(pairs, D, make_params(6, seed=15), cfg)
+        assert history[0]["skipped"] == 0 and adam.t == 2
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("cls", [EndToEndConfig, dq.DeqTrainConfig,
+                                     DuTrainConfig, PretrainConfig])
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 0), ("batch_size", 0), ("lr", -1e-3), ("lr", np.nan),
+        ("val_fraction", 1.0), ("val_fraction", -0.1)])
+    def test_bad_field_is_named(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            cls(**{name: value})
 
 
 class TestTrainPrecisionSplit:

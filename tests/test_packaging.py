@@ -157,15 +157,52 @@ def _passed_arguments():
     return passed
 
 
+def _defaulted_fields(paths):
+    """(class, the class and its subclasses, field, positional index,
+    where) for each defaulted field of a dataclass; a subclass takes the
+    base's fields first, and a field it declares again keeps its place."""
+    classes = {}  # name -> (base names, [(field, defaulted, where)])
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                classes[node.name] = (
+                    [ast.unparse(b).rpartition(".")[2] for b in node.bases],
+                    [(f.target.id, f.value is not None,
+                      f"{path.relative_to(ROOT)}:{f.lineno}")
+                     for f in node.body if isinstance(f, ast.AnnAssign)])
+
+    def order(name):
+        bases, own = classes.get(name, ((), ()))
+        names = [field for base in bases for field in order(base)]
+        return names + [f for f, _, _ in own if f not in names]
+
+    def subclasses(name):
+        return {name}.union(*(subclasses(sub) for sub, (bases, _)
+                              in classes.items() if name in bases))
+
+    return [(name, subclasses(name), field, order(name).index(field), where)
+            for name, (_, own) in classes.items()
+            for field, defaulted, where in own if defaulted]
+
+
 def test_no_unused_defaults():
     # a default no caller overrides is a constant dressed as a parameter;
-    # calls are matched by name, so a shared name can only hide a hit
+    # calls are matched by name, so a shared name can only hide a hit.  A
+    # dataclass field counts as set by a keyword or position on its class
+    # or a subclass, or by a ``replace`` keyword on any object
     passed = _passed_arguments()
+    paths = sorted(ROOT.glob("src/blocksc/*.py"))
     unused = [f"{where}: {name}({arg})"
-              for path in sorted(ROOT.glob("src/blocksc/*.py"))
+              for path in paths
               for name, arg, index, where in _defaulted_parameters(path)
               if not {arg, index} & passed.get(name, set())
               and f"{name}({arg})" not in DEFAULT_ALLOWLIST]
+    replaced = {a for a in passed.get("replace", ()) if isinstance(a, str)}
+    unused += [f"{where}: {name}.{field}"
+               for name, users, field, index, where in _defaulted_fields(paths)
+               if not {field, index} & replaced.union(
+                   *(passed.get(user, ()) for user in users))]
     assert not unused
 
 

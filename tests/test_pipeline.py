@@ -107,6 +107,27 @@ class TestDivergence:
         assert exc.value.iteration == 2
         assert isinstance(exc.value.__cause__, DivergenceError)
 
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_both_engines_raise_on_overflowing_weights(self, engine):
+        bundle = tiny_bundle(engine)
+        for w in bundle.params.denoiser.weights:
+            w *= 1e80  # inf in the float32 network
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"block at \(0, 0\)"):
+            denoise_cube(bundle, noisy_cube()[0])
+
+
+class TestZeroBlock:
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("variant", ["fast", "full"])
+    def test_zero_block_estimates_zero(self, engine, variant):
+        # the fast map's OMP picks no atom for it: an empty support
+        data = noisy_cube()[0].data.copy()
+        data[:, :4, 4:] = 0.0
+        out = denoise_cube(tiny_bundle(engine, variant), HyperCube(data))
+        assert np.all(np.isfinite(out.data))
+        assert not np.any(out.data[:, :4, 4:])
+
 
 class TestFloat32Inference:
     def test_bundle_params_untouched(self):

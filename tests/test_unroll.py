@@ -3,7 +3,7 @@ import pytest
 
 from blocksc import solver as sv
 from blocksc import unroll as du
-from blocksc.anderson import AndersonConfig
+from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.deq import deq_forward
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
@@ -71,6 +71,15 @@ class TestDuForward:
     def test_K0_forbidden(self):
         with pytest.raises(ValueError, match="K must be >= 1"):
             du.UnrollConfig(K=0)
+
+    def test_non_finite_iterate_raises(self):
+        D, Y, X, params, ctx = instance(4)
+        for w in params.denoiser.weights:
+            w *= 1e80  # N(0) = 0 as the biases are zero; N(D G_1) overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            du.du_forward(ctx, params, 3)
+        assert exc.value.iteration == 2
 
 
 class TestDuBackward:
@@ -222,3 +231,25 @@ class TestDuTrain:
         for k in a:
             assert np.array_equal(a[k], b[k]), k
             assert np.array_equal(adam.m[k], full_adam.m[k]), k
+
+    def test_divergent_blocks_are_skipped(self):
+        D, pairs = self._dataset(count=4)
+        params0 = make_params(6, hidden=4, seed=15)
+        for w in params0.denoiser.weights:
+            w *= 1e80
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=2), epochs=1,
+                               lr=1e-3, batch_size=2, seed=0,
+                               val_fraction=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, history, adam = du.du_train(pairs, D, params0, cfg)
+        assert history[0]["skipped"] == 4 and adam.t == 0
+
+    def test_zero_block_trains(self):
+        # OMP picks no atom for an all-zero block: an empty fast support
+        D, pairs = self._dataset(count=4)
+        pairs[0] = (np.zeros_like(pairs[0][0]), pairs[0][1])
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=2, variant="fast"),
+                               support_size=3, epochs=1, lr=1e-3,
+                               batch_size=2, seed=0, val_fraction=0.0)
+        _, history, adam = du.du_train(pairs, D, make_params(6, seed=16), cfg)
+        assert history[0]["skipped"] == 0 and adam.t == 2
