@@ -9,10 +9,13 @@ bound the conv: operator norms measured 1.39-1.72 per layer, so the
 network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
-``denoise`` keeps no activations and runs in its weights' dtype: inference
-and the training forward solve run on ``float32_params``' copy, the adjoint
-and every VJP on float64 weights.  ``denoise_linearize`` runs the same
-forward keeping the layer inputs for the reverse sweeps.
+``denoise`` keeps no activations and runs in its weights' dtype, as does
+``DenoiserLinearization.transpose``: inference and every training pass
+that forms no parameter gradient (the DEQ forward solve and adjoint
+products, the DU forward trace) run on ``float32_params``' copy.
+``denoise_linearize`` runs the same forward keeping the layer inputs for
+the reverse sweeps; it and ``denoise_vjp`` feed the parameter gradients
+and run on float64 weights.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -178,13 +181,18 @@ class DenoiserLinearization:
     out: np.ndarray
 
     def transpose(self, cot: np.ndarray) -> np.ndarray:
-        """Block cotangent J^T cot, without parameter cotangents."""
-        c = cot.reshape(self.inputs[0].shape)
+        """Block cotangent J^T cot, without parameter cotangents.
+
+        Runs in the dtype of the weights held, at this linearization's
+        masks, and returns the cotangent's dtype, as ``denoise`` does.
+        """
+        c = cot.reshape(self.inputs[0].shape).astype(
+            self.params.weights[0].dtype, copy=False)
         for i in reversed(range(4)):
             if i < 3:
                 c = c * (self.inputs[i + 1] > 0.0)
             c = conv2d_transpose(self.params.weights[i], c)
-        return c.reshape(cot.shape)
+        return c.reshape(cot.shape).astype(cot.dtype, copy=False)
 
 
 def denoise_linearize(params: DenoiserParams,

@@ -13,14 +13,18 @@ parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
 ``seed``.  The map is linearized once at g*, so each adjoint iteration is
 a transposed product on the cached denoiser state (no network forward, no
 parameter cotangents); the single parameter VJP after convergence reuses
-that state too.  Training solves the forward with float32 weights and the
-adjoint and VJP in float64: the implicit gradient depends only on g*, and
-float32 rounding (about 6e-8) is far below the tol 1e-4 stop.
+that state too.  Training runs both solves on a float32 copy of the
+network and forms the parameter gradient in float64: the forward solve
+iterates the float32 map, the adjoint's transposed products run the
+float32 weights at the masks of the float64 linearization at g*, and that
+linearization and the parameter VJP stay float64.  The implicit gradient
+depends only on g* and gamma*, and float32 rounding (about 6e-8) is far
+below the tol 1e-4 stop of either solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,21 +54,31 @@ def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
 
 
 def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
-                 params: ModelParams, cfg: AndersonConfig):
+                 params: ModelParams, cfg: AndersonConfig,
+                 adjoint_net: ModelParams | None = None):
     """Implicit gradients of 0.5 ||D g* - x||^2 w.r.t. theta and (raw_b, raw_mu).
 
-    Returns (grads dict, adjoint FixedPointReport).
+    The map is linearized at g* on ``params``, and the parameter VJP runs
+    there too.  The adjoint's transposed products run on ``adjoint_net``'s
+    weights (``deq_train`` hands in ``float32_params(params)``), at the
+    masks of that linearization, or on ``params`` when it is None; no
+    reference to ``adjoint_net`` outlives the adjoint solve.  Returns
+    (grads dict, adjoint FixedPointReport).
     """
     seed = ctx.D.T @ (ctx.D @ g_star - X)
-    lin = linearize_map(ctx, g_star, params)
+    lin = adj = linearize_map(ctx, g_star, params)
+    if adjoint_net is not None:
+        adj = replace(lin, den=replace(lin.den, params=adjoint_net.denoiser))
+        del adjoint_net
     try:
-        report = anderson_solve(lambda gamma: lin(gamma) + seed,
+        report = anderson_solve(lambda gamma: adj(gamma) + seed,
                                 np.zeros_like(g_star), cfg, f0=seed)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
+    del adj  # the float32 weights are dead before the float64 VJP
     _, grads = map_vjp(ctx, g_star, params, report.solution, lin=lin)
     return grads, report
 
@@ -90,9 +104,11 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
-    Each block's forward solve runs on a float32 copy of the network,
-    dropped before the float64 ``deq_backward``; validation stays float64.
-    Returns (best params, history, optimizer) so training can resume.
+    Each block's forward solve and adjoint products run on float32 copies
+    of the network, one made for each and dropped after it, so none is
+    alive at the float64 linearization's parameter VJP; validation stays
+    float64.  Returns (best params, history, optimizer) so training can
+    resume.
     """
 
     def context(noisy, params):
@@ -104,7 +120,7 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
         ctx = context(noisy, params)
         fwd = deq_forward(ctx, float32_params(params), cfg.anderson)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
-                                  cfg.anderson)
+                                  cfg.anderson, float32_params(params))
         info = {"fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
                 "fwd_converged": fwd.converged, "adj_converged": bwd.converged}
         return deq_loss(ctx, fwd.solution, clean), grads, info

@@ -1,8 +1,9 @@
 """Dense tensor ops and the hand-written VJPs the iteration map needs.
 
 Arrays are plain numpy arrays, and every op keeps its input's dtype: the
-gradient paths run in float64, while forward solves may run the 3x3 convs
-in float32.  ``conv2d_vjp``, ``conv2d_transpose`` and ``soft_threshold_vjp``
+passes that form parameter gradients run in float64, while forward solves
+and the DEQ adjoint's transposed products may run the 3x3 convs in
+float32.  ``conv2d_vjp``, ``conv2d_transpose`` and ``soft_threshold_vjp``
 give the cotangents that the denoiser and map VJPs chain, so no general
 autograd graph is needed.  The conv, its transpose and its weight
 cotangent are GEMMs against the patch matrix of one image on the

@@ -78,6 +78,11 @@ def _append_jsonl(path, record: dict) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _require_pairs(pairs, engine: str) -> None:
+    if not pairs:
+        raise ValueError(f"{engine} needs at least one (noisy, clean) pair")
+
+
 def _block_matrix(block) -> np.ndarray:
     return block.matrix if hasattr(block, "matrix") else np.asarray(block)
 
@@ -129,13 +134,15 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
     gradient) are skipped and counted per epoch in each history entry's
     ``skipped``; each step averages loss and gradients over the blocks
-    kept.  Kept blocks whose info reports ``fwd_converged`` or
-    ``adj_converged`` False are counted per step in the log and per epoch
-    in ``fwd_nonconverged`` / ``adj_nonconverged``.  Returns (best params,
-    history, optimizer); the best params are those of the epoch with the
-    highest mean validation block PSNR, or of the last epoch when the
-    validation split is empty.
+    kept, and an epoch that kept no block records ``loss`` NaN.  Kept
+    blocks whose info reports ``fwd_converged`` or ``adj_converged`` False
+    are counted per step in the log and per epoch in ``fwd_nonconverged``
+    / ``adj_nonconverged``.  Returns (best params, history, optimizer);
+    the best params are those of the epoch with the highest mean
+    validation block PSNR, or of the last epoch when the validation split
+    is empty.  Raises ValueError for no pairs.
     """
+    _require_pairs(pairs, engine)
     data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
     params = params0.copy()
     pdict = params.as_dict()
@@ -205,7 +212,8 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                 "grad_norm": gnorm,
                 "wall_ms": 1e3 * (time.perf_counter() - t0)})
         psnr = val_psnr()
-        history.append({"epoch": epoch, "loss": epoch_loss / max(steps, 1),
+        history.append({"epoch": epoch,
+                        "loss": epoch_loss / steps if steps else math.nan,
                         "val_psnr": psnr, "skipped": skipped,
                         "fwd_nonconverged": epoch_fwd_nc,
                         "adj_nonconverged": epoch_adj_nc})
@@ -233,8 +241,7 @@ def pretrain(pairs, cfg: PretrainConfig):
     and never receive a gradient.
     Returns (best denoiser params, history).
     """
-    if not pairs:
-        raise ValueError("pretrain needs at least one (noisy, clean) pair")
+    _require_pairs(pairs, "pretrain")  # before pairs[0] sizes the denoiser
     den = init_denoiser(_block_matrix(pairs[0][0]).shape[0],
                         hidden=cfg.hidden, seed=cfg.seed)
     spectral_normalize(den)

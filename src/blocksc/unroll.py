@@ -4,7 +4,11 @@ The forward pass keeps the whole iterate trace; the backward pass chains
 the map VJP through all K layers, so memory grows linearly with K (the
 price the unrolled variant pays that the equilibrium engine avoids).
 Like the equilibrium engine, it is trained and served on the
-reconstructed block D G_K.
+reconstructed block D G_K.  Training runs the forward trace on a float32
+copy of the network and the backward in float64: ``du_backward``
+re-linearizes the float64 map at each trace point, so DU differentiates
+the float64 map at points that the float32 forward produced (they differ
+from float64 iterates by about float32 rounding, 6e-8 relative).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anderson import DivergenceError
-from .denoiser import ModelParams
+from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
                      make_context, map_vjp, reconstruct, select_support)
@@ -55,8 +59,10 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
                 params: ModelParams):
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
-    Returns (loss, grads dict) with gradients for theta and the raw
-    penalty scalars, accumulated in place across all layers.
+    Each layer's ``map_vjp`` re-linearizes the map on ``params`` at its
+    trace point, whichever network made the trace.  Returns (loss, grads
+    dict) with gradients for theta and the raw penalty scalars,
+    accumulated in place across all layers.
     """
     resid = reconstruct(ctx, trace[-1]) - X
     loss = float((resid * resid).sum())
@@ -81,7 +87,12 @@ class DuTrainConfig(EndToEndConfig):
 
 def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
-    """End-to-end training of the unrolled model; K is fixed at train time."""
+    """End-to-end training of the unrolled model; K is fixed at train time.
+
+    Each block's forward trace runs on a float32 copy of the network,
+    dropped before ``du_backward`` differentiates the float64 map at the
+    trace points; validation stays float64.
+    """
 
     def context(noisy, params):
         support = (select_support(noisy, D, cfg.support_size)
@@ -90,7 +101,7 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
 
     def block_grad(noisy, clean, params):
         ctx = context(noisy, params)
-        _, trace = du_forward(ctx, params, cfg.unroll.K)
+        _, trace = du_forward(ctx, float32_params(params), cfg.unroll.K)
         loss, grads = du_backward(ctx, trace, clean, params)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}

@@ -99,6 +99,26 @@ class TestDenoiseDtype:
         # relative to the output's scale: single entries may sit near zero
         assert np.abs(out32 - out64).max() <= 1e-5 * np.abs(out64).max()
 
+    def test_float32_weights_run_the_transpose_in_float32(self, monkeypatch):
+        params = converge_normalization(tiny_params(d=4, hidden=12, seed=9))
+        rng = np.random.default_rng(9)
+        block, cot = rng.normal(size=(2, 4, 36))
+        lin = dn.denoise_linearize(params, block)
+        out64 = lin.transpose(cot)
+        seen = []
+
+        def spy(weight, c):
+            seen.append({weight.dtype, c.dtype})
+            return T.conv2d_transpose(weight, c)
+
+        monkeypatch.setattr(dn, "conv2d_transpose", spy)
+        lin32 = dn.DenoiserLinearization(self._as_float32(params), lin.inputs,
+                                         lin.out)
+        out32 = lin32.transpose(cot)
+        assert seen == [{np.dtype(np.float32)}] * 4  # every layer
+        assert out32.dtype == cot.dtype == np.float64
+        assert np.abs(out32 - out64).max() <= 1e-5 * np.abs(out64).max()
+
     def test_float64_weights_run_the_float64_stack(self):
         params = tiny_params(d=4, hidden=6, seed=8)
         block = np.random.default_rng(8).normal(size=(4, 25))

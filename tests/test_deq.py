@@ -11,8 +11,8 @@ from blocksc.anderson import AndersonConfig, DivergenceError, anderson_solve
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
-from blocksc.training import EndToEndConfig, PretrainConfig
-from blocksc.unroll import DuTrainConfig
+from blocksc.training import EndToEndConfig, PretrainConfig, pretrain
+from blocksc.unroll import DuTrainConfig, du_train
 
 
 def make_params(d, hidden=3, b=0.6, mu=0.15, seed=0, zero_net=False):
@@ -412,6 +412,21 @@ class TestDeqTrain:
         _, history, adam = dq.deq_train(pairs, D, make_params(6, seed=15), cfg)
         assert history[0]["skipped"] == 0 and adam.t == 2
 
+    def test_epoch_with_every_block_skipped_has_nan_loss(self, monkeypatch):
+        D, pairs = micro_dataset(12, count=4)
+
+        def diverges(*args, **kwargs):
+            raise DivergenceError("adjoint solve diverged", iteration=2)
+
+        monkeypatch.setattr(dq, "deq_backward", diverges)
+        cfg = dq.DeqTrainConfig(variant="fast", support_size=3, epochs=1,
+                                lr=1e-3, batch_size=2, seed=0,
+                                val_fraction=0.0)
+        _, history, adam = dq.deq_train(pairs, D, make_params(6, seed=12),
+                                        cfg)
+        assert history[0]["skipped"] == 4 and adam.t == 0
+        assert np.isnan(history[0]["loss"])  # not 0.0, a perfect fit
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("cls", [EndToEndConfig, dq.DeqTrainConfig,
@@ -423,10 +438,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(**{name: value})
 
+    @pytest.mark.parametrize("entry", ["deq_train", "du_train", "pretrain"])
+    def test_no_pairs_is_refused(self, entry):
+        D, _ = micro_dataset(0, count=1)
+        params0 = make_params(6, hidden=4)
+        run = {"deq_train": lambda: dq.deq_train([], D, params0,
+                                                 dq.DeqTrainConfig()),
+               "du_train": lambda: du_train([], D, params0, DuTrainConfig()),
+               "pretrain": lambda: pretrain([], PretrainConfig())}[entry]
+        with pytest.raises(ValueError, match=r"needs at least one \(noisy, "
+                                             r"clean\) pair"):
+            run()
+
 
 class TestTrainPrecisionSplit:
-    """``deq_train`` solves each block's forward on ``float32_params``'
-    copy, drops it, and runs ``deq_backward`` on the float64 weights."""
+    """``deq_train`` runs each block's forward solve and adjoint products on
+    ``float32_params``' copies, and forms the parameter gradient (the
+    linearization at g* and its map VJP) on the float64 weights."""
 
     @staticmethod
     def train(variant, log=None):
@@ -440,47 +468,32 @@ class TestTrainPrecisionSplit:
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_forward_convs_float32_backward_convs_float64(self, monkeypatch,
-                                                          variant):
-        phase, seen = [None], {None: [], "forward": [], "backward": []}
-
-        def spy(name):
-            real = getattr(dn, name)
-
-            def run(*args):
-                out = real(*args)  # conv2d_vjp returns a tuple
-                arrays = (*args, *(out if isinstance(out, tuple) else [out]))
-                seen[phase[-1]].append((name, {a.dtype for a in arrays}))
-                return out
-            return run
-
-        def in_phase(label, fn):
-            def run(*args, **kwargs):
-                phase.append(label)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    phase.pop()
-            return run
-
-        for name in ("conv2d", "conv2d_transpose", "conv2d_vjp"):
-            monkeypatch.setattr(dn, name, spy(name))
-        monkeypatch.setattr(dq, "deq_forward",
-                            in_phase("forward", dq.deq_forward))
-        monkeypatch.setattr(dq, "deq_backward",
-                            in_phase("backward", dq.deq_backward))
+                                                          conv_spy, variant):
+        seen, in_phase = conv_spy
+        for name, label in (("deq_forward", "forward"),
+                            ("deq_backward", "backward")):
+            monkeypatch.setattr(dq, name, in_phase(label, getattr(dq, name)))
         self.train(variant)
         assert seen[None] == []  # no validation split: no other solve
         fwd, bwd = seen["forward"], seen["backward"]
         assert {name for name, _ in fwd} == {"conv2d"}
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)
-        assert {name for name, _ in bwd} == {"conv2d", "conv2d_transpose",
-                                             "conv2d_vjp"}
-        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in bwd)
+        by_name = {name: [dtypes for n, dtypes in bwd if n == name]
+                   for name in ("conv2d", "conv2d_transpose", "conv2d_vjp")}
+        assert {name for name, _ in bwd} == set(by_name)
+        # one float64 linearization at g* per block and epoch (8), one
+        # float64 parameter VJP, and adjoint products in float32 only
+        assert len(by_name["conv2d"]) == len(by_name["conv2d_vjp"]) == 4 * 8
+        for name, dtype in (("conv2d", np.float64),
+                            ("conv2d_transpose", np.float32),
+                            ("conv2d_vjp", np.float64)):
+            assert all(d == {np.dtype(dtype)} for d in by_name[name]), name
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_float32_copy_is_dead_before_the_backward(self, monkeypatch,
                                                       variant):
-        real_copy, real_backward = dq.float32_params, dq.deq_backward
+        """No float32 copy is alive at the parameter VJP."""
+        real_copy, real_vjp = dq.float32_params, dq.map_vjp
         copies, alive = [], []
 
         def tracked_copy(params):
@@ -489,14 +502,17 @@ class TestTrainPrecisionSplit:
                 weakref.ref, net.denoiser.weights + net.denoiser.biases)])
             return net
 
-        def backward(*args, **kwargs):
-            alive.append(any(ref() is not None for ref in copies[-1]))
-            return real_backward(*args, **kwargs)
+        def vjp(*args, **kwargs):
+            alive.append(any(ref() is not None
+                             for refs in copies for ref in refs))
+            return real_vjp(*args, **kwargs)
 
         monkeypatch.setattr(dq, "float32_params", tracked_copy)
-        monkeypatch.setattr(dq, "deq_backward", backward)
+        monkeypatch.setattr(dq, "map_vjp", vjp)
         self.train(variant)
-        assert len(copies) == len(alive) == 8  # one per block and epoch
+        # one copy for the forward solve and one for the adjoint, per block
+        # and epoch, and one parameter VJP per block and epoch
+        assert len(copies) == 16 and len(alive) == 8
         assert not any(alive)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])

@@ -164,7 +164,8 @@ class TestDuBackward:
 
 
 class TestDuTrain:
-    def _dataset(self, seed=0, count=8, d=6, M=12, N=16):
+    @staticmethod
+    def _dataset(seed=0, count=8, d=6, M=12, N=16):
         rng = np.random.default_rng(seed)
         D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
         pairs = []
@@ -243,6 +244,7 @@ class TestDuTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             _, history, adam = du.du_train(pairs, D, params0, cfg)
         assert history[0]["skipped"] == 4 and adam.t == 0
+        assert np.isnan(history[0]["loss"])  # not 0.0, a perfect fit
 
     def test_zero_block_trains(self):
         # OMP picks no atom for an all-zero block: an empty fast support
@@ -253,3 +255,45 @@ class TestDuTrain:
                                batch_size=2, seed=0, val_fraction=0.0)
         _, history, adam = du.du_train(pairs, D, make_params(6, seed=16), cfg)
         assert history[0]["skipped"] == 0 and adam.t == 2
+
+
+class TestDuTrainPrecisionSplit:
+    """``du_train`` runs each block's forward trace on ``float32_params``'
+    copy and differentiates the float64 map at its trace points.  The
+    fixture is that of ``test_deq.TestTrainPrecisionSplit``."""
+
+    @staticmethod
+    def train(variant):
+        D, pairs = TestDuTrain._dataset(seed=14, count=4)
+        params0 = make_params(6, hidden=4, b=0.8, mu=0.05, seed=14)
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=3, variant=variant),
+                               support_size=3, epochs=2, lr=1e-3,
+                               batch_size=2, seed=0, val_fraction=0.0)
+        return du.du_train(pairs, D, params0, cfg)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_forward_convs_float32_backward_convs_float64(self, monkeypatch,
+                                                          conv_spy, variant):
+        seen, in_phase = conv_spy
+        for name, label in (("du_forward", "forward"),
+                            ("du_backward", "backward")):
+            monkeypatch.setattr(du, name, in_phase(label, getattr(du, name)))
+        self.train(variant)
+        assert seen[None] == []  # no validation split: no other pass
+        fwd, bwd = seen["forward"], seen["backward"]
+        # K = 3 map applications per block and epoch (8), 4 layers each
+        assert len(fwd) == 4 * 3 * 8
+        assert {name for name, _ in fwd} == {"conv2d"}
+        assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)
+        assert {name for name, _ in bwd} == {"conv2d", "conv2d_vjp"}
+        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in bwd)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_matches_a_float64_forward(self, monkeypatch, variant):
+        got = self.train(variant)[0].as_dict()
+        monkeypatch.setattr(du, "float32_params", lambda params: params)
+        expect = self.train(variant)[0].as_dict()
+        assert not all(np.array_equal(got[k], expect[k]) for k in expect)
+        for k in expect:
+            np.testing.assert_allclose(got[k], expect[k], rtol=1e-6,
+                                       atol=0, err_msg=k)

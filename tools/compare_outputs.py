@@ -12,20 +12,28 @@ short of the 50-iteration cap, so a change that moves a count shows as a
 differing integer array; one ``deq_train`` epoch per variant, its solves capped
 at 50 iterations (tol 1e-6) and its history rows carrying the epoch's
 non-converged forward and adjoint solve counts, so a solve that hits the cap
-shows; one ``du_train`` epoch per variant; ``sweep_iterations``; a three-epoch
+shows; one ``du_train`` epoch per variant; for both training runs, each step's
+``fwd_iters`` and ``bwd_iters`` as read from a temporary ``log_path`` JSONL
+(``<engine>_train.<variant>.iters``); ``sweep_iterations``; a three-epoch
 denoiser ``pretrain`` run (its weights and per-epoch ``loss``; no validation
 split, so the returned weights are the last epoch's whenever the loss falls
 every epoch); and two ``ksvd`` sweeps on the 1600 spectra of that cube; and
 ``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60 float32
 and 20x20 float64 inputs, so a kernel change shows per op, the multi-strip
 transpose included.  ``compare`` prints each array that differs with its max
-relative difference ``max|a - b| / max|b|``, and exits 1 unless both files hold
-the same keys with ``np.array_equal`` values.
+relative difference ``max|a - b| / max|b|``, then whether the iteration counts
+(the ``anderson.*`` and ``*.iters`` arrays) are unchanged.  It exits 0 when
+both files hold the same keys with ``np.array_equal`` values, 2 when the key
+sets or an iteration count differ, and 1 when only other arrays differ, as
+a change that moves results by rounding alone does.
 """
 
 from __future__ import annotations
 
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -92,20 +100,24 @@ def dump(path):
         cfg = deq.DeqTrainConfig(variant=variant, anderson=train_anderson,
                                  support_size=5, epochs=1, lr=1e-3,
                                  batch_size=2, val_fraction=0.25)
-        trained, history, _ = deq.deq_train(pairs, D, params, cfg)
+        trained, history, steps = _logged(deq.deq_train, pairs, D, params,
+                                          cfg)
         for k, v in trained.as_dict().items():
             out[f"deq_train.{variant}.{k}"] = v
         out[f"deq_train.{variant}.history"] = np.array(
             [(h["loss"], h["val_psnr"], h["fwd_nonconverged"],
               h["adj_nonconverged"]) for h in history])
+        out[f"deq_train.{variant}.iters"] = steps
         cfg = unroll.DuTrainConfig(
             unroll=unroll.UnrollConfig(K=3, variant=variant), support_size=5,
             epochs=1, lr=1e-3, batch_size=2, val_fraction=0.25)
-        trained, history, _ = unroll.du_train(pairs, D, params, cfg)
+        trained, history, steps = _logged(unroll.du_train, pairs, D, params,
+                                          cfg)
         for k, v in trained.as_dict().items():
             out[f"du_train.{variant}.{k}"] = v
         out[f"du_train.{variant}.history"] = np.array(
             [(h["loss"], h["val_psnr"]) for h in history])
+        out[f"du_train.{variant}.iters"] = steps
     cfg = training.PretrainConfig(epochs=3, lr=1e-3, batch_size=2, hidden=16,
                                   val_fraction=0.0)
     den, history = training.pretrain(pairs, cfg)
@@ -120,6 +132,18 @@ def dump(path):
     out.update(_conv_outputs())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
+
+
+def _logged(train, pairs, D, params, cfg):
+    """Run ``train`` with a temporary JSONL log; returns (trained params,
+    history, an int array of each step's (fwd_iters, bwd_iters))."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.log_path = str(Path(tmp) / "train.jsonl")
+        trained, history, _ = train(pairs, D, params, cfg)
+        steps = [json.loads(line) for line in
+                 Path(cfg.log_path).read_text(encoding="utf-8").splitlines()]
+    return trained, history, np.array(
+        [(r["fwd_iters"], r["bwd_iters"]) for r in steps], dtype=np.int64)
 
 
 def _conv_outputs() -> dict:
@@ -141,12 +165,17 @@ def compare(path_a, path_b) -> int:
     a, b = np.load(path_a), np.load(path_b)
     if set(a.files) != set(b.files):
         print("key sets differ:", sorted(set(a.files) ^ set(b.files)))
-        return 1
+        return 2
     differ = [k for k in sorted(a.files) if not np.array_equal(a[k], b[k])]
     for k in differ:
         print(f"differs: {k}  max rel diff {max_rel_diff(a[k], b[k]):.3g}")
     print(f"{len(a.files) - len(differ)} of {len(a.files)} arrays equal")
-    return 1 if differ else 0
+    counts = [k for k in a.files if k.startswith("anderson.")
+              or k.endswith(".iters")]
+    moved = [k for k in differ if k in counts]
+    print(f"iteration counts: {len(counts) - len(moved)} of {len(counts)} "
+          f"arrays unchanged" + (f"; changed: {moved}" if moved else ""))
+    return 2 if moved else 1 if differ else 0
 
 
 def max_rel_diff(x, ref) -> float:
