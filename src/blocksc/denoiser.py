@@ -9,13 +9,18 @@ bound the conv: operator norms measured 1.39-1.72 per layer, so the
 network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
-``denoise`` keeps no activations and runs in its weights' dtype, as does
-``DenoiserLinearization.transpose``: inference and every training pass
-that forms no parameter gradient (the DEQ forward solve and adjoint
-products, the DU forward trace) run on ``float32_params``' copy.
+Which pass runs in which precision.  ``denoise`` keeps no activations
+and runs in its weights' dtype, as does ``DenoiserLinearization.transpose``.
 ``denoise_linearize`` runs the same forward keeping the layer inputs for
-the reverse sweeps; it and ``denoise_vjp`` feed the parameter gradients
-and run on float64 weights.
+the reverse sweeps; it and ``denoise_vjp`` form the parameter gradients,
+on float64 weights.  Every other network pass runs on a ``float32_params``
+copy: inference (the map, Anderson and the Cholesky solve stay float64),
+the DEQ training forward solve, the DEQ adjoint's transposed products (at
+the masks of the float64 linearization at g*) and the DU training forward
+trace, so DU differentiates the float64 map at points the float32 forward
+made.  Each training copy is dropped after its pass, so none is alive at
+a parameter VJP; validation runs float64.  Float32 rounding (about 6e-8)
+sits far below the tol 1e-4 stop of either DEQ solve.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.

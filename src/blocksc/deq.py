@@ -13,13 +13,7 @@ parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
 ``seed``.  The map is linearized once at g*, so each adjoint iteration is
 a transposed product on the cached denoiser state (no network forward, no
 parameter cotangents); the single parameter VJP after convergence reuses
-that state too.  Training runs both solves on a float32 copy of the
-network and forms the parameter gradient in float64: the forward solve
-iterates the float32 map, the adjoint's transposed products run the
-float32 weights at the masks of the float64 linearization at g*, and that
-linearization and the parameter VJP stay float64.  The implicit gradient
-depends only on g* and gamma*, and float32 rounding (about 6e-8) is far
-below the tol 1e-4 stop of either solve.
+that state too.  Which pass runs in which precision: see ``denoiser``.
 """
 
 from __future__ import annotations
@@ -104,11 +98,8 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
-    Each block's forward solve and adjoint products run on float32 copies
-    of the network, one made for each and dropped after it, so none is
-    alive at the float64 linearization's parameter VJP; validation stays
-    float64.  Returns (best params, history, optimizer) so training can
-    resume.
+    Precision of each pass: see ``denoiser``.  Returns (best params,
+    history, optimizer) so training can resume.
     """
 
     def context(noisy, params):
@@ -121,9 +112,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
         fwd = deq_forward(ctx, float32_params(params), cfg.anderson)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson, float32_params(params))
-        info = {"fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
-                "fwd_converged": fwd.converged, "adj_converged": bwd.converged}
-        return deq_loss(ctx, fwd.solution, clean), grads, info
+        return deq_loss(ctx, fwd.solution, clean), grads, {
+            "fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
+            "fwd_nonconverged": int(not fwd.converged),
+            "adj_nonconverged": int(not bwd.converged)}
 
     def infer(noisy, params):
         ctx = context(noisy, params)

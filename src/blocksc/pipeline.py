@@ -8,14 +8,12 @@ a setting an older file lacks takes its default and any other meta key
 (``support_eps`` in older files, say) stays in ``bundle.meta``.
 
 Each block is solved on its own context; an iteration-budget argument
-reads several budgets off one solve.  Inference runs the regularizer
-network in float32 on ``float32_params``' copy of the bundle's weights;
-the map, Anderson and the Cholesky solve stay float64.  Every block's
-solve starts from the zero code, so its first map step needs the
-network's output on an all-zero block, N(0), which depends only on the
-weights and the block size: ``denoise_cube`` makes the float32 copy and
-N(0) once and every block reuses both, bit-identical to running the
-network per block.
+reads several budgets off one solve.  Which pass runs in which precision:
+see ``denoiser``.  Every block's solve starts from the zero code, so its
+first map step needs the network's output on an all-zero block, N(0),
+which depends only on the weights and the block size: ``denoise_cube``
+makes the float32 copy and N(0) once and every block reuses both,
+bit-identical to running the network per block.
 
 ``denoise_cube`` holds one cube of block data (one per budget) beside one
 block's solve: ``split_blocks``' owned copies double as estimate storage.
@@ -72,9 +70,8 @@ def _check_budgets(budgets) -> list:
 def _inference_network(params: ModelParams, shape) -> tuple:
     """(``float32_params(params)``, its N(0) on an all-zero ``shape`` block).
 
-    Only N(0) is added to what ``deq_train``'s forward solves use: float32
-    rounding (about 6e-8) sits far below the tol 1e-4 stop.  Neither
-    outlives the call that builds it: training changes weights in place.
+    Precision: see ``denoiser``.  Neither outlives the call that builds
+    it: training changes weights in place.
     """
     net = float32_params(params)
     return net, denoise(net.denoiser, np.zeros(shape, np.float32))
@@ -116,10 +113,19 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
     return staged
 
 
+def _check_finite(cube: HyperCube) -> None:
+    bad = ~np.isfinite(cube.data)  # freed on return, before any solve
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"non-finite cube sample at (band, row, col) {where}")
+
+
 def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     """Full pipeline; the uncovered border keeps the input values.
 
     A cube smaller than one block comes back unchanged (zero tiles).
+    A non-finite sample raises ValueError naming its (band, row, col)
+    before any solve.
     A block whose solve goes non-finite, under either engine (Anderson for
     DEQ, ``du_forward`` for DU), raises DivergenceError naming it.
     With ``budgets``, return {k: HyperCube} built from ``denoise_block``'s
@@ -127,6 +133,7 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
     estimate overwrites its ``split_blocks`` copy once solved, so the peak
     is one cube of block data (per budget) plus one block's solve.
     """
+    _check_finite(cube)
     if budgets is not None:
         budgets = _check_budgets(budgets)
     keys = budgets or [None]

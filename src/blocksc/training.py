@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ from .metrics import block_psnr
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
+# The per-step counts a ``block_grad_fn`` reports, under their log fields.
+COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged", "adj_nonconverged")
+_DIVERGED = (FloatingPointError, DivergenceError)  # a divergent block raises
 
 
 class Adam:
@@ -78,13 +82,20 @@ def _append_jsonl(path, record: dict) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _require_pairs(pairs, engine: str) -> None:
-    if not pairs:
-        raise ValueError(f"{engine} needs at least one (noisy, clean) pair")
-
-
 def _block_matrix(block) -> np.ndarray:
     return block.matrix if hasattr(block, "matrix") else np.asarray(block)
+
+
+def _pair_matrices(pairs, engine: str) -> list:
+    """The (noisy, clean) matrices; ValueError for none or a non-finite one."""
+    if not pairs:
+        raise ValueError(f"{engine} needs at least one (noisy, clean) pair")
+    data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
+    for i, pair in enumerate(data):
+        for side, block in zip(("noisy", "clean"), pair):
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{engine} pair {i}: non-finite {side} block")
+    return data
 
 
 def _epoch_order(count, seed, epoch):
@@ -129,63 +140,56 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     """Shared minibatch loop for the engines and denoiser pretraining.
 
     ``block_grad_fn(noisy, clean, params)`` returns (loss, grads dict,
-    info dict); ``infer_fn(noisy, params)`` returns a reconstructed block
-    for validation PSNR.  Divergent blocks (a ``FloatingPointError`` or
-    ``DivergenceError`` from ``block_grad_fn``, or a non-finite loss or
-    gradient) are skipped and counted per epoch in each history entry's
-    ``skipped``; each step averages loss and gradients over the blocks
-    kept, and an epoch that kept no block records ``loss`` NaN.  Kept
-    blocks whose info reports ``fwd_converged`` or ``adj_converged`` False
-    are counted per step in the log and per epoch in ``fwd_nonconverged``
-    / ``adj_nonconverged``.  Returns (best params, history, optimizer);
-    the best params are those of the epoch with the highest mean
-    validation block PSNR, or of the last epoch when the validation split
-    is empty.  Raises ValueError for no pairs.
+    counts dict), counts keyed by their log fields in ``COUNTS`` (one left
+    out counts 0); ``infer_fn(noisy, params)`` returns a reconstructed
+    block for validation PSNR.  A block is skipped when ``block_grad_fn``
+    raises ``FloatingPointError`` or ``DivergenceError`` or gives a
+    non-finite loss or gradient; a validation block that raises either
+    scores NaN.  Each step averages loss and gradients over the blocks it
+    kept and logs one JSONL record with the sums of their counts.  Each
+    epoch's history row holds the mean loss of its records (NaN for none),
+    their summed ``*_nonconverged`` counts, the blocks skipped and
+    ``val_psnr``, the mean validation block PSNR.  Returns (best params,
+    history, optimizer): the params of the epoch with the highest
+    ``val_psnr``, or of the last epoch when the validation split is empty.
+    Raises ValueError for no pairs or a non-finite one.
     """
-    _require_pairs(pairs, engine)
-    data = [(_block_matrix(a), _block_matrix(b)) for a, b in pairs]
+    data = _pair_matrices(pairs, engine)
     params = params0.copy()
     pdict = params.as_dict()
     adam = adam or Adam(cfg.lr)
     adam.lr = cfg.lr
     train, val = split_validation(data, cfg.val_fraction, cfg.seed)
 
-    def val_psnr():
-        if not val:
-            return None
-        return float(np.mean([block_psnr(infer_fn(noisy, params), clean)
-                              for noisy, clean in val]))
+    def score(noisy, clean):
+        try:
+            return block_psnr(infer_fn(noisy, params), clean)
+        except _DIVERGED:
+            return math.nan
 
     best = params.copy()
     best_psnr = -np.inf
     history = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = _epoch_order(len(train), cfg.seed, epoch)
-        epoch_loss = 0.0
-        steps = skipped = epoch_fwd_nc = epoch_adj_nc = 0
+        records, skipped = [], 0
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
             t0 = time.perf_counter()
-            loss = 0.0
-            grads = None
-            kept = fwd_iters = bwd_iters = fwd_nc = adj_nc = 0
+            step = Counter(dict.fromkeys(("loss",) + COUNTS, 0))
+            kept, grads = 0, None
             for noisy, clean in batch:
                 try:
-                    blk_loss, g, info = block_grad_fn(noisy, clean, params)
-                except (FloatingPointError, DivergenceError):
-                    skipped += 1
-                    continue
-                if not np.isfinite(blk_loss) or any(
+                    loss, g, counts = block_grad_fn(noisy, clean, params)
+                except _DIVERGED:
+                    loss, g = math.nan, {}
+                if not np.isfinite(loss) or any(
                         not np.all(np.isfinite(v)) for v in g.values()):
                     skipped += 1
                     del g  # not held through the next block's gradient
                     continue
-                loss += blk_loss
+                step.update(counts, loss=loss)
                 kept += 1
-                fwd_iters += info.get("fwd_iters", 0)
-                bwd_iters += info.get("bwd_iters", 0)
-                fwd_nc += not info.get("fwd_converged", True)
-                adj_nc += not info.get("adj_converged", True)
                 if grads is None:
                     grads = {k: v / len(batch) for k, v in g.items()}
                 else:
@@ -200,28 +204,21 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             spectral_normalize(params.denoiser)
             gnorm = float(np.sqrt(sum(float((g * g).sum())
                                       for g in grads.values())))
-            loss /= kept
-            epoch_loss += loss
-            steps += 1
-            epoch_fwd_nc += fwd_nc
-            epoch_adj_nc += adj_nc
-            _append_jsonl(cfg.log_path, {
-                "engine": engine, "epoch": epoch, "step": adam.t,
-                "loss": loss, "fwd_iters": fwd_iters, "bwd_iters": bwd_iters,
-                "fwd_nonconverged": fwd_nc, "adj_nonconverged": adj_nc,
-                "grad_norm": gnorm,
+            records.append({
+                "engine": engine, "epoch": epoch, "step": adam.t, **step,
+                "loss": step["loss"] / kept, "grad_norm": gnorm,
                 "wall_ms": 1e3 * (time.perf_counter() - t0)})
-        psnr = val_psnr()
-        history.append({"epoch": epoch,
-                        "loss": epoch_loss / steps if steps else math.nan,
-                        "val_psnr": psnr, "skipped": skipped,
-                        "fwd_nonconverged": epoch_fwd_nc,
-                        "adj_nonconverged": epoch_adj_nc})
-        if psnr is None:
-            best = params.copy()
-        elif psnr > best_psnr:
-            best_psnr = psnr
-            best = params.copy()
+            _append_jsonl(cfg.log_path, records[-1])
+        psnr = float(np.mean([score(*pair) for pair in val])) if val else None
+        history.append({
+            "epoch": epoch,
+            "loss": (sum(r["loss"] for r in records) / len(records)
+                     if records else math.nan),
+            "val_psnr": psnr, "skipped": skipped,
+            **{k: sum(r[k] for r in records) for k in COUNTS
+               if k.endswith("_nonconverged")}})
+        if psnr is None or psnr > best_psnr:  # NaN is never the best
+            best_psnr, best = psnr, params.copy()
     return best, history, adam
 
 
@@ -241,9 +238,8 @@ def pretrain(pairs, cfg: PretrainConfig):
     and never receive a gradient.
     Returns (best denoiser params, history).
     """
-    _require_pairs(pairs, "pretrain")  # before pairs[0] sizes the denoiser
-    den = init_denoiser(_block_matrix(pairs[0][0]).shape[0],
-                        hidden=cfg.hidden, seed=cfg.seed)
+    noisy0 = _pair_matrices(pairs, "pretrain")[0][0]  # no pairs: ValueError
+    den = init_denoiser(noisy0.shape[0], hidden=cfg.hidden, seed=cfg.seed)
     spectral_normalize(den)
 
     def block_grad(noisy, clean, params):

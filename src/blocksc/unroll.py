@@ -4,11 +4,8 @@ The forward pass keeps the whole iterate trace; the backward pass chains
 the map VJP through all K layers, so memory grows linearly with K (the
 price the unrolled variant pays that the equilibrium engine avoids).
 Like the equilibrium engine, it is trained and served on the
-reconstructed block D G_K.  Training runs the forward trace on a float32
-copy of the network and the backward in float64: ``du_backward``
-re-linearizes the float64 map at each trace point, so DU differentiates
-the float64 map at points that the float32 forward produced (they differ
-from float64 iterates by about float32 rounding, 6e-8 relative).
+reconstructed block D G_K.  Which pass runs in which precision: see
+``denoiser``.
 """
 
 from __future__ import annotations
@@ -89,9 +86,7 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time.
 
-    Each block's forward trace runs on a float32 copy of the network,
-    dropped before ``du_backward`` differentiates the float64 map at the
-    trace points; validation stays float64.
+    Precision of each pass: see ``denoiser``.
     """
 
     def context(noisy, params):

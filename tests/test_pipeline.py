@@ -117,6 +117,23 @@ class TestDivergence:
             denoise_cube(bundle, noisy_cube()[0])
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_error_names_the_first_sample_before_any_solve(
+            self, monkeypatch, engine, variant, value):
+        solved = []
+        monkeypatch.setattr(pipeline, "denoise_block",
+                            lambda *args: solved.append(1))
+        data = noisy_cube()[0].data.copy()
+        data[2, 5, 3] = data[3, 1, 6] = value
+        with pytest.raises(ValueError, match=r"non-finite cube sample at "
+                                             r"\(band, row, col\) \(2, 5, 3\)"):
+            denoise_cube(tiny_bundle(engine, variant), HyperCube(data))
+        assert solved == []
+
+
 class TestZeroBlock:
     @pytest.mark.parametrize("engine", ["deq", "du"])
     @pytest.mark.parametrize("variant", ["fast", "full"])

@@ -10,20 +10,23 @@ that cube and each DEQ variant, the Anderson iteration counts and ``converged``
 flags of the forward and the adjoint solve, run to tol 1e-8 so that they stop
 short of the 50-iteration cap, so a change that moves a count shows as a
 differing integer array; one ``deq_train`` epoch per variant, its solves capped
-at 50 iterations (tol 1e-6) and its history rows carrying the epoch's
-non-converged forward and adjoint solve counts, so a solve that hits the cap
-shows; one ``du_train`` epoch per variant; for both training runs, each step's
-``fwd_iters`` and ``bwd_iters`` as read from a temporary ``log_path`` JSONL
-(``<engine>_train.<variant>.iters``); ``sweep_iterations``; a three-epoch
-denoiser ``pretrain`` run (its weights and per-epoch ``loss``; no validation
-split, so the returned weights are the last epoch's whenever the loss falls
-every epoch); and two ``ksvd`` sweeps on the 1600 spectra of that cube; and
-``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60 float32
-and 20x20 float64 inputs, so a kernel change shows per op, the multi-strip
-transpose included.  ``compare`` prints each array that differs with its max
-relative difference ``max|a - b| / max|b|``, then whether the iteration counts
-(the ``anderson.*`` and ``*.iters`` arrays) are unchanged.  It exits 0 when
-both files hold the same keys with ``np.array_equal`` values, 2 when the key
+at 50 iterations (tol 1e-6), so a solve that hits the cap shows; one
+``du_train`` epoch per variant; ``sweep_iterations``; a three-epoch denoiser
+``pretrain`` run (no validation split, so the returned weights are the last
+epoch's whenever the loss falls every epoch); for each training run, its
+trained weights, each history row's ``loss``, ``val_psnr`` (NaN without a
+validation split), ``skipped``, ``fwd_nonconverged`` and ``adj_nonconverged``
+(``<run>.history``), and each step's ``fwd_iters``, ``bwd_iters``,
+``fwd_nonconverged`` and ``adj_nonconverged`` as read from a temporary
+``log_path`` JSONL (``<run>.iters``), so both levels of the training loop's
+count accumulator are compared; two ``ksvd`` sweeps on the 1600 spectra of
+that cube; and ``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on
+fixed 60x60 float32 and 20x20 float64 inputs, so a kernel change shows per
+op, the multi-strip transpose included.  ``compare`` prints each array that
+differs with its max relative difference ``max|a - b| / max|b|``, then
+whether the iteration counts (the ``anderson.*`` and ``*.iters`` arrays) are
+unchanged.  It exits 0 when both files hold the same keys with
+``np.array_equal`` values (NaN equal to NaN), 2 when the key
 sets or an iteration count differ, and 1 when only other arrays differ, as
 a change that moves results by rounding alone does.
 """
@@ -100,31 +103,27 @@ def dump(path):
         cfg = deq.DeqTrainConfig(variant=variant, anderson=train_anderson,
                                  support_size=5, epochs=1, lr=1e-3,
                                  batch_size=2, val_fraction=0.25)
-        trained, history, steps = _logged(deq.deq_train, pairs, D, params,
-                                          cfg)
+        (trained, history, _), out[f"deq_train.{variant}.iters"] = _logged(
+            cfg, deq.deq_train, pairs, D, params, cfg)
         for k, v in trained.as_dict().items():
             out[f"deq_train.{variant}.{k}"] = v
-        out[f"deq_train.{variant}.history"] = np.array(
-            [(h["loss"], h["val_psnr"], h["fwd_nonconverged"],
-              h["adj_nonconverged"]) for h in history])
-        out[f"deq_train.{variant}.iters"] = steps
+        out[f"deq_train.{variant}.history"] = _history(history)
         cfg = unroll.DuTrainConfig(
             unroll=unroll.UnrollConfig(K=3, variant=variant), support_size=5,
             epochs=1, lr=1e-3, batch_size=2, val_fraction=0.25)
-        trained, history, steps = _logged(unroll.du_train, pairs, D, params,
-                                          cfg)
+        (trained, history, _), out[f"du_train.{variant}.iters"] = _logged(
+            cfg, unroll.du_train, pairs, D, params, cfg)
         for k, v in trained.as_dict().items():
             out[f"du_train.{variant}.{k}"] = v
-        out[f"du_train.{variant}.history"] = np.array(
-            [(h["loss"], h["val_psnr"]) for h in history])
-        out[f"du_train.{variant}.iters"] = steps
+        out[f"du_train.{variant}.history"] = _history(history)
     cfg = training.PretrainConfig(epochs=3, lr=1e-3, batch_size=2, hidden=16,
                                   val_fraction=0.0)
-    den, history = training.pretrain(pairs, cfg)
+    (den, history), out["pretrain.iters"] = _logged(cfg, training.pretrain,
+                                                    pairs, cfg)
     for i, (w, b) in enumerate(zip(den.weights, den.biases), start=1):
         out[f"pretrain.layer{i}.weight"] = w
         out[f"pretrain.layer{i}.bias"] = b
-    out["pretrain.loss"] = np.array([h["loss"] for h in history])
+    out["pretrain.history"] = _history(history)
     learned, history = dictionary.ksvd(noisy.data.reshape(31, -1), M=64, s=3,
                                        sweeps=2)
     out["ksvd.atoms"] = learned.atoms
@@ -134,16 +133,28 @@ def dump(path):
     print(f"{len(out)} arrays written to {path}")
 
 
-def _logged(train, pairs, D, params, cfg):
-    """Run ``train`` with a temporary JSONL log; returns (trained params,
-    history, an int array of each step's (fwd_iters, bwd_iters))."""
+STEP_COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged",
+               "adj_nonconverged")
+
+
+def _logged(cfg, train, *args):
+    """Run ``train(*args)`` with ``cfg.log_path`` a temporary JSONL file;
+    returns (its result, an int array of each step's ``STEP_COUNTS``)."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg.log_path = str(Path(tmp) / "train.jsonl")
-        trained, history, _ = train(pairs, D, params, cfg)
+        result = train(*args)
         steps = [json.loads(line) for line in
                  Path(cfg.log_path).read_text(encoding="utf-8").splitlines()]
-    return trained, history, np.array(
-        [(r["fwd_iters"], r["bwd_iters"]) for r in steps], dtype=np.int64)
+    return result, np.array([[r[k] for k in STEP_COUNTS] for r in steps],
+                            dtype=np.int64).reshape(-1, len(STEP_COUNTS))
+
+
+def _history(history) -> np.ndarray:
+    """Each epoch's (loss, val_psnr or NaN without a validation split,
+    skipped, fwd_nonconverged, adj_nonconverged)."""
+    return np.array([(h["loss"], np.nan if h["val_psnr"] is None
+                      else h["val_psnr"], h["skipped"], h["fwd_nonconverged"],
+                      h["adj_nonconverged"]) for h in history])
 
 
 def _conv_outputs() -> dict:
@@ -166,7 +177,8 @@ def compare(path_a, path_b) -> int:
     if set(a.files) != set(b.files):
         print("key sets differ:", sorted(set(a.files) ^ set(b.files)))
         return 2
-    differ = [k for k in sorted(a.files) if not np.array_equal(a[k], b[k])]
+    differ = [k for k in sorted(a.files)
+              if not np.array_equal(a[k], b[k], equal_nan=True)]
     for k in differ:
         print(f"differs: {k}  max rel diff {max_rel_diff(a[k], b[k]):.3g}")
     print(f"{len(a.files) - len(differ)} of {len(a.files)} arrays equal")
