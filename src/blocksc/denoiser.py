@@ -9,18 +9,16 @@ bound the conv: operator norms measured 1.39-1.72 per layer, so the
 network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
-Which pass runs in which precision.  ``denoise`` keeps no activations
-and runs in its weights' dtype, as does ``DenoiserLinearization.transpose``.
-``denoise_linearize`` runs the same forward keeping the layer inputs for
-the reverse sweeps; it and ``denoise_vjp`` form the parameter gradients,
-on float64 weights.  Every other network pass runs on a ``float32_params``
-copy: inference (the map, Anderson and the Cholesky solve stay float64),
-the DEQ training forward solve, the DEQ adjoint's transposed products (at
-the masks of the float64 linearization at g*) and the DU training forward
-trace, so DU differentiates the float64 map at points the float32 forward
-made.  Each training copy is dropped after its pass, so none is alive at
-a parameter VJP; validation runs float64.  Float32 rounding (about 6e-8)
-sits far below the tol 1e-4 stop of either DEQ solve.
+Which pass runs in which precision.  Every network pass runs in its
+weights' dtype and returns its inputs' dtype.  Inference, the DEQ training
+forward solve and the DEQ adjoint's transposed products run on a
+``float32_params`` copy, DU training each block's forward trace and
+backward on one copy; the map's GEMMs, Anderson, the Cholesky solve, the
+gradient sums and Adam stay float64.  Only DEQ's linearization at g* and
+its parameter VJP keep the float64 weights: in float32 they moved a
+near-zero trained weight by 2.6e-6 relative, past the rtol 1e-6 that DEQ
+training is held to.  Pretraining and validation run float64.  Float32
+rounding (about 6e-8) sits far below either DEQ solve's tol 1e-4.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -203,14 +201,15 @@ class DenoiserLinearization:
 def denoise_linearize(params: DenoiserParams,
                       block: np.ndarray) -> DenoiserLinearization:
     """Run ``denoise`` once, keeping what its reverse sweeps reuse."""
-    h = _as_image(block)
+    h = _as_image(block).astype(params.weights[0].dtype, copy=False)
     inputs = []
     for i in range(4):
         inputs.append(h)
         h = conv2d(h, params.weights[i], params.biases[i])
         if i < 3:
             h = relu(h)
-    return DenoiserLinearization(params, inputs, h.reshape(block.shape))
+    return DenoiserLinearization(
+        params, inputs, h.reshape(block.shape).astype(block.dtype, copy=False))
 
 
 def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
@@ -218,22 +217,24 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
 
     Pass ``lin``, the ``denoise_linearize`` of the same block, to reuse
-    its forward.  The spectral-normalization constant is treated as a
-    constant here; gradients are w.r.t. the stored (already normalized)
-    weights.
+    its forward.  Runs in the weights' dtype and returns the cotangent's.
+    The spectral-normalization constant is treated as a constant here;
+    gradients are w.r.t. the stored (already normalized) weights.
     """
     if lin is None:
         lin = denoise_linearize(params, block)
     grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
                           for kind in ("weight", "bias"))
-    c = cot.reshape(lin.inputs[0].shape)
+    c = cot.reshape(lin.inputs[0].shape).astype(params.weights[0].dtype,
+                                                 copy=False)
     for i in reversed(range(4)):
         if i < 3:
             c = c * (lin.inputs[i + 1] > 0.0)
         c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i], c)
         grads[f"denoiser.layer{i + 1}.weight"] = cw
         grads[f"denoiser.layer{i + 1}.bias"] = cb
-    return c.reshape(cot.shape), grads
+    return c.reshape(cot.shape).astype(cot.dtype, copy=False), {
+        k: g.astype(cot.dtype, copy=False) for k, g in grads.items()}
 
 
 def estimated_spectral_norms(params: DenoiserParams) -> list:

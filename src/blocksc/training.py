@@ -146,9 +146,11 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     raises ``FloatingPointError`` or ``DivergenceError`` or gives a
     non-finite loss or gradient; a validation block that raises either
     scores NaN.  Each step averages loss and gradients over the blocks it
-    kept and logs one JSONL record with the sums of their counts.  Each
-    epoch's history row holds the mean loss of its records (NaN for none),
-    their summed ``*_nonconverged`` counts, the blocks skipped and
+    kept and logs one JSONL record with the sums of their counts and the
+    number of blocks it ``skipped``; a step that kept none takes no
+    optimizer step and logs ``loss`` and ``grad_norm`` null.  Each epoch's
+    history row holds the mean loss of its records that kept a block (NaN
+    for none), their summed ``skipped`` and ``*_nonconverged`` counts and
     ``val_psnr``, the mean validation block PSNR.  Returns (best params,
     history, optimizer): the params of the epoch with the highest
     ``val_psnr``, or of the last epoch when the validation split is empty.
@@ -172,11 +174,11 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     history = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = _epoch_order(len(train), cfg.seed, epoch)
-        records, skipped = [], 0
+        records = []
         for start in range(0, len(train), cfg.batch_size):
             batch = [train[i] for i in order[start:start + cfg.batch_size]]
             t0 = time.perf_counter()
-            step = Counter(dict.fromkeys(("loss",) + COUNTS, 0))
+            step = Counter(dict.fromkeys(("loss", "skipped") + COUNTS, 0))
             kept, grads = 0, None
             for noisy, clean in batch:
                 try:
@@ -185,7 +187,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                     loss, g = math.nan, {}
                 if not np.isfinite(loss) or any(
                         not np.all(np.isfinite(v)) for v in g.values()):
-                    skipped += 1
+                    step["skipped"] += 1
                     del g  # not held through the next block's gradient
                     continue
                 step.update(counts, loss=loss)
@@ -196,27 +198,29 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                     for k in g:
                         grads[k] += g[k] / len(batch)
                 del g
-            if grads is None:
-                continue
-            if kept < len(batch):  # average over the kept blocks only
-                grads = {k: v * (len(batch) / kept) for k, v in grads.items()}
-            adam.step(pdict, grads)
-            spectral_normalize(params.denoiser)
-            gnorm = float(np.sqrt(sum(float((g * g).sum())
-                                      for g in grads.values())))
+            loss = gnorm = None  # no block kept: no optimizer step
+            if kept:
+                if kept < len(batch):  # average over the kept blocks only
+                    grads = {k: v * (len(batch) / kept)
+                             for k, v in grads.items()}
+                adam.step(pdict, grads)
+                spectral_normalize(params.denoiser)
+                loss = step["loss"] / kept
+                gnorm = float(np.sqrt(sum(float((g * g).sum())
+                                          for g in grads.values())))
             records.append({
                 "engine": engine, "epoch": epoch, "step": adam.t, **step,
-                "loss": step["loss"] / kept, "grad_norm": gnorm,
+                "loss": loss, "grad_norm": gnorm,
                 "wall_ms": 1e3 * (time.perf_counter() - t0)})
             _append_jsonl(cfg.log_path, records[-1])
         psnr = float(np.mean([score(*pair) for pair in val])) if val else None
+        losses = [r["loss"] for r in records if r["loss"] is not None]
         history.append({
             "epoch": epoch,
-            "loss": (sum(r["loss"] for r in records) / len(records)
-                     if records else math.nan),
-            "val_psnr": psnr, "skipped": skipped,
-            **{k: sum(r[k] for r in records) for k in COUNTS
-               if k.endswith("_nonconverged")}})
+            "loss": sum(losses) / len(losses) if losses else math.nan,
+            "val_psnr": psnr,
+            **{k: sum(r[k] for r in records)
+               for k in ("skipped", "fwd_nonconverged", "adj_nonconverged")}})
         if psnr is None or psnr > best_psnr:  # NaN is never the best
             best_psnr, best = psnr, params.copy()
     return best, history, adam

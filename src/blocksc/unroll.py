@@ -57,9 +57,9 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
     Each layer's ``map_vjp`` re-linearizes the map on ``params`` at its
-    trace point, whichever network made the trace.  Returns (loss, grads
-    dict) with gradients for theta and the raw penalty scalars,
-    accumulated in place across all layers.
+    trace point, so ``params`` should be the network that made the trace.
+    Returns (loss, grads dict) with float64 gradients for theta and the raw
+    penalty scalars, summed in place across all layers.
     """
     resid = reconstruct(ctx, trace[-1]) - X
     loss = float((resid * resid).sum())
@@ -86,7 +86,7 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time.
 
-    Precision of each pass: see ``denoiser``.
+    Each block runs on its own ``float32_params`` copy: see ``denoiser``.
     """
 
     def context(noisy, params):
@@ -95,9 +95,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
         return make_context(D, params, noisy, support)
 
     def block_grad(noisy, clean, params):
-        ctx = context(noisy, params)
-        _, trace = du_forward(ctx, float32_params(params), cfg.unroll.K)
-        loss, grads = du_backward(ctx, trace, clean, params)
+        ctx, net = context(noisy, params), float32_params(params)
+        _, trace = du_forward(ctx, net, cfg.unroll.K)
+        loss, grads = du_backward(ctx, trace, clean, net)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}
 

@@ -132,6 +132,62 @@ class TestDenoiseDtype:
         assert np.array_equal(out, h.reshape(4, 25))
 
 
+class TestLinearizeVjpDtype:
+    """``denoise_linearize`` and ``denoise_vjp`` run in the weights' dtype
+    and return the block's and the cotangent's: ``out``, ``cot_block`` and
+    every gradient come back float64 from float32 weights, and the casts
+    change nothing on float64 weights."""
+
+    @staticmethod
+    def reference(params, block, cot):
+        """The float64 forward and reverse sweep, written out."""
+        inputs, h = [], block.reshape(4, 6, 6)
+        for i in range(4):
+            inputs.append(h)
+            h = T.conv2d(h, params.weights[i], params.biases[i])
+            h = np.maximum(h, 0.0) if i < 3 else h
+        grads, c = {}, cot.reshape(h.shape)
+        for i in reversed(range(4)):
+            if i < 3:
+                c = c * (inputs[i + 1] > 0.0)
+            c, cw, cb = T.conv2d_vjp(inputs[i], params.weights[i], c)
+            grads[f"denoiser.layer{i + 1}.weight"] = cw
+            grads[f"denoiser.layer{i + 1}.bias"] = cb
+        return h.reshape(block.shape), c.reshape(cot.shape), grads
+
+    @staticmethod
+    def pairs(params, case):
+        """(got, float64 reference) for ``out``, ``cot_block`` and each
+        gradient, ``params`` running the sweep on ``case``'s block."""
+        _, block, cot = case
+        lin = dn.denoise_linearize(params, block)
+        cot_block, grads = dn.denoise_vjp(params, block, cot, lin=lin)
+        out64, cot64, grads64 = TestLinearizeVjpDtype.reference(*case)
+        assert set(grads) == set(grads64)
+        return [(lin.out, out64), (cot_block, cot64)] + [
+            (grads[k], grads64[k]) for k in grads64]
+
+    @pytest.fixture
+    def case(self):
+        params = converge_normalization(tiny_params(d=4, hidden=12, seed=30))
+        block, cot = np.random.default_rng(30).normal(size=(2, 4, 36))
+        return params, block, cot
+
+    def test_float64_weights_equal_the_float64_sweep(self, case):
+        for got, want in self.pairs(case[0], case):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_float32_weights_return_float64(self, case):
+        p32 = dn.float32_params(
+            dn.ModelParams(case[0], dn.ScalarParams(0.0, 0.0))).denoiser
+        assert dn.denoise_linearize(p32, case[1]).inputs[0].dtype == np.float32
+        for got, want in self.pairs(p32, case):
+            assert got.dtype == np.float64
+            # float32 rounding, relative to the array's scale
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 class TestSpectralNormalize:
     def _unfolded_sigma(self, w):
         return np.linalg.svd(w.reshape(w.shape[0], -1), compute_uv=False)[0]

@@ -1,8 +1,9 @@
 """The shared training loop's contract with the engines.
 
 Each ``block_grad_fn`` reports counts under the log's own field names;
-``end_to_end_train`` sums them per optimizer step into one JSONL record,
-and each epoch's history row is built from that epoch's records.
+``end_to_end_train`` sums them per step into one JSONL record, a step
+that skipped every block included, and each epoch's history row is built
+from that epoch's records.
 """
 
 import json
@@ -44,14 +45,18 @@ def read_log(path):
 
 
 def assert_history_sums_records(history, records):
-    """Each history row is the mean loss and the summed non-converged
-    counts of its epoch's JSONL records."""
+    """Each history row is the mean loss of its epoch's JSONL records that
+    kept a block, and their summed skipped and non-converged counts."""
     assert {r["epoch"] for r in records} <= {h["epoch"] for h in history}
     for h in history:
         rows = [r for r in records if r["epoch"] == h["epoch"]]
         assert rows, h
-        assert h["loss"] == sum(r["loss"] for r in rows) / len(rows)
-        for key in ("fwd_nonconverged", "adj_nonconverged"):
+        losses = [r["loss"] for r in rows if r["loss"] is not None]
+        if losses:
+            assert h["loss"] == sum(losses) / len(losses)
+        else:
+            assert np.isnan(h["loss"])
+        for key in ("skipped", "fwd_nonconverged", "adj_nonconverged"):
             assert h[key] == sum(r[key] for r in rows), key
 
 
@@ -95,14 +100,17 @@ class TestStubEngine:
         # 7 pairs in batches of 3: steps of 3, 3 and 1 blocks per epoch
         steps = [calls[7 * epoch + a:7 * epoch + b] for epoch in range(2)
                  for a, b in ((0, 3), (3, 6), (6, 7))]
-        kept = [[i for i in step if i != 5] for step in steps]
-        kept_steps = [k for k in kept if k]  # an all-skipped step logs none
-        assert len(records) == len(kept_steps)
-        for rec, blocks in zip(records, kept_steps):
+        assert len(records) == len(steps)  # an all-skipped step too
+        for rec, step in zip(records, steps):
+            blocks = [i for i in step if i != 5]
+            assert rec["skipped"] == len(step) - len(blocks)
             for key in COUNTS:
                 assert rec[key] == sum(self.counts(i).get(key, 0)
                                        for i in blocks), key
-            assert rec["loss"] == sum(blocks) / len(blocks)
+            if blocks:
+                assert rec["loss"] == sum(blocks) / len(blocks)
+            else:  # no optimizer step
+                assert rec["loss"] is rec["grad_norm"] is None
         assert [h["skipped"] for h in history] == [1, 1]
         assert_history_sums_records(history, records)
         assert any(h["fwd_nonconverged"] and h["adj_nonconverged"]
@@ -110,8 +118,9 @@ class TestStubEngine:
 
     def test_records_keep_their_schema(self, tmp_path):
         _, history, records = self.run(tmp_path, epochs=1)
-        assert all(set(r) == {"engine", "epoch", "step", "loss", *COUNTS,
-                              "grad_norm", "wall_ms"} for r in records)
+        assert all(set(r) == {"engine", "epoch", "step", "loss", "skipped",
+                              *COUNTS, "grad_norm", "wall_ms"}
+                   for r in records)
         assert list(history[0]) == ["epoch", "loss", "val_psnr", "skipped",
                                     "fwd_nonconverged", "adj_nonconverged"]
 
@@ -137,6 +146,7 @@ class TestStubEngine:
         (record,) = read_log(log)
         assert history[0]["skipped"] == 2 and adam.t == 1
         assert record["fwd_iters"] == 1 and record["loss"] == 1.0
+        assert record["skipped"] == 2
 
     def test_a_divergent_validation_epoch_is_not_best(self):
         params0 = make_params()
@@ -218,6 +228,29 @@ class TestEngineRecords:
         # batches of 4 and 2 blocks, K = 3 layers each way
         assert [r["fwd_iters"] for r in records] == [12, 6] * 2
         assert [r["bwd_iters"] for r in records] == [12, 6] * 2
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_du_train_logs_every_skipped_step(self, tmp_path, variant):
+        D, pairs = dataset(5, count=6)
+        params0 = make_params(seed=5)
+        for w in params0.denoiser.weights:
+            w *= 1e80
+        log = tmp_path / "train.jsonl"
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=2, variant=variant),
+                               support_size=3, epochs=2, lr=1e-3,
+                               batch_size=4, val_fraction=0.0,
+                               log_path=str(log))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, history, adam = du.du_train(pairs, D, params0, cfg)
+        records = read_log(log)
+        assert adam.t == 0
+        # batches of 4 and 2 blocks, every block skipped: one record each
+        assert [(r["epoch"], r["skipped"]) for r in records] == [
+            (0, 4), (0, 2), (1, 4), (1, 2)]
+        assert all(r["step"] == 0 and r["loss"] is r["grad_norm"] is None
+                   and all(r[k] == 0 for k in COUNTS) for r in records)
+        assert [h["skipped"] for h in history] == [6, 6]
+        assert_history_sums_records(history, records)
 
     def test_pretrain_rows_carry_zero_counts(self, tmp_path):
         _, pairs = dataset(3, count=5)

@@ -5,8 +5,8 @@ from blocksc import solver as sv
 from blocksc import unroll as du
 from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.deq import deq_forward
-from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
-    spectral_normalize
+from blocksc.denoiser import ModelParams, ScalarParams, float32_params, \
+    init_denoiser, spectral_normalize
 from blocksc.dictionary import Dictionary, SupportSet, normalize_atoms
 
 
@@ -152,6 +152,17 @@ class TestDuBackward:
             fd = (lp - lm) / (2 * step)
             assert abs(g[idx] - fd) < 1e-5 * max(abs(fd), 1e-6)
 
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_float32_net_returns_float64_gradients(self, variant):
+        D, Y, X, params, ctx = instance(11, variant)
+        _, trace = du.du_forward(ctx, params, 3)
+        loss64, want = du.du_backward(ctx, trace, X, params)
+        loss, grads = du.du_backward(ctx, trace, X, float32_params(params))
+        assert loss == loss64 and set(grads) == set(want)
+        for k, g in grads.items():
+            assert g.dtype == np.float64, k
+            assert np.abs(g - want[k]).max() <= 1e-5 * np.abs(want[k]).max(), k
+
     def test_trace_memory_linear_in_K(self):
         D, Y, X, params, ctx = instance(10)
         sizes = {}
@@ -258,9 +269,10 @@ class TestDuTrain:
 
 
 class TestDuTrainPrecisionSplit:
-    """``du_train`` runs each block's forward trace on ``float32_params``'
-    copy and differentiates the float64 map at its trace points.  The
-    fixture is that of ``test_deq.TestTrainPrecisionSplit``."""
+    """``du_train`` runs each block's forward trace and its backward on one
+    ``float32_params`` copy; the gradients come back float64 for the layer
+    sums and Adam.  The fixture is that of
+    ``test_deq.TestTrainPrecisionSplit``."""
 
     @staticmethod
     def train(variant):
@@ -272,8 +284,8 @@ class TestDuTrainPrecisionSplit:
         return du.du_train(pairs, D, params0, cfg)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
-    def test_forward_convs_float32_backward_convs_float64(self, monkeypatch,
-                                                          conv_spy, variant):
+    def test_forward_and_backward_convs_float32(self, monkeypatch, conv_spy,
+                                                variant):
         seen, in_phase = conv_spy
         for name, label in (("du_forward", "forward"),
                             ("du_backward", "backward")):
@@ -281,12 +293,12 @@ class TestDuTrainPrecisionSplit:
         self.train(variant)
         assert seen[None] == []  # no validation split: no other pass
         fwd, bwd = seen["forward"], seen["backward"]
-        # K = 3 map applications per block and epoch (8), 4 layers each
-        assert len(fwd) == 4 * 3 * 8
-        assert {name for name, _ in fwd} == {"conv2d"}
-        assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)
-        assert {name for name, _ in bwd} == {"conv2d", "conv2d_vjp"}
-        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in bwd)
+        # K = 3 map applications per block and epoch (8), 4 layers each;
+        # the backward re-linearizes each one and sweeps it in reverse
+        assert [name for name, _ in fwd] == ["conv2d"] * (4 * 3 * 8)
+        assert sorted(name for name, _ in bwd) == (
+            ["conv2d"] * (4 * 3 * 8) + ["conv2d_vjp"] * (4 * 3 * 8))
+        assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd + bwd)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_matches_a_float64_forward(self, monkeypatch, variant):

@@ -17,9 +17,9 @@ epoch's whenever the loss falls every epoch); for each training run, its
 trained weights, each history row's ``loss``, ``val_psnr`` (NaN without a
 validation split), ``skipped``, ``fwd_nonconverged`` and ``adj_nonconverged``
 (``<run>.history``), and each step's ``fwd_iters``, ``bwd_iters``,
-``fwd_nonconverged`` and ``adj_nonconverged`` as read from a temporary
-``log_path`` JSONL (``<run>.iters``), so both levels of the training loop's
-count accumulator are compared; two ``ksvd`` sweeps on the 1600 spectra of
+``fwd_nonconverged``, ``adj_nonconverged`` and ``skipped`` as read from a
+temporary ``log_path`` JSONL (``<run>.iters``), so both levels of the
+training loop's count accumulator are compared; two ``ksvd`` sweeps on the 1600 spectra of
 that cube; and ``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on
 fixed 60x60 float32 and 20x20 float64 inputs, so a kernel change shows per
 op, the multi-strip transpose included.  ``compare`` prints each array that
@@ -134,7 +134,7 @@ def dump(path):
 
 
 STEP_COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged",
-               "adj_nonconverged")
+               "adj_nonconverged", "skipped")
 
 
 def _logged(cfg, train, *args):
