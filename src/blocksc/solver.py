@@ -159,16 +159,13 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     Returns (cot_G, grads) where grads carries the denoiser entries plus
     scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map
     has no mu dependence).  Pass ``lin``, the ``linearize_map`` at the
-    same G, to reuse its forward.
+    same G, to reuse its forward.  The scalar cotangents run first, so
+    their code-sized temporaries are dead before the network VJP's peak.
     """
     if lin is None:
         lin = linearize_map(ctx, G, params)
-    b, mu = ctx.b, params.scalars.mu
-    nout = lin.den.out
+    b, mu, nout = ctx.b, params.scalars.mu, lin.den.out
     DW = ctx.P.T @ cot  # D A^-1 cot, A being symmetric
-    cot_T, grads = denoise_vjp(params.denoiser, lin.T, b * DW, lin=lin.den)
-    cot_G = ctx.D.T @ cot_T
-
     # b enters the matrix (1+b) D^T D [+ I] and every rhs term
     G_next = ctx.c0 + b * (ctx.P @ nout)
     cot_b_rhs = float((DW * nout).sum())
@@ -178,12 +175,20 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         W = ctx.Ainv @ cot
         S = soft_threshold(G, tau)
         G_next += b * (ctx.Ainv @ S)
-        cot_S_x, cot_tau = soft_threshold_vjp(G, tau, b * W)
-        cot_G = cot_S_x + cot_G
+        cot_tau = soft_threshold_vjp(G, tau, b * W)[1]
         cot_b_rhs = float((W * S).sum()) + cot_b_rhs
         cot_b_tau = cot_tau * (-mu / (b * b))
         cot_mu = cot_tau / b
+        del W, S
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
+    del G_next, nout
+    DW *= b  # the network's cotangent b D W, formed in place
+    cot_T, grads = denoise_vjp(params.denoiser, lin.T, DW, lin=lin.den)
+    mask = lin.mask
+    del lin, DW  # a linearization made here dies before the code cotangent
+    cot_G = ctx.D.T @ cot_T
+    if mask is not None:  # the shrinkage branch's b A^-1 cot, formed again
+        cot_G = (b * (ctx.Ainv @ cot)) * mask + cot_G
 
     chain_b, chain_mu = params.scalars.grad_chain()
     grads["scalars.raw_b"] = np.float64(cot_b * chain_b)

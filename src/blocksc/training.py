@@ -153,7 +153,9 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     for none), their summed ``skipped`` and ``*_nonconverged`` counts and
     ``val_psnr``, the mean validation block PSNR.  Returns (best params,
     history, optimizer): the params of the epoch with the highest
-    ``val_psnr``, or of the last epoch when the validation split is empty.
+    ``val_psnr``, of the last epoch when the validation split is empty, or
+    a fresh copy of ``params0`` when every ``val_psnr`` is NaN.  Its block
+    solves see one parameter copy, plus the best epoch's once one scored.
     Raises ValueError for no pairs or a non-finite one.
     """
     data = _pair_matrices(pairs, engine)
@@ -169,8 +171,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
         except _DIVERGED:
             return math.nan
 
-    best = params.copy()
-    best_psnr = -np.inf
+    best, best_psnr = None, -np.inf  # no copy held until an epoch scores
     history = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         order = _epoch_order(len(train), cfg.seed, epoch)
@@ -222,8 +223,8 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
             **{k: sum(r[k] for r in records)
                for k in ("skipped", "fwd_nonconverged", "adj_nonconverged")}})
         if psnr is None or psnr > best_psnr:  # NaN is never the best
-            best_psnr, best = psnr, params.copy()
-    return best, history, adam
+            best_psnr, best = psnr, params if psnr is None else params.copy()
+    return params0.copy() if best is None else best, history, adam
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -6,8 +7,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from blocksc import solver as sv
-from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
-    spectral_normalize
+from blocksc.denoiser import ModelParams, ScalarParams, denoise_vjp, \
+    float32_params, init_denoiser, spectral_normalize
 from blocksc.dictionary import Dictionary, SupportSet, decorrelate_atoms, \
     normalize_atoms
 from blocksc.tensor import soft_threshold
@@ -435,3 +436,45 @@ class TestMapVjps:
         assert set(grads_lin) == set(grads)
         for k in grads:
             assert np.array_equal(grads_lin[k], grads[k]), k
+
+
+class TestMapVjpPeak:
+    """``map_vjp`` adds nothing to its network VJP's memory peak.
+
+    At these sizes (hidden 32 > M) the network's patch matrices set the
+    peak, as on the training workloads.  The scalar cotangents'
+    code-sized temporaries are dead before the VJP starts, and the VJP's
+    input cotangent b D W is scaled in place, not held beside D W."""
+
+    @staticmethod
+    def traced_peak(fn):
+        fn()  # untraced first: one-time lazy allocations stay out
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("net_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_adds_nothing_to_the_network_vjps_peak(self, mode, net_dtype):
+        rng = np.random.default_rng(21)
+        d, M, n = 16, 32, 12
+        D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
+        params = make_params(d, hidden=32, b=0.8, mu=0.05, seed=21)
+        support = (None if mode == "full"
+                   else SupportSet(np.sort(rng.choice(M, 10, replace=False))))
+        ctx = sv.make_context(D, params, rng.normal(size=(d, n * n)),
+                              support)
+        G = 0.1 * rng.normal(size=ctx.c0.shape)
+        cot = rng.normal(size=G.shape)
+        net = float32_params(params) if net_dtype == np.float32 else params
+
+        def network_alone():
+            lin = sv.linearize_map(ctx, G, net)
+            denoise_vjp(net.denoiser, lin.T, ctx.b * (ctx.P.T @ cot),
+                        lin=lin.den)
+
+        peak = self.traced_peak(lambda: sv.map_vjp(ctx, G, net, cot))
+        assert peak <= self.traced_peak(network_alone) + 4096

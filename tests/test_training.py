@@ -7,11 +7,13 @@ from that epoch's records.
 """
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from blocksc import deq as dq
+from blocksc import training
 from blocksc import unroll as du
 from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
@@ -179,6 +181,38 @@ class TestStubEngine:
         for k, v in best.as_dict().items():
             assert np.array_equal(v, want[k]), k
 
+    @pytest.mark.parametrize("split", ["empty", "all-NaN"])
+    def test_no_scoring_epoch_returns_a_fresh_copy_of_params0(self, split):
+        """With an empty split every block is skipped, so the last epoch's
+        params are ``params0``'s values; with an all-NaN split training
+        moves the params and no epoch is the best."""
+        params0 = make_params()
+        want = {k: v.copy() for k, v in params0.as_dict().items()}
+        pairs = [(np.full((6, 16), float(i)), np.zeros((6, 16)))
+                 for i in range(6)]
+
+        def block_grad(noisy, clean, params):
+            if split == "empty":
+                raise DivergenceError("stub divergence", iteration=1)
+            return 1.0, {k: np.ones(np.shape(v))
+                         for k, v in params.as_dict().items()}, {}
+
+        def infer(noisy, params):
+            raise DivergenceError("stub divergence", iteration=1)
+
+        cfg = EndToEndConfig(epochs=2, lr=1e-2, batch_size=3,
+                             val_fraction=0.0 if split == "empty" else 0.5)
+        best, history, adam = end_to_end_train(pairs, params0, cfg,
+                                               block_grad, infer, "stub")
+        assert adam.t == (0 if split == "empty" else 2)
+        psnrs = [h["val_psnr"] for h in history]
+        assert (psnrs == [None, None] if split == "empty"
+                else np.isnan(psnrs).all())
+        for k, v in params0.as_dict().items():
+            assert np.array_equal(v, want[k]), k  # params0 left unchanged
+            assert np.array_equal(best.as_dict()[k], v), k
+            assert not np.shares_memory(best.as_dict()[k], v), k
+
     @pytest.mark.parametrize("side", ["noisy", "clean"])
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_pair_is_named(self, side, value):
@@ -262,6 +296,52 @@ class TestEngineRecords:
         assert len(records) == 9
         assert all(r[key] == 0 for r in records for key in COUNTS)
         assert_history_sums_records(history, records)
+
+
+class TestParameterCopies:
+    """Through every block solve the loop holds one float64 parameter copy,
+    its working ``params``: none for the best epoch before an epoch has
+    scored, and none at all with an empty validation split."""
+
+    @staticmethod
+    def train(entry):
+        D, pairs = dataset(6, count=4)
+        common = dict(epochs=2, lr=1e-3, batch_size=2, val_fraction=0.0)
+        if entry == "deq_train":
+            cfg = dq.DeqTrainConfig(variant="fast", support_size=3, **common)
+            dq.deq_train(pairs, D, make_params(seed=6), cfg)
+        elif entry == "du_train":
+            cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=2),
+                                   support_size=3, **common)
+            du.du_train(pairs, D, make_params(seed=6), cfg)
+        else:
+            pretrain(pairs, PretrainConfig(hidden=4, **common))
+
+    @pytest.mark.parametrize("entry", ["deq_train", "du_train", "pretrain"])
+    def test_one_copy_lives_through_each_block_solve(self, monkeypatch,
+                                                     entry):
+        real_copy, real_loop = ModelParams.copy, training.end_to_end_train
+        copies, alive = [], []
+
+        def tracked_copy(params):
+            out = real_copy(params)
+            copies.append([weakref.ref(out), *map(
+                weakref.ref, out.denoiser.weights + out.denoiser.biases)])
+            return out
+
+        def loop(pairs, params0, cfg, block_grad_fn, *args, **kwargs):
+            def block_grad(noisy, clean, params):
+                alive.append(sum(any(ref() is not None for ref in refs)
+                                 for refs in copies))
+                return block_grad_fn(noisy, clean, params)
+            return real_loop(pairs, params0, cfg, block_grad, *args,
+                             **kwargs)
+
+        monkeypatch.setattr(ModelParams, "copy", tracked_copy)
+        for module in (training, dq, du):
+            monkeypatch.setattr(module, "end_to_end_train", loop)
+        self.train(entry)
+        assert alive == [1] * 8  # 4 blocks in each of 2 epochs
 
 
 class TestDivergentValidation:
