@@ -17,8 +17,9 @@ backward on one copy; the map's GEMMs, Anderson, the Cholesky solve, the
 gradient sums and Adam stay float64.  Only DEQ's linearization at g* and
 its parameter VJP keep the float64 weights: in float32 they moved a
 near-zero trained weight by 2.6e-6 relative, past the rtol 1e-6 that DEQ
-training is held to.  Pretraining and validation run float64.  Float32
-rounding (about 6e-8) sits far below either DEQ solve's tol 1e-4.
+training is held to.  Pretraining runs float64; the engines validate on
+the served float32 path with its shared N(0).  Float32 rounding (about
+6e-8) sits far below either DEQ solve's tol 1e-4.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.

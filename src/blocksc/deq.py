@@ -27,8 +27,7 @@ from .anderson import AndersonConfig, DivergenceError, FixedPointReport, \
 from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
-                     linearize_map, make_context, map_vjp, reconstruct,
-                     select_support)
+                     linearize_map, map_vjp, reconstruct)
 from .training import Adam, EndToEndConfig, end_to_end_train
 
 
@@ -87,6 +86,7 @@ class DeqTrainConfig(EndToEndConfig):
     variant: str = "full"  # or "fast"
     anderson: AndersonConfig = field(default_factory=AndersonConfig)
     support_size: int = 10
+    _POSITIVE = EndToEndConfig._POSITIVE + ("support_size",)
 
     def __post_init__(self):
         super().__post_init__()
@@ -98,17 +98,17 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
-    Precision of each pass: see ``denoiser``.  Returns (best params,
-    history, optimizer) so training can resume.
+    Validation scores the served ``pipeline.denoise_block``; precision: see
+    ``denoiser``.  Returns (best params, history, optimizer) to resume from.
     """
+    from .pipeline import ModelBundle, block_context, denoise_block
 
-    def context(noisy, params):
-        support = (select_support(noisy, D, cfg.support_size)
-                   if cfg.variant == "fast" else None)
-        return make_context(D, params, noisy, support)
+    def bundle(params):  # the served model at the live params
+        return ModelBundle(D, params, "deq", cfg.variant, anderson=cfg.anderson,
+                           support_size=cfg.support_size)
 
     def block_grad(noisy, clean, params):
-        ctx = context(noisy, params)
+        ctx = block_context(bundle(params), noisy)
         fwd = deq_forward(ctx, float32_params(params), cfg.anderson)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson, float32_params(params))
@@ -117,11 +117,6 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
             "fwd_nonconverged": int(not fwd.converged),
             "adj_nonconverged": int(not bwd.converged)}
 
-    def infer(noisy, params):
-        ctx = context(noisy, params)
-        fwd = deq_forward(ctx, params, cfg.anderson)
-        return reconstruct(ctx, fwd.solution)
-
-    return end_to_end_train(pairs, params0, cfg, block_grad, infer,
-                            engine=f"deq-{cfg.variant}", adam=adam,
-                            start_epoch=start_epoch)
+    return end_to_end_train(pairs, params0, cfg, block_grad,
+                            lambda Y, p: denoise_block(bundle(p), Y),
+                            f"deq-{cfg.variant}", adam, start_epoch)

@@ -7,8 +7,8 @@ through the DQC1 checkpoint container.  Its settings go to the file's
 a setting an older file lacks takes its default and any other meta key
 (``support_eps`` in older files, say) stays in ``bundle.meta``.
 
-Each block is solved on its own context; an iteration-budget argument
-reads several budgets off one solve.  Which pass runs in which precision:
+``block_context``, the one context builder, serves ``denoise_block`` and
+both trainers; one solve serves several iteration budgets.  Precision:
 see ``denoiser``.  Every block's solve starts from the zero code, so its
 first map step needs the network's output on an all-zero block, N(0),
 which depends only on the weights and the block size: ``denoise_cube``
@@ -33,7 +33,7 @@ from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise, \
     float32_params
 from .deq import deq_forward
 from .dictionary import Dictionary
-from .solver import make_context, reconstruct, select_support
+from .solver import SolverContext, make_context, reconstruct, select_support
 from .unroll import du_forward
 
 
@@ -77,6 +77,13 @@ def _inference_network(params: ModelParams, shape) -> tuple:
     return net, denoise(net.denoiser, np.zeros(shape, np.float32))
 
 
+def block_context(bundle: ModelBundle, Y: np.ndarray) -> SolverContext:
+    """Block Y's solve context: the fast map on Y's OMP support, or full."""
+    support = (select_support(Y, bundle.dictionary, bundle.support_size)
+               if bundle.variant == "fast" else None)
+    return make_context(bundle.dictionary, bundle.params, Y, support)
+
+
 def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
                   network=None):
     """Solve one block and return the reconstructed d x N estimate.
@@ -90,9 +97,7 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
     if budgets is not None:
         budgets = _check_budgets(budgets)
     params, n0 = network or _inference_network(bundle.params, np.shape(Y))
-    support = (select_support(Y, bundle.dictionary, bundle.support_size)
-               if bundle.variant == "fast" else None)
-    ctx = make_context(bundle.dictionary, params, Y, support)
+    ctx = block_context(bundle, Y)
     if bundle.engine == "du":
         G, trace = du_forward(ctx, params,
                               budgets[-1] if budgets else bundle.K, n0)

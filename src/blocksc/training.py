@@ -122,11 +122,11 @@ class EndToEndConfig:
     seed: int = 0
     val_fraction: float = 0.1
     log_path: str | None = None
+    _POSITIVE = ("epochs", "batch_size")  # must be >= 1; subclasses add more
 
     def __post_init__(self):  # val_fraction 1 would leave nothing to train
         for name, ok, want in (
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
+                *((n, getattr(self, n) >= 1, ">= 1") for n in self._POSITIVE),
                 ("lr", 0 <= self.lr < math.inf, ">= 0 and finite"),
                 ("val_fraction", 0 <= self.val_fraction < 1, "in [0, 1)")):
             if not ok:  # also for NaN, which fails every comparison

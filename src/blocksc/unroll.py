@@ -17,8 +17,8 @@ import numpy as np
 from .anderson import DivergenceError
 from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
-from .solver import (SolverContext, initial_codes, iteration_map,
-                     make_context, map_vjp, reconstruct, select_support)
+from .solver import SolverContext, initial_codes, iteration_map, map_vjp, \
+    reconstruct
 from .training import Adam, EndToEndConfig, end_to_end_train
 
 
@@ -80,32 +80,29 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
 class DuTrainConfig(EndToEndConfig):
     unroll: UnrollConfig = field(default_factory=UnrollConfig)
     support_size: int = 10
+    _POSITIVE = EndToEndConfig._POSITIVE + ("support_size",)
 
 
 def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time.
 
-    Each block runs on its own ``float32_params`` copy: see ``denoiser``.
+    Each block trains on its own ``float32_params`` copy (see ``denoiser``);
+    validation scores the served ``pipeline.denoise_block``.
     """
+    from .pipeline import ModelBundle, block_context, denoise_block
 
-    def context(noisy, params):
-        support = (select_support(noisy, D, cfg.support_size)
-                   if cfg.unroll.variant == "fast" else None)
-        return make_context(D, params, noisy, support)
+    def bundle(params):  # the served model at the live params
+        return ModelBundle(D, params, "du", cfg.unroll.variant, K=cfg.unroll.K,
+                           support_size=cfg.support_size)
 
     def block_grad(noisy, clean, params):
-        ctx, net = context(noisy, params), float32_params(params)
+        ctx, net = block_context(bundle(params), noisy), float32_params(params)
         _, trace = du_forward(ctx, net, cfg.unroll.K)
         loss, grads = du_backward(ctx, trace, clean, net)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}
 
-    def infer(noisy, params):
-        ctx = context(noisy, params)
-        G_K, _ = du_forward(ctx, params, cfg.unroll.K)
-        return reconstruct(ctx, G_K)
-
-    return end_to_end_train(pairs, params0, cfg, block_grad, infer,
-                            engine=f"du-{cfg.unroll.variant}", adam=adam,
-                            start_epoch=start_epoch)
+    return end_to_end_train(pairs, params0, cfg, block_grad,
+                            lambda Y, p: denoise_block(bundle(p), Y),
+                            f"du-{cfg.unroll.variant}", adam, start_epoch)

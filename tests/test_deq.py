@@ -12,7 +12,7 @@ from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
     spectral_normalize
 from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.training import EndToEndConfig, PretrainConfig, pretrain
-from blocksc.unroll import DuTrainConfig, du_train
+from blocksc.unroll import DuTrainConfig, UnrollConfig, du_train
 
 
 def make_params(d, hidden=3, b=0.6, mu=0.15, seed=0, zero_net=False):
@@ -354,7 +354,9 @@ class TestDeqTrain:
         assert history[0]["loss"] == survivor["loss"]
 
     def test_val_psnr_is_mean_block_psnr(self):
+        # validation scores the served path: float32 network, shared N(0)
         from blocksc.metrics import block_psnr
+        from blocksc.pipeline import ModelBundle, denoise_block
         from blocksc.training import split_validation
         D, pairs = micro_dataset(13, count=6)
         params = make_params(6, hidden=4, seed=13)
@@ -363,8 +365,9 @@ class TestDeqTrain:
         assert len(val) == 3
 
         def infer(noisy, p):
-            ctx = sv.make_context(D, p, noisy, sv.select_support(noisy, D, 3))
-            return sv.reconstruct(ctx, dq.deq_forward(ctx, p, anderson).solution)
+            bundle = ModelBundle(D, p, "deq", "fast", anderson=anderson,
+                                 support_size=3)
+            return denoise_block(bundle, noisy)
 
         # one epoch per run, so the returned params are the ones validated
         adam = None
@@ -437,6 +440,17 @@ class TestTrainConfig:
     def test_bad_field_is_named(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_support_size_below_one_is_named(self, engine, variant):
+        # refused at construction, not at the first block's OMP or bundle
+        with pytest.raises(ValueError, match="^support_size must be >= 1"):
+            if engine == "deq":
+                dq.DeqTrainConfig(variant=variant, support_size=0)
+            else:
+                DuTrainConfig(unroll=UnrollConfig(variant=variant),
+                              support_size=0)
 
     @pytest.mark.parametrize("entry", ["deq_train", "du_train", "pretrain"])
     def test_no_pairs_is_refused(self, entry):

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,14 +27,57 @@ def test_console_scripts_resolve():
 def test_every_traced_probe_resolves_a_binding(monkeypatch):
     # the traced benchmark run reports a probe whose bindings are all gone
     # as missing and blanks its metrics; catch a refactor that drops one
+    tracer = _load_tracer(monkeypatch)
+    missing = [name for name, (bindings, _) in tracer.PROBES.items()
+               if not any(tracer._resolve(b) for b in bindings)]
+    assert not missing
+
+
+def _load_tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
-    missing = [name for name, (bindings, _) in tracer.PROBES.items()
-               if not any(tracer._resolve(b) for b in bindings)]
-    assert not missing
+    return tracer
+
+
+def test_traced_run_sees_every_context_build(monkeypatch):
+    # the tracer binds the context builders by module; a builder moved to a
+    # module it does not bind would leave these counts short, which the
+    # binding test above cannot see
+    import numpy as np
+
+    from blocksc import deq, pipeline, unroll
+    from blocksc.anderson import AndersonConfig
+    from blocksc.cubes import HyperCube
+    from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser
+    from blocksc.dictionary import Dictionary, normalize_atoms
+
+    rng = np.random.default_rng(0)
+    D = Dictionary(normalize_atoms(rng.normal(size=(4, 8))))
+    params = ModelParams(init_denoiser(4, hidden=3, seed=0),
+                         ScalarParams.from_values(0.8, 0.05))
+    pairs = [(rng.normal(size=(4, 16)), rng.normal(size=(4, 16)))
+             for _ in range(4)]
+    anderson = AndersonConfig(m=3, max_iters=4, tol=1e-6)
+    cube = HyperCube(rng.normal(size=(4, 8, 8)))  # four 4x4 blocks
+    tracer = _load_tracer(monkeypatch)
+    with tracer.tracing() as trace:
+        deq.deq_train(pairs, D, params, deq.DeqTrainConfig(
+            variant="fast", anderson=anderson, support_size=2, epochs=1,
+            batch_size=2, val_fraction=0.5))
+        unroll.du_train(pairs, D, params, unroll.DuTrainConfig(
+            unroll=unroll.UnrollConfig(K=2, variant="fast"), support_size=2,
+            epochs=1, batch_size=2, val_fraction=0.5))
+        pipeline.denoise_cube(pipeline.ModelBundle(
+            D, params, n=4, anderson=anderson, support_size=2), cube)
+    assert not tracer.still_wrapped()
+    calls = Counter(span.name for span in trace.spans)
+    # 2 training and 2 validation blocks per engine, and 4 cube blocks
+    assert calls["solver.select_support"] == 4 + 4 + 4
+    assert calls["solver.make_context"] == 4 + 4 + 4
+    assert calls["pipeline.denoise_block"] == 2 + 2 + 4
 
 
 _IMPORT_GRAPH = """

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blocksc import deq as dq
-from blocksc import training
+from blocksc import pipeline, training
 from blocksc import unroll as du
 from blocksc.anderson import AndersonConfig, DivergenceError
 from blocksc.denoiser import ModelParams, ScalarParams, init_denoiser, \
@@ -377,21 +377,20 @@ class TestDivergentValidation:
 
     @pytest.mark.parametrize("engine", ["deq", "du"])
     def test_a_finite_epoch_beats_a_diverged_one(self, monkeypatch, engine):
-        module, name = {"deq": (dq, "deq_forward"),
-                        "du": (du, "du_forward")}[engine]
-        real = getattr(module, name)
+        # validation solves through pipeline.denoise_block, so pipeline's
+        # binding of the engine's forward sees validation blocks only
+        name = {"deq": "deq_forward", "du": "du_forward"}[engine]
+        real = getattr(pipeline, name)
         validations = []
 
         def second_validation_diverges(ctx, params, *args, **kwargs):
-            # training solves run the float32 copy, validation float64
-            if params.denoiser.weights[0].dtype == np.float64:
-                validations.append(1)
-                if len(validations) > 2:
-                    raise DivergenceError("validation diverged", iteration=3)
+            validations.append(1)
+            if len(validations) > 2:
+                raise DivergenceError("validation diverged", iteration=3)
             return real(ctx, params, *args, **kwargs)
 
         one_epoch, first, _ = self.train(engine, make_params(seed=4), 1)
-        monkeypatch.setattr(module, name, second_validation_diverges)
+        monkeypatch.setattr(pipeline, name, second_validation_diverges)
         best, history, _ = self.train(engine, make_params(seed=4), 2)
         assert len(validations) == 4
         assert history[0]["val_psnr"] == first[0]["val_psnr"]
@@ -399,3 +398,32 @@ class TestDivergentValidation:
         for k, v in one_epoch.as_dict().items():
             assert np.array_equal(best.as_dict()[k], v), k
 
+
+@pytest.mark.parametrize("engine", ["deq", "du"])
+def test_a_saved_bundle_scores_the_same_val_psnr(tmp_path, engine):
+    # val_psnr measures what a bundle written after training serves
+    from blocksc.metrics import block_psnr
+    D, pairs = dataset(5, count=4)
+    if engine == "deq":
+        anderson = AndersonConfig(m=5, max_iters=10, tol=1e-6)
+        cfg = dq.DeqTrainConfig(variant="full", anderson=anderson, epochs=1,
+                                lr=1e-3, batch_size=2, val_fraction=0.5)
+        params, history, adam = dq.deq_train(pairs, D, make_params(seed=5),
+                                             cfg)
+        bundle = pipeline.ModelBundle(D, params, "deq", "full",
+                                      anderson=anderson)
+    else:
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=2, variant="full"),
+                               epochs=1, lr=1e-3, batch_size=2,
+                               val_fraction=0.5)
+        params, history, adam = du.du_train(pairs, D, make_params(seed=5),
+                                            cfg)
+        bundle = pipeline.ModelBundle(D, params, "du", "full", K=2)
+    path = tmp_path / "model.dqc"
+    pipeline.save_model_bundle(path, bundle, adam.state_entries())
+    loaded, _ = pipeline.load_model_bundle(path)
+    _, val = training.split_validation(pairs, 0.5, cfg.seed)
+    assert len(val) == 2
+    served = np.mean([block_psnr(pipeline.denoise_block(loaded, noisy), clean)
+                      for noisy, clean in val])
+    assert history[0]["val_psnr"] == served

@@ -221,6 +221,29 @@ class TestDuTrain:
         assert history[0]["fwd_nonconverged"] == 0
         assert history[0]["adj_nonconverged"] == 0
 
+    def test_val_psnr_is_mean_block_psnr(self):
+        # validation scores the served path: float32 network, shared N(0)
+        from blocksc.metrics import block_psnr
+        from blocksc.pipeline import ModelBundle, denoise_block
+        from blocksc.training import split_validation
+        D, pairs = self._dataset(seed=3, count=6)
+        params = make_params(6, hidden=4, seed=17)
+        _, val = split_validation(pairs, 0.5, 0)
+        assert len(val) == 3
+
+        # one epoch per run, so the returned params are the ones validated
+        adam = None
+        for epoch in range(2):
+            cfg = du.DuTrainConfig(
+                unroll=du.UnrollConfig(K=3, variant="fast"), support_size=3,
+                epochs=1, lr=1e-3, batch_size=2, seed=0, val_fraction=0.5)
+            params, history, adam = du.du_train(pairs, D, params, cfg,
+                                                adam=adam, start_epoch=epoch)
+            bundle = ModelBundle(D, params, "du", "fast", K=3, support_size=3)
+            expected = np.mean([block_psnr(denoise_block(bundle, noisy), clean)
+                                for noisy, clean in val])
+            assert history[0]["val_psnr"] == expected
+
     def test_resume_is_bitwise_reproducible(self):
         D, pairs = self._dataset(count=6)
         params0 = make_params(6, hidden=4, seed=14)

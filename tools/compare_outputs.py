@@ -23,12 +23,13 @@ training loop's count accumulator are compared; two ``ksvd`` sweeps on the 1600 
 that cube; and ``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on
 fixed 60x60 float32 and 20x20 float64 inputs, so a kernel change shows per
 op, the multi-strip transpose included.  ``compare`` prints each array that
-differs with its max relative difference ``max|a - b| / max|b|``, then
-whether the iteration counts (the ``anderson.*`` and ``*.iters`` arrays) are
-unchanged.  It exits 0 when both files hold the same keys with
-``np.array_equal`` values (NaN equal to NaN), 2 when the key
-sets or an iteration count differ, and 1 when only other arrays differ, as
-a change that moves results by rounding alone does.
+differs with its max relative difference ``max|a - b| / max|b|`` (for a
+``<run>.history`` array, also the name and max relative difference of each
+column that differs), then whether the iteration counts (the
+``anderson.*`` and ``*.iters`` arrays) are unchanged.  It exits 0 when both
+files hold the same keys with ``np.array_equal`` values (NaN equal to NaN),
+2 when the key sets or an iteration count differ, and 1 when only other
+arrays differ, as a change that moves results by rounding alone does.
 """
 
 from __future__ import annotations
@@ -149,12 +150,15 @@ def _logged(cfg, train, *args):
                             dtype=np.int64).reshape(-1, len(STEP_COUNTS))
 
 
+HISTORY_COLUMNS = ("loss", "val_psnr", "skipped", "fwd_nonconverged",
+                   "adj_nonconverged")
+
+
 def _history(history) -> np.ndarray:
-    """Each epoch's (loss, val_psnr or NaN without a validation split,
-    skipped, fwd_nonconverged, adj_nonconverged)."""
-    return np.array([(h["loss"], np.nan if h["val_psnr"] is None
-                      else h["val_psnr"], h["skipped"], h["fwd_nonconverged"],
-                      h["adj_nonconverged"]) for h in history])
+    """Each epoch's ``HISTORY_COLUMNS``; ``val_psnr`` is NaN without a
+    validation split."""
+    return np.array([[np.nan if h[c] is None else h[c]
+                      for c in HISTORY_COLUMNS] for h in history])
 
 
 def _conv_outputs() -> dict:
@@ -180,7 +184,8 @@ def compare(path_a, path_b) -> int:
     differ = [k for k in sorted(a.files)
               if not np.array_equal(a[k], b[k], equal_nan=True)]
     for k in differ:
-        print(f"differs: {k}  max rel diff {max_rel_diff(a[k], b[k]):.3g}")
+        print(f"differs: {k}  max rel diff {max_rel_diff(a[k], b[k]):.3g}"
+              + _history_columns(k, a[k], b[k]))
     print(f"{len(a.files) - len(differ)} of {len(a.files)} arrays equal")
     counts = [k for k in a.files if k.startswith("anderson.")
               or k.endswith(".iters")]
@@ -188,6 +193,18 @@ def compare(path_a, path_b) -> int:
     print(f"iteration counts: {len(counts) - len(moved)} of {len(counts)} "
           f"arrays unchanged" + (f"; changed: {moved}" if moved else ""))
     return 2 if moved else 1 if differ else 0
+
+
+def _history_columns(key, x, ref) -> str:
+    """For a ``<run>.history`` array, each differing column's name and max
+    relative difference; empty for any other array or a changed shape."""
+    if (not key.endswith(".history") or x.shape != ref.shape
+            or x.ndim != 2 or x.shape[1] != len(HISTORY_COLUMNS)):
+        return ""
+    return "  columns: " + ", ".join(
+        f"{name} {max_rel_diff(u, v):.3g}"
+        for name, u, v in zip(HISTORY_COLUMNS, x.T, ref.T)
+        if not np.array_equal(u, v, equal_nan=True))
 
 
 def max_rel_diff(x, ref) -> float:
