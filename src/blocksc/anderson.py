@@ -71,8 +71,8 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
 
     ``callback(k, g)`` is invoked after every update with the iterate so
     callers can log per-iteration quality.  ``f0``, when given, is f(g0)
-    and takes the place of the first call.  Raises DivergenceError on a
-    non-finite iterate.
+    and takes the place of the first call.  No ``f(g)`` is held past its
+    iteration.  Raises DivergenceError on a non-finite iterate.
     """
     g = np.asarray(g0, dtype=np.float64)
     shape = g.shape
@@ -110,6 +110,7 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
                 alpha = w / w.sum()
                 mix = alpha @ X[:c] + cfg.beta * (alpha @ U[:c])
                 g_next = mix.reshape(shape)
+        del fg  # dead before the next map call, unless it is g_next
         res = _rel_residual(g, g_next)
         residuals.append(res)
         g = g_next

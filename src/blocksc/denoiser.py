@@ -10,16 +10,17 @@ network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
 Which pass runs in which precision.  Every network pass runs in its
-weights' dtype and returns its inputs' dtype.  Inference, the DEQ training
-forward solve and the DEQ adjoint's transposed products run on a
-``float32_params`` copy, DU training each block's forward trace and
-backward on one copy; the map's GEMMs, Anderson, the Cholesky solve, the
-gradient sums and Adam stay float64.  Only DEQ's linearization at g* and
-its parameter VJP keep the float64 weights: in float32 they moved a
-near-zero trained weight by 2.6e-6 relative, past the rtol 1e-6 that DEQ
-training is held to.  Pretraining runs float64; the engines validate on
-the served float32 path with its shared N(0).  Float32 rounding (about
-6e-8) sits far below either DEQ solve's tol 1e-4.
+weights' dtype and returns its inputs' dtype.  Inference runs on a
+``float32_params`` copy, and so does each training block: DU's forward
+trace and backward, DEQ's forward solve, linearization at g* and adjoint
+products; the map's GEMMs, Anderson, the Cholesky solve, the gradient sums
+and Adam stay float64.  Only DEQ's parameter VJP keeps the float64
+weights, reading the float32 linearization's layer inputs and masks: in
+float32 its input-cotangent chain moved a near-zero trained weight by
+2.6e-6 relative, past the rtol 1e-6 that DEQ training is held to.
+Pretraining runs float64; the engines validate on the served float32 path
+with its shared N(0).  Float32 rounding (about 6e-8) sits far below either
+DEQ solve's tol 1e-4.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -218,7 +219,9 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
 
     Pass ``lin``, the ``denoise_linearize`` of the same block, to reuse
-    its forward.  Runs in the weights' dtype and returns the cotangent's.
+    its forward (``block`` is then not read); its layer inputs are cast to
+    the weights' dtype, so a float32 ``lin`` serves float64 weights.  Runs
+    in the weights' dtype and returns the cotangent's.
     The spectral-normalization constant is treated as a constant here;
     gradients are w.r.t. the stored (already normalized) weights.
     """
@@ -231,7 +234,8 @@ def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
     for i in reversed(range(4)):
         if i < 3:
             c = c * (lin.inputs[i + 1] > 0.0)
-        c, cw, cb = conv2d_vjp(lin.inputs[i], params.weights[i], c)
+        w = params.weights[i]
+        c, cw, cb = conv2d_vjp(lin.inputs[i].astype(w.dtype, copy=False), w, c)
         grads[f"denoiser.layer{i + 1}.weight"] = cw
         grads[f"denoiser.layer{i + 1}.bias"] = cb
     return c.reshape(cot.shape).astype(cot.dtype, copy=False), {

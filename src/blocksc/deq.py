@@ -13,7 +13,8 @@ parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
 ``seed``.  The map is linearized once at g*, so each adjoint iteration is
 a transposed product on the cached denoiser state (no network forward, no
 parameter cotangents); the single parameter VJP after convergence reuses
-that state too.  Which pass runs in which precision: see ``denoiser``.
+that state too.  Training runs all but that VJP on one float32 copy of the
+network (see ``denoiser``).
 """
 
 from __future__ import annotations
@@ -48,30 +49,30 @@ def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
 
 def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
                  params: ModelParams, cfg: AndersonConfig,
-                 adjoint_net: ModelParams | None = None):
+                 net: ModelParams | None = None):
     """Implicit gradients of 0.5 ||D g* - x||^2 w.r.t. theta and (raw_b, raw_mu).
 
-    The map is linearized at g* on ``params``, and the parameter VJP runs
-    there too.  The adjoint's transposed products run on ``adjoint_net``'s
-    weights (``deq_train`` hands in ``float32_params(params)``), at the
-    masks of that linearization, or on ``params`` when it is None; no
-    reference to ``adjoint_net`` outlives the adjoint solve.  Returns
-    (grads dict, adjoint FixedPointReport).
+    The map is linearized at g* on ``net`` (``deq_train`` hands in the
+    block's ``float32_params`` copy), or on ``params`` when it is None, and
+    the adjoint's transposed products run on that linearization.  The
+    parameter VJP runs on ``params``' weights at the same linearization;
+    neither ``net``'s weights nor the adjoint's seed are alive there.
+    Returns (grads dict, adjoint FixedPointReport).
     """
     seed = ctx.D.T @ (ctx.D @ g_star - X)
-    lin = adj = linearize_map(ctx, g_star, params)
-    if adjoint_net is not None:
-        adj = replace(lin, den=replace(lin.den, params=adjoint_net.denoiser))
-        del adjoint_net
+    lin = linearize_map(ctx, g_star, params if net is None else net)
+    del net
     try:
-        report = anderson_solve(lambda gamma: adj(gamma) + seed,
+        report = anderson_solve(lambda gamma: lin(gamma) + seed,
                                 np.zeros_like(g_star), cfg, f0=seed)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
-    del adj  # the float32 weights are dead before the float64 VJP
+    del seed
+    # the VJP reads lin's layer inputs and masks; net's weights die here
+    lin = replace(lin, den=replace(lin.den, params=params.denoiser))
     _, grads = map_vjp(ctx, g_star, params, report.solution, lin=lin)
     return grads, report
 
@@ -98,8 +99,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
-    Validation scores the served ``pipeline.denoise_block``; precision: see
-    ``denoiser``.  Returns (best params, history, optimizer) to resume from.
+    Each block solves and runs its adjoint on one ``float32_params`` copy,
+    dead before the float64 parameter VJP (see ``denoiser``); validation
+    scores the served ``pipeline.denoise_block``.  Returns (best params,
+    history, optimizer) to resume from.
     """
     from .pipeline import ModelBundle, block_context, denoise_block
 
@@ -109,9 +112,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
 
     def block_grad(noisy, clean, params):
         ctx = block_context(bundle(params), noisy)
-        fwd = deq_forward(ctx, float32_params(params), cfg.anderson)
+        nets = [float32_params(params)]  # popped: dies in deq_backward
+        fwd = deq_forward(ctx, nets[0], cfg.anderson)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
-                                  cfg.anderson, float32_params(params))
+                                  cfg.anderson, nets.pop())
         return deq_loss(ctx, fwd.solution, clean), grads, {
             "fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
             "fwd_nonconverged": int(not fwd.converged),

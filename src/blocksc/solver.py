@@ -121,8 +121,8 @@ def iteration_map(ctx: SolverContext, G: np.ndarray, params: ModelParams,
 
 @dataclass
 class MapLinearization:
-    """The map linearized at codes G: T = D G, the shrinkage mask
-    |G| > mu/b (full mode only) and the denoiser linearization at T.
+    """The map linearized at codes G: the shrinkage mask |G| > mu/b (full
+    mode only) and the denoiser linearization at T = D G.
 
     Calling it gives the code cotangent alone; with W = A^-1 cot (formed
     on the full map only) and D W = P^T cot,
@@ -130,7 +130,6 @@ class MapLinearization:
     """
 
     ctx: SolverContext
-    T: np.ndarray
     mask: np.ndarray | None
     den: DenoiserLinearization
 
@@ -146,10 +145,10 @@ def linearize_map(ctx: SolverContext, G: np.ndarray,
                   params: ModelParams) -> MapLinearization:
     """Run the map's forward at G once, for repeated transposed products."""
     ctx.check(params)
-    T = ctx.D @ G
     mask = (np.abs(G) > params.scalars.mu / ctx.b
             if ctx.mode == "full" else None)
-    return MapLinearization(ctx, T, mask, denoise_linearize(params.denoiser, T))
+    return MapLinearization(ctx, mask,
+                            denoise_linearize(params.denoiser, ctx.D @ G))
 
 
 def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
@@ -159,8 +158,10 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     Returns (cot_G, grads) where grads carries the denoiser entries plus
     scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map
     has no mu dependence).  Pass ``lin``, the ``linearize_map`` at the
-    same G, to reuse its forward.  The scalar cotangents run first, so
-    their code-sized temporaries are dead before the network VJP's peak.
+    same G, to reuse its forward; it may be made on a ``float32_params``
+    copy of ``params``, whose weights the VJP still runs on.  The scalar
+    cotangents run first, so their code-sized temporaries are dead before
+    the network VJP's peak.
     """
     if lin is None:
         lin = linearize_map(ctx, G, params)
@@ -183,7 +184,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
     del G_next, nout
     DW *= b  # the network's cotangent b D W, formed in place
-    cot_T, grads = denoise_vjp(params.denoiser, lin.T, DW, lin=lin.den)
+    cot_T, grads = denoise_vjp(params.denoiser, None, DW, lin=lin.den)
     mask = lin.mask
     del lin, DW  # a linearization made here dies before the code cotangent
     cot_G = ctx.D.T @ cot_T

@@ -56,17 +56,21 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
                 params: ModelParams):
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
-    Each layer's ``map_vjp`` re-linearizes the map on ``params`` at its
-    trace point, so ``params`` should be the network that made the trace.
-    Returns (loss, grads dict) with float64 gradients for theta and the raw
-    penalty scalars, summed in place across all layers.
+    Consumes ``trace``, the list ``du_forward`` returned: each iterate is
+    popped when its layer runs, so the list is empty on return and no
+    iterate outlives its layer.  Each layer's ``map_vjp`` re-linearizes
+    the map on ``params`` at its trace point, so ``params`` should be the
+    network that made the trace.  Returns (loss, grads dict) with float64
+    gradients for theta and the raw penalty scalars, summed in place
+    across all layers.
     """
-    resid = reconstruct(ctx, trace[-1]) - X
+    resid = reconstruct(ctx, trace.pop()) - X
     loss = float((resid * resid).sum())
     cot = 2.0 * (ctx.D.T @ resid)
+    del resid
     grads = None
-    for k in range(len(trace) - 1, 0, -1):
-        cot, layer_grads = map_vjp(ctx, trace[k - 1], params, cot)
+    while trace:
+        cot, layer_grads = map_vjp(ctx, trace.pop(), params, cot)
         if grads is None:
             grads = layer_grads
         else:

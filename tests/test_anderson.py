@@ -1,4 +1,5 @@
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -220,3 +221,21 @@ class TestRingBuffers:
             assert np.array_equal(g, snapshot)
         assert report.solution is seen[-1]
         assert np.array_equal(report.solution, copies[-1])
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_previous_map_value_is_dead_at_the_next_call(self, m):
+        """From the third call on, f's previous output (a mixed step never
+        takes it as the iterate) is released before f runs again."""
+        f = smooth_contraction(6, seed=3)
+        outputs, alive = [], []
+
+        def traced(g):
+            alive.append([ref() is not None for ref in outputs])
+            out = f(g)
+            outputs.append(weakref.ref(out))
+            return out
+
+        cfg = AndersonConfig(m=m, max_iters=10, tol=0.0)
+        assert anderson_solve(traced, np.zeros((6, 3)), cfg).iterations == 10
+        for k in range(3, 11):  # call k sees the outputs of calls 1..k-1
+            assert not alive[k - 1][k - 2], k

@@ -466,9 +466,9 @@ class TestTrainConfig:
 
 
 class TestTrainPrecisionSplit:
-    """``deq_train`` runs each block's forward solve and adjoint products on
-    ``float32_params``' copies, and forms the parameter gradient (the
-    linearization at g* and its map VJP) on the float64 weights."""
+    """``deq_train`` runs each block's forward solve, its linearization at g*
+    and its adjoint products on one ``float32_params`` copy, and forms the
+    parameter VJP on the float64 weights."""
 
     @staticmethod
     def train(variant, log=None):
@@ -483,6 +483,7 @@ class TestTrainPrecisionSplit:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_forward_convs_float32_backward_convs_float64(self, monkeypatch,
                                                           conv_spy, variant):
+        """Of the backward's convs, only the parameter VJP's run float64."""
         seen, in_phase = conv_spy
         for name, label in (("deq_forward", "forward"),
                             ("deq_backward", "backward")):
@@ -495,10 +496,10 @@ class TestTrainPrecisionSplit:
         by_name = {name: [dtypes for n, dtypes in bwd if n == name]
                    for name in ("conv2d", "conv2d_transpose", "conv2d_vjp")}
         assert {name for name, _ in bwd} == set(by_name)
-        # one float64 linearization at g* per block and epoch (8), one
-        # float64 parameter VJP, and adjoint products in float32 only
+        # one float32 linearization at g* per block and epoch (8), adjoint
+        # products in float32, and one float64 parameter VJP
         assert len(by_name["conv2d"]) == len(by_name["conv2d_vjp"]) == 4 * 8
-        for name, dtype in (("conv2d", np.float64),
+        for name, dtype in (("conv2d", np.float32),
                             ("conv2d_transpose", np.float32),
                             ("conv2d_vjp", np.float64)):
             assert all(d == {np.dtype(dtype)} for d in by_name[name]), name
@@ -506,7 +507,7 @@ class TestTrainPrecisionSplit:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_float32_copy_is_dead_before_the_backward(self, monkeypatch,
                                                       variant):
-        """No float32 copy is alive at the parameter VJP."""
+        """One float32 copy per block, dead at the parameter VJP."""
         real_copy, real_vjp = dq.float32_params, dq.map_vjp
         copies, alive = [], []
 
@@ -524,9 +525,8 @@ class TestTrainPrecisionSplit:
         monkeypatch.setattr(dq, "float32_params", tracked_copy)
         monkeypatch.setattr(dq, "map_vjp", vjp)
         self.train(variant)
-        # one copy for the forward solve and one for the adjoint, per block
-        # and epoch, and one parameter VJP per block and epoch
-        assert len(copies) == 16 and len(alive) == 8
+        # one copy and one parameter VJP per block and epoch
+        assert len(copies) == len(alive) == 8
         assert not any(alive)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])

@@ -473,7 +473,7 @@ class TestMapVjpPeak:
 
         def network_alone():
             lin = sv.linearize_map(ctx, G, net)
-            denoise_vjp(net.denoiser, lin.T, ctx.b * (ctx.P.T @ cot),
+            denoise_vjp(net.denoiser, None, ctx.b * (ctx.P.T @ cot),
                         lin=lin.den)
 
         peak = self.traced_peak(lambda: sv.map_vjp(ctx, G, net, cot))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -156,12 +158,36 @@ class TestDuBackward:
     def test_float32_net_returns_float64_gradients(self, variant):
         D, Y, X, params, ctx = instance(11, variant)
         _, trace = du.du_forward(ctx, params, 3)
-        loss64, want = du.du_backward(ctx, trace, X, params)
+        loss64, want = du.du_backward(ctx, list(trace), X, params)
         loss, grads = du.du_backward(ctx, trace, X, float32_params(params))
         assert loss == loss64 and set(grads) == set(want)
         for k, g in grads.items():
             assert g.dtype == np.float64, k
             assert np.abs(g - want[k]).max() <= 1e-5 * np.abs(want[k]).max(), k
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_consumes_its_trace(self, monkeypatch, variant):
+        """The trace is emptied, each iterate is dead by the next layer's
+        ``map_vjp``, and the result is bit for bit a run's on copies."""
+        D, Y, X, params, ctx = instance(12, variant)
+        trace = du.du_forward(ctx, params, 4)[1]
+        want = du.du_backward(ctx, [g.copy() for g in trace], X, params)
+        refs, alive = [weakref.ref(g) for g in trace], []
+        real_vjp = du.map_vjp
+
+        def vjp(*args, **kwargs):
+            alive.append([k for k, ref in enumerate(refs)
+                          if ref() is not None])
+            return real_vjp(*args, **kwargs)
+
+        monkeypatch.setattr(du, "map_vjp", vjp)
+        loss, grads = du.du_backward(ctx, trace, X, params)
+        assert trace == []
+        # layer k reads iterate k - 1; iterates k..K are dead by then
+        assert alive == [list(range(k)) for k in range(4, 0, -1)]
+        assert loss == want[0] and set(grads) == set(want[1])
+        for k, g in grads.items():
+            assert np.array_equal(g, want[1][k]), k
 
     def test_trace_memory_linear_in_K(self):
         D, Y, X, params, ctx = instance(10)
