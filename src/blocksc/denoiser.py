@@ -15,7 +15,8 @@ weights' dtype and returns its inputs' dtype.  Inference runs on a
 trace and backward, DEQ's forward solve, linearization at g* and adjoint
 products; the map's GEMMs, Anderson, the Cholesky solve, the gradient sums
 and Adam stay float64.  Only DEQ's parameter VJP keeps the float64
-weights, reading the float32 linearization's layer inputs and masks: in
+weights, at the float32 linearization's layer inputs and masks (a
+linearization holds no weights; each reverse sweep takes them): in
 float32 its input-cotangent chain moved a near-zero trained weight by
 2.6e-6 relative, past the rtol 1e-6 that DEQ training is held to.
 Pretraining runs float64; the engines validate on the served float32 path
@@ -176,33 +177,33 @@ def denoise(params: DenoiserParams, block: np.ndarray) -> np.ndarray:
 class DenoiserLinearization:
     """The network linearized at one block, for reverse sweeps.
 
-    Keeps the four layer inputs as (c_in, n, n) images and the d x N
-    output; no patch matrices.  Layer i's ReLU mask is ``inputs[i + 1] > 0``:
-    relu(h) > 0 exactly where h > 0, NaN and -0.0 included.
+    Keeps activations only: the four layer inputs as (c_in, n, n) images
+    and the d x N output, no weights or patch matrices.  Layer i's ReLU
+    mask is ``inputs[i + 1] > 0``: relu(h) > 0 exactly where h > 0, NaN
+    and -0.0 included.
     """
 
-    params: DenoiserParams
     inputs: list
     out: np.ndarray
 
-    def transpose(self, cot: np.ndarray) -> np.ndarray:
+    def transpose(self, params: DenoiserParams, cot: np.ndarray) -> np.ndarray:
         """Block cotangent J^T cot, without parameter cotangents.
 
-        Runs in the dtype of the weights held, at this linearization's
+        Runs in the dtype of ``params``' weights, at this linearization's
         masks, and returns the cotangent's dtype, as ``denoise`` does.
         """
-        c = cot.reshape(self.inputs[0].shape).astype(
-            self.params.weights[0].dtype, copy=False)
+        c = cot.reshape(self.inputs[0].shape).astype(params.weights[0].dtype,
+                                                     copy=False)
         for i in reversed(range(4)):
             if i < 3:
                 c = c * (self.inputs[i + 1] > 0.0)
-            c = conv2d_transpose(self.params.weights[i], c)
+            c = conv2d_transpose(params.weights[i], c)
         return c.reshape(cot.shape).astype(cot.dtype, copy=False)
 
 
 def denoise_linearize(params: DenoiserParams,
                       block: np.ndarray) -> DenoiserLinearization:
-    """Run ``denoise`` once, keeping what its reverse sweeps reuse."""
+    """Run ``denoise`` once, keeping the activations reverse sweeps reuse."""
     h = _as_image(block).astype(params.weights[0].dtype, copy=False)
     inputs = []
     for i in range(4):
@@ -211,22 +212,20 @@ def denoise_linearize(params: DenoiserParams,
         if i < 3:
             h = relu(h)
     return DenoiserLinearization(
-        params, inputs, h.reshape(block.shape).astype(block.dtype, copy=False))
+        inputs, h.reshape(block.shape).astype(block.dtype, copy=False))
 
 
-def denoise_vjp(params: DenoiserParams, block: np.ndarray, cot: np.ndarray,
-                lin: DenoiserLinearization | None = None):
+def denoise_vjp(params: DenoiserParams, lin: DenoiserLinearization,
+                cot: np.ndarray):
     """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
 
-    Pass ``lin``, the ``denoise_linearize`` of the same block, to reuse
-    its forward (``block`` is then not read); its layer inputs are cast to
-    the weights' dtype, so a float32 ``lin`` serves float64 weights.  Runs
-    in the weights' dtype and returns the cotangent's.
+    ``lin``, the ``denoise_linearize`` of the block, holds activations
+    only; the sweep runs on ``params``' weights, in their dtype, and
+    returns the cotangent's.  ``lin``'s layer inputs are cast to the
+    weights' dtype, so a float32 ``lin`` serves float64 weights.
     The spectral-normalization constant is treated as a constant here;
     gradients are w.r.t. the stored (already normalized) weights.
     """
-    if lin is None:
-        lin = denoise_linearize(params, block)
     grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
                           for kind in ("weight", "bias"))
     c = cot.reshape(lin.inputs[0].shape).astype(params.weights[0].dtype,

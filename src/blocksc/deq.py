@@ -11,15 +11,15 @@ with D^T (D g* - x), solves the fixed point
 with the same Anderson machinery, and contracts gamma* against the
 parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
 ``seed``.  The map is linearized once at g*, so each adjoint iteration is
-a transposed product on the cached denoiser state (no network forward, no
-parameter cotangents); the single parameter VJP after convergence reuses
-that state too.  Training runs all but that VJP on one float32 copy of the
-network (see ``denoiser``).
+a transposed product at its cached activations (no network forward, no
+parameter cotangents), as is the one parameter VJP after convergence.
+Each sweep takes the weights it runs on, so training runs all but that
+VJP on one float32 copy of the network (see ``denoiser``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,25 +54,23 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
 
     The map is linearized at g* on ``net`` (``deq_train`` hands in the
     block's ``float32_params`` copy), or on ``params`` when it is None, and
-    the adjoint's transposed products run on that linearization.  The
-    parameter VJP runs on ``params``' weights at the same linearization;
-    neither ``net``'s weights nor the adjoint's seed are alive there.
+    the adjoint's transposed products run on ``net``.  The linearization
+    holds activations only: the parameter VJP runs on ``params``' weights,
+    and neither ``net`` nor the adjoint's seed is alive there.
     Returns (grads dict, adjoint FixedPointReport).
     """
+    net = params if net is None else net
     seed = ctx.D.T @ (ctx.D @ g_star - X)
-    lin = linearize_map(ctx, g_star, params if net is None else net)
-    del net
+    lin = linearize_map(ctx, g_star, net)
     try:
-        report = anderson_solve(lambda gamma: lin(gamma) + seed,
+        report = anderson_solve(lambda gamma: lin(net, gamma) + seed,
                                 np.zeros_like(g_star), cfg, f0=seed)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
-    del seed
-    # the VJP reads lin's layer inputs and masks; net's weights die here
-    lin = replace(lin, den=replace(lin.den, params=params.denoiser))
+    del seed, net  # the VJP reads only lin's layer inputs and masks
     _, grads = map_vjp(ctx, g_star, params, report.solution, lin=lin)
     return grads, report
 

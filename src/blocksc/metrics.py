@@ -6,7 +6,8 @@ whole-block PSNR that training validation reports.  SSIM follows the
 standard 11x11 Gaussian-window definition per band, and SAM is the mean
 spectral angle over pixels in radians.  A non-finite reconstruction scores
 NaN in each of them, never the 100 dB cap or a zero angle, so a diverged
-estimate cannot rank as the best one.
+estimate cannot rank as the best one.  SAM is NaN too when no pixel has
+a nonzero norm on both sides, as for an all-zero estimate.
 
 ``scipy.signal`` is imported inside ``_ssim_stats``, its one user: at module
 level it cost every process, solves and training included, about 1 s.
@@ -111,6 +112,7 @@ def sam_with_count(x, ref):
     """(mean spectral angle in radians, skipped zero-norm pixel count).
 
     A pixel with a NaN or infinite norm is kept: the mean comes out NaN.
+    With no pixel of nonzero norm on both sides the angle is NaN too.
     """
     x = _as_data(x)
     ref = _as_data(ref)
@@ -122,7 +124,7 @@ def sam_with_count(x, ref):
     valid = (nx != 0) & (nr != 0)
     skipped = int((~valid).sum())
     if not valid.any():
-        return 0.0, skipped
+        return math.nan, skipped
     cosine = (xf[:, valid] * rf[:, valid]).sum(axis=0) / (nx[valid] * nr[valid])
     angles = np.arccos(np.clip(cosine, -1.0, 1.0))
     return float(angles.mean()), skipped

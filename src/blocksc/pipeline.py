@@ -61,7 +61,11 @@ class ModelBundle:
 
 
 def _check_budgets(budgets) -> list:
-    budgets = sorted(set(int(k) for k in budgets))
+    """Sorted distinct budgets; ValueError for one not an int or below 1."""
+    for k in budgets:  # numpy integers pass, bools and floats do not
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"iteration budgets must be integers, got {k!r}")
+    budgets = sorted(set(map(int, budgets)))
     if not budgets or budgets[0] < 1:
         raise ValueError(f"iteration budgets must be >= 1, got {budgets}")
     return budgets

@@ -122,20 +122,21 @@ def iteration_map(ctx: SolverContext, G: np.ndarray, params: ModelParams,
 @dataclass
 class MapLinearization:
     """The map linearized at codes G: the shrinkage mask |G| > mu/b (full
-    mode only) and the denoiser linearization at T = D G.
+    mode only) and the denoiser linearization at T = D G; no weights.
 
-    Calling it gives the code cotangent alone; with W = A^-1 cot (formed
-    on the full map only) and D W = P^T cot,
-    J^T cot = D^T N'(T)^T (b D W) [+ b W on the mask].
+    Calling it with a network ``net`` gives the code cotangent alone, on
+    ``net``'s weights; with W = A^-1 cot (formed on the full map only) and
+    D W = P^T cot, J^T cot = D^T N'(T)^T (b D W) [+ b W on the mask].
     """
 
     ctx: SolverContext
     mask: np.ndarray | None
     den: DenoiserLinearization
 
-    def __call__(self, cot: np.ndarray) -> np.ndarray:
+    def __call__(self, net: ModelParams, cot: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        cot_G = ctx.D.T @ self.den.transpose(ctx.b * (ctx.P.T @ cot))
+        cot_G = ctx.D.T @ self.den.transpose(net.denoiser,
+                                             ctx.b * (ctx.P.T @ cot))
         if self.mask is None:
             return cot_G
         return (ctx.b * (ctx.Ainv @ cot)) * self.mask + cot_G
@@ -158,11 +159,13 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     Returns (cot_G, grads) where grads carries the denoiser entries plus
     scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map
     has no mu dependence).  Pass ``lin``, the ``linearize_map`` at the
-    same G, to reuse its forward; it may be made on a ``float32_params``
-    copy of ``params``, whose weights the VJP still runs on.  The scalar
-    cotangents run first, so their code-sized temporaries are dead before
-    the network VJP's peak.
+    same G, to reuse its forward.  It holds activations only, so it may be
+    made on a ``float32_params`` copy; the VJP runs on ``params``, and
+    checks ``ctx`` against it, either way.  The scalar cotangents run
+    first, so their code-sized temporaries are dead before the network
+    VJP's peak.
     """
+    ctx.check(params)
     if lin is None:
         lin = linearize_map(ctx, G, params)
     b, mu, nout = ctx.b, params.scalars.mu, lin.den.out
@@ -184,7 +187,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
     del G_next, nout
     DW *= b  # the network's cotangent b D W, formed in place
-    cot_T, grads = denoise_vjp(params.denoiser, None, DW, lin=lin.den)
+    cot_T, grads = denoise_vjp(params.denoiser, lin.den, DW)
     mask = lin.mask
     del lin, DW  # a linearization made here dies before the code cotangent
     cot_G = ctx.D.T @ cot_T

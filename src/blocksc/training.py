@@ -250,7 +250,7 @@ def pretrain(pairs, cfg: PretrainConfig):
     def block_grad(noisy, clean, params):
         lin = denoise_linearize(params.denoiser, noisy)
         resid = lin.out - clean
-        _, grads = denoise_vjp(params.denoiser, noisy, 2.0 * resid, lin=lin)
+        _, grads = denoise_vjp(params.denoiser, lin, 2.0 * resid)
         return float((resid * resid).sum()), grads, {}
 
     def infer(noisy, params):

@@ -104,7 +104,7 @@ class TestDenoiseDtype:
         rng = np.random.default_rng(9)
         block, cot = rng.normal(size=(2, 4, 36))
         lin = dn.denoise_linearize(params, block)
-        out64 = lin.transpose(cot)
+        out64 = lin.transpose(params, cot)
         seen = []
 
         def spy(weight, c):
@@ -112,9 +112,7 @@ class TestDenoiseDtype:
             return T.conv2d_transpose(weight, c)
 
         monkeypatch.setattr(dn, "conv2d_transpose", spy)
-        lin32 = dn.DenoiserLinearization(self._as_float32(params), lin.inputs,
-                                         lin.out)
-        out32 = lin32.transpose(cot)
+        out32 = lin.transpose(self._as_float32(params), cot)
         assert seen == [{np.dtype(np.float32)}] * 4  # every layer
         assert out32.dtype == cot.dtype == np.float64
         assert np.abs(out32 - out64).max() <= 1e-5 * np.abs(out64).max()
@@ -161,7 +159,7 @@ class TestLinearizeVjpDtype:
         gradient, ``params`` running the sweep on ``case``'s block."""
         _, block, cot = case
         lin = dn.denoise_linearize(params, block)
-        cot_block, grads = dn.denoise_vjp(params, block, cot, lin=lin)
+        cot_block, grads = dn.denoise_vjp(params, lin, cot)
         out64, cot64, grads64 = TestLinearizeVjpDtype.reference(*case)
         assert set(grads) == set(grads64)
         return [(lin.out, out64), (cot_block, cot64)] + [
@@ -230,7 +228,8 @@ class TestDenoiseVjp:
     def test_zero_cotangent(self):
         params = tiny_params()
         block = np.random.default_rng(9).normal(size=(3, 16))
-        cot_block, grads = dn.denoise_vjp(params, block, np.zeros((3, 16)))
+        cot_block, grads = dn.denoise_vjp(
+            params, dn.denoise_linearize(params, block), np.zeros((3, 16)))
         assert np.array_equal(cot_block, np.zeros((3, 16)))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
@@ -239,8 +238,9 @@ class TestDenoiseVjp:
         rng = np.random.default_rng(10)
         block = rng.normal(size=(3, 16))
         cot = rng.normal(size=(3, 16))
-        cb1, g1 = dn.denoise_vjp(params, block, cot)
-        cb2, g2 = dn.denoise_vjp(params, block, 2.0 * cot)
+        lin = dn.denoise_linearize(params, block)
+        cb1, g1 = dn.denoise_vjp(params, lin, cot)
+        cb2, g2 = dn.denoise_vjp(params, lin, 2.0 * cot)
         assert np.abs(cb2 - 2 * cb1).max() < 1e-12
         for k in g1:
             assert np.abs(g2[k] - 2 * g1[k]).max() < 1e-12
@@ -250,7 +250,8 @@ class TestDenoiseVjp:
         rng = np.random.default_rng(11)
         block = rng.normal(size=(3, 16))
         cot = rng.normal(size=(3, 16))
-        cot_block, grads = dn.denoise_vjp(params, block, cot)
+        cot_block, grads = dn.denoise_vjp(
+            params, dn.denoise_linearize(params, block), cot)
         step = 1e-6
 
         def loss():
@@ -327,12 +328,11 @@ class TestLayerStack:
 
         lin = dn.denoise_linearize(params, x.reshape(d, 16))
         assert np.array_equal(lin.out, chain(x).reshape(d, 16))
-        cot_x = lin.transpose(cot.reshape(d, 16)).reshape(x.shape)
+        cot_x = lin.transpose(params, cot.reshape(d, 16)).reshape(x.shape)
         fx = fd_grad(lambda v: float((chain(v) * cot).sum()), x)
         assert rel_err(cot_x, fx) < 1e-5
 
-        cot_block, grads = dn.denoise_vjp(params, x.reshape(d, 16),
-                                          cot.reshape(d, 16), lin=lin)
+        cot_block, grads = dn.denoise_vjp(params, lin, cot.reshape(d, 16))
         assert np.array_equal(cot_block, cot_x.reshape(d, 16))
         assert set(grads) == {f"denoiser.layer{i}.{kind}" for i in range(1, 5)
                               for kind in ("weight", "bias")}
@@ -353,9 +353,10 @@ class TestLayerStack:
         block = rng.normal(size=(4, 25))
         cot = rng.normal(size=(4, 25))
         lin = dn.denoise_linearize(params, block)
-        cot_block, grads = dn.denoise_vjp(params, block, cot)
-        assert np.array_equal(lin.transpose(cot), cot_block)
-        cot_lin, grads_lin = dn.denoise_vjp(params, block, cot, lin=lin)
+        cot_block, grads = dn.denoise_vjp(
+            params, dn.denoise_linearize(params, block), cot)
+        assert np.array_equal(lin.transpose(params, cot), cot_block)
+        cot_lin, grads_lin = dn.denoise_vjp(params, lin, cot)
         assert np.array_equal(cot_lin, cot_block)
         for k in grads:
             assert np.array_equal(grads_lin[k], grads[k])

@@ -184,9 +184,9 @@ class TestDeqBackward:
         calls = []
         real_call = sv.MapLinearization.__call__
 
-        def counting(self, cot):
+        def counting(self, net, cot):
             calls.append(1)
-            return real_call(self, cot)
+            return real_call(self, net, cot)
 
         def without_f0(f, g0, cfg, callback=None, f0=None):
             return anderson_solve(f, g0, cfg, callback)

@@ -127,6 +127,16 @@ class TestSam:
         assert skipped == 2
         assert np.isfinite(angle)
 
+    def test_no_pixel_to_compare_is_nan(self):
+        # an all-zero estimate matches nothing: not a perfect 0 angle
+        ref = random_cube(3, 4, 4, seed=24)
+        zero = HyperCube(np.zeros_like(ref.data))
+        for x, y in ((zero, ref), (ref, zero), (zero, zero)):
+            angle, skipped = mx.sam_with_count(x, y)
+            assert math.isnan(angle)
+            assert skipped == 16
+        assert math.isnan(mx.sam(zero, ref))
+
     def test_all_nan_input_is_nan(self):
         ref = random_cube(3, 4, 4, seed=21)
         x = HyperCube(np.full_like(ref.data, np.nan))

@@ -272,25 +272,46 @@ def _referenced_names(node):
     return names
 
 
+def _unreferenced_definitions(files, candidate):
+    """'path: name' of each top-level function or class in ``files`` that
+    ``candidate(path, node)`` picks and no other top-level statement in
+    ``files`` refers to."""
+    refs = {}  # (path, statement index) -> names used by that statement
+    defs = []  # (path, statement index, name) of the picked definitions
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for index, node in enumerate(tree.body):
+            refs[path, index] = _referenced_names(node)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and candidate(path, node)):
+                defs.append((path, index, node.name))
+    return [f"{path.relative_to(ROOT)}: {name}"
+            for path, index, name in defs
+            if not any(name in names for key, names in refs.items()
+                       if key != (path, index))]
+
+
 def test_no_test_only_public_surface():
     # a public function or class that only tests call is surface to delete;
     # a name counts as used when any other top-level statement in src/,
     # perfbench/ or tools/ refers to it
     files = sorted(p for d in ("src", "perfbench", "tools")
                    for p in (ROOT / d).rglob("*.py"))
-    refs = {}  # (path, statement index) -> names used by that statement
-    public = []  # (path, statement index, name) of src's public definitions
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for index, node in enumerate(tree.body):
-            refs[path, index] = _referenced_names(node)
-            if (path.parent == ROOT / "src" / "blocksc"
-                    and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                public.append((path, index, node.name))
-    unused = [f"{path.relative_to(ROOT)}: {name}"
-              for path, index, name in public
-              if name not in SURFACE_ALLOWLIST
-              and not any(name in names for key, names in refs.items()
-                          if key != (path, index))]
-    assert not unused
+    assert not _unreferenced_definitions(
+        files, lambda path, node: path.parent == ROOT / "src" / "blocksc"
+        and not node.name.startswith("_")
+        and node.name not in SURFACE_ALLOWLIST)
+
+
+def test_no_dead_test_helpers():
+    # a module-level helper in tests/ that no test file refers to is dead
+    # code, still written against whatever API it once served; test
+    # functions and classes are collected by name and fixtures by pytest
+    def helper(path, node):
+        return (not node.name.startswith(("test_", "Test"))
+                and not any("fixture" in ast.unparse(d)
+                            for d in node.decorator_list))
+
+    files = sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    assert not _unreferenced_definitions(files, helper)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -354,6 +355,36 @@ class TestBudgets:
             denoise_block(bundle, Y, budgets=budgets)
         with pytest.raises(ValueError, match="budgets must be >= 1"):
             denoise_cube(bundle, noisy, budgets=budgets)
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    @pytest.mark.parametrize("budgets, bad", [
+        ([2.5], 2.5), ([3, 2.0], 2.0), ([True, 2], True),
+        ([np.True_], np.True_), ([np.float64(3.0)], np.float64(3.0)),
+        (["3"], "3")])
+    def test_non_integer_budget_rejected(self, engine, budgets, bad):
+        bundle = tiny_bundle(engine)
+        Y = np.random.default_rng(7).normal(size=(4, 16))
+        noisy, _ = noisy_cube(seed=7)
+        match = f"budgets must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
+            denoise_block(bundle, Y, budgets=budgets)
+        with pytest.raises(ValueError, match=match):
+            denoise_cube(bundle, noisy, budgets=budgets)
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_numpy_integer_budgets_accepted(self, engine):
+        bundle = tiny_bundle(engine)
+        Y = np.random.default_rng(8).normal(size=(4, 16))
+        noisy, _ = noisy_cube(seed=8)
+        ints = [np.int64(4), np.int32(2)]
+        block = denoise_block(bundle, Y, budgets=ints)
+        cube = denoise_cube(bundle, noisy, budgets=ints)
+        assert sorted(block) == sorted(cube) == [2, 4]
+        for k in (2, 4):
+            assert np.array_equal(block[k],
+                                  denoise_block(bundle, Y, budgets=[k])[k])
+            assert np.array_equal(
+                cube[k].data, denoise_cube(bundle, noisy, budgets=[k])[k].data)
 
 
 class TestSweepIterations:

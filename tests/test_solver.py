@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,6 @@ def make_params(d, hidden=4, b=1.0, mu=0.3, seed=0, zero_net=False):
 
 def identity_denoise(params, block, n=None):
     return block
-
-
-def identity_denoise_vjp(params, block, cot, n=None):
-    grads = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-        grads[f"denoiser.layer{i}.weight"] = np.zeros_like(w)
-        grads[f"denoiser.layer{i}.bias"] = np.zeros_like(b)
-    return cot, grads
 
 
 # The three-split HQS sweep, kept here as the oracle for the collapsed map.
@@ -414,17 +407,18 @@ class TestMapVjps:
         D, Y, params, ctx, G, cot = self._instance(mode, seed=18)
         lin = sv.linearize_map(ctx, G, params)
         cot_G, _ = sv.map_vjp(ctx, G, params, cot)
-        assert np.array_equal(lin(cot), cot_G)
+        assert np.array_equal(lin(params, cot), cot_G)
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_linearized_transpose_is_linear(self, mode):
         D, Y, params, ctx, G, cot = self._instance(mode, seed=19)
         other = np.random.default_rng(19).normal(size=cot.shape)
         lin = sv.linearize_map(ctx, G, params)
-        mixed = lin(2.5 * cot - other)
-        expect = 2.5 * lin(cot) - lin(other)
+        mixed = lin(params, 2.5 * cot - other)
+        expect = 2.5 * lin(params, cot) - lin(params, other)
         assert np.abs(mixed - expect).max() < 1e-12 * np.abs(expect).max()
-        assert np.array_equal(lin(np.zeros_like(cot)), np.zeros_like(cot))
+        assert np.array_equal(lin(params, np.zeros_like(cot)),
+                              np.zeros_like(cot))
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_map_vjp_reuses_linearization(self, mode):
@@ -436,6 +430,31 @@ class TestMapVjps:
         assert set(grads_lin) == set(grads)
         for k in grads:
             assert np.array_equal(grads_lin[k], grads[k]), k
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("given_lin", [False, True])
+    def test_stale_context_raises(self, mode, given_lin):
+        # a linearization made elsewhere does not skip the context check
+        D, Y, params, ctx, G, cot = self._instance(mode, seed=22)
+        lin = sv.linearize_map(ctx, G, params) if given_lin else None
+        changed = params.copy()
+        changed.scalars.raw_b[...] += 0.5
+        with pytest.raises(sv.StaleContextError):
+            sv.map_vjp(ctx, G, changed, cot, lin=lin)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_linearization_holds_no_weights(self, mode):
+        # the float32 copy a linearization was made on can die before the
+        # reverse sweeps, which take the weights they run on
+        D, Y, params, ctx, G, cot = self._instance(mode, seed=23)
+        net = float32_params(params)
+        lin = sv.linearize_map(ctx, G, net)
+        first_weight = weakref.ref(net.denoiser.weights[0])
+        del net
+        assert first_weight() is None
+        net = float32_params(params)  # the same weights, a new copy
+        assert np.array_equal(lin(net, cot),
+                              sv.linearize_map(ctx, G, net)(net, cot))
 
 
 class TestMapVjpPeak:
@@ -473,8 +492,7 @@ class TestMapVjpPeak:
 
         def network_alone():
             lin = sv.linearize_map(ctx, G, net)
-            denoise_vjp(net.denoiser, None, ctx.b * (ctx.P.T @ cot),
-                        lin=lin.den)
+            denoise_vjp(net.denoiser, lin.den, ctx.b * (ctx.P.T @ cot))
 
         peak = self.traced_peak(lambda: sv.map_vjp(ctx, G, net, cot))
         assert peak <= self.traced_peak(network_alone) + 4096
