@@ -99,10 +99,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
 
     Each block solves and runs its adjoint on one ``float32_params`` copy,
     dead before the float64 parameter VJP (see ``denoiser``); validation
-    scores the served ``pipeline.denoise_block``.  Returns (best params,
+    scores the served ``pipeline.block_solver``.  Returns (best params,
     history, optimizer) to resume from.
     """
-    from .pipeline import ModelBundle, block_context, denoise_block
+    from .pipeline import ModelBundle, block_context, block_solver
 
     def bundle(params):  # the served model at the live params
         return ModelBundle(D, params, "deq", cfg.variant, anderson=cfg.anderson,
@@ -120,5 +120,5 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
             "adj_nonconverged": int(not bwd.converged)}
 
     return end_to_end_train(pairs, params0, cfg, block_grad,
-                            lambda Y, p: denoise_block(bundle(p), Y),
+                            lambda p: block_solver(bundle(p)),
                             f"deq-{cfg.variant}", adam, start_epoch)

@@ -11,8 +11,9 @@ a setting an older file lacks takes its default and any other meta key
 both trainers; one solve serves several iteration budgets.  Precision:
 see ``denoiser``.  Every block's solve starts from the zero code, so its
 first map step needs the network's output on an all-zero block, N(0),
-which depends only on the weights and the block size: ``denoise_cube``
-makes the float32 copy and N(0) once and every block reuses both,
+which depends only on the weights and the block size: ``block_solver``
+makes the float32 copy and N(0) once for the blocks of one weight state
+(a cube, or a training validation pass) and every block reuses both,
 bit-identical to running the network per block.
 
 ``denoise_cube`` holds one cube of block data (one per budget) beside one
@@ -122,6 +123,20 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
     return staged
 
 
+def block_solver(bundle: ModelBundle):
+    """``solve(Y, budgets=None)``: ``denoise_block(bundle, Y, budgets)`` for
+    blocks solved at the weights ``bundle.params`` holds now, sharing one
+    ``_inference_network`` among the blocks of each shape."""
+    networks = {}
+
+    def solve(Y, budgets=None):
+        shape = np.shape(Y)
+        if shape not in networks:
+            networks[shape] = _inference_network(bundle.params, shape)
+        return denoise_block(bundle, Y, budgets, networks[shape])
+    return solve
+
+
 def _check_finite(cube: HyperCube) -> None:
     bad = ~np.isfinite(cube.data)  # freed on return, before any solve
     if bad.any():
@@ -151,12 +166,11 @@ def denoise_cube(bundle: ModelBundle, cube: HyperCube, budgets=None):
         out = {k: HyperCube(cube.data.copy()) for k in keys}
     else:
         sets = {k: split_blocks(cube, n) for k in keys}
-        network = _inference_network(bundle.params, (cube.bands, n * n))
-
+        solve = block_solver(bundle)
         for row in zip(*(sets[k].blocks for k in keys)):
             blk = row[0]
             try:
-                est = denoise_block(bundle, blk.matrix, budgets, network)
+                est = solve(blk.matrix, budgets)
             except DivergenceError as exc:
                 raise DivergenceError(f"block at {blk.origin}: {exc}",
                                       iteration=exc.iteration) from exc

@@ -141,14 +141,16 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
 
     ``block_grad_fn(noisy, clean, params)`` returns (loss, grads dict,
     counts dict), counts keyed by their log fields in ``COUNTS`` (one left
-    out counts 0); ``infer_fn(noisy, params)`` returns a reconstructed
-    block for validation PSNR.  A block is skipped when ``block_grad_fn``
-    raises ``FloatingPointError`` or ``DivergenceError`` or gives a
-    non-finite loss or gradient; a validation block that raises either
-    scores NaN.  Each step averages loss and gradients over the blocks it
-    kept and logs one JSONL record with the sums of their counts and the
-    number of blocks it ``skipped``; a step that kept none takes no
-    optimizer step and logs ``loss`` and ``grad_norm`` null.  Each epoch's
+    out counts 0); ``infer_fn(params)``, called once per validation pass
+    so that what it builds from the params serves all the pass's blocks,
+    returns a function from a noisy block to its reconstruction.  A block
+    is skipped when ``block_grad_fn`` raises ``FloatingPointError`` or
+    ``DivergenceError`` or gives a non-finite loss or gradient; a
+    validation block that raises either scores NaN.  Each step averages
+    loss and gradients over the blocks it kept and logs one JSONL record
+    with the sums of their counts and the number of blocks it ``skipped``;
+    a step that kept none takes no optimizer step and logs ``loss`` and
+    ``grad_norm`` null.  Each epoch's
     history row holds the mean loss of its records that kept a block (NaN
     for none), their summed ``skipped`` and ``*_nonconverged`` counts and
     ``val_psnr``, the mean validation block PSNR.  Returns (best params,
@@ -165,11 +167,14 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
     adam.lr = cfg.lr
     train, val = split_validation(data, cfg.val_fraction, cfg.seed)
 
-    def score(noisy, clean):
-        try:
-            return block_psnr(infer_fn(noisy, params), clean)
-        except _DIVERGED:
-            return math.nan
+    def validate():  # mean block PSNR of one pass
+        infer, scores = infer_fn(params), []
+        for noisy, clean in val:
+            try:
+                scores.append(block_psnr(infer(noisy), clean))
+            except _DIVERGED:
+                scores.append(math.nan)
+        return float(np.mean(scores))
 
     best, best_psnr = None, -np.inf  # no copy held until an epoch scores
     history = []
@@ -214,7 +219,7 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                 "loss": loss, "grad_norm": gnorm,
                 "wall_ms": 1e3 * (time.perf_counter() - t0)})
             _append_jsonl(cfg.log_path, records[-1])
-        psnr = float(np.mean([score(*pair) for pair in val])) if val else None
+        psnr = validate() if val else None
         losses = [r["loss"] for r in records if r["loss"] is not None]
         history.append({
             "epoch": epoch,
@@ -253,8 +258,8 @@ def pretrain(pairs, cfg: PretrainConfig):
         _, grads = denoise_vjp(params.denoiser, lin, 2.0 * resid)
         return float((resid * resid).sum()), grads, {}
 
-    def infer(noisy, params):
-        return denoise(params.denoiser, noisy)
+    def infer(params):
+        return lambda noisy: denoise(params.denoiser, noisy)
 
     best, history, _ = end_to_end_train(
         pairs, ModelParams(den, ScalarParams(0.0, 0.0)), cfg, block_grad,

@@ -92,9 +92,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
     """End-to-end training of the unrolled model; K is fixed at train time.
 
     Each block trains on its own ``float32_params`` copy (see ``denoiser``);
-    validation scores the served ``pipeline.denoise_block``.
+    validation scores the served ``pipeline.block_solver``.
     """
-    from .pipeline import ModelBundle, block_context, denoise_block
+    from .pipeline import ModelBundle, block_context, block_solver
 
     def bundle(params):  # the served model at the live params
         return ModelBundle(D, params, "du", cfg.unroll.variant, K=cfg.unroll.K,
@@ -108,5 +108,5 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
                              "bwd_iters": cfg.unroll.K}
 
     return end_to_end_train(pairs, params0, cfg, block_grad,
-                            lambda Y, p: denoise_block(bundle(p), Y),
+                            lambda p: block_solver(bundle(p)),
                             f"du-{cfg.unroll.variant}", adam, start_epoch)

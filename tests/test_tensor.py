@@ -319,7 +319,10 @@ class TestStrips:
         got = np.frombuffer(data, want.dtype).reshape(want.shape)
         assert np.array_equal(got, want)
 
-    def test_wide_grid_peaks_below_one_patch_matrix(self):
+    def test_wide_grid_peaks_below_one_patch_matrix(self, monkeypatch):
+        """Every thread starts with no workspace, so the traced peak counts
+        the workspaces whatever conv ran first in this process."""
+        monkeypatch.setattr(T, "_workspace", threading.local())
         x, wt, bias = wide_conv()
         full = 576 * 3720 * 4  # the whole float32 patch matrix, bytes
         tracemalloc.start()
@@ -334,7 +337,129 @@ class TestStrips:
         assert strip_peak < full <= whole_peak
         # the strips in flight together hold one serial 576 x 496 strip
         grid, out = 64 * 63 * 62 * 4, 64 * 3720 * 4
+        assert strip_peak >= grid + out + T._workspace.buf.nbytes
         assert strip_peak <= grid + out + 576 * 496 * 4 + 64 * 1024
+
+
+def workspace_bytes(threads=None):
+    """Bytes of the calling thread's strip workspace, or with ``threads``
+    (an executor of one thread) of that thread's."""
+    def own():
+        buf = getattr(T._workspace, "buf", None)
+        return 0 if buf is None else buf.nbytes
+    return own() if threads is None else threads.submit(own).result()
+
+
+def in_fresh_thread(fn):
+    """fn()'s result, run on a new thread, so on a new strip workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive() and result
+    return result[0]
+
+
+class TestStripWorkspace:
+    """Each strip thread copies its patches into one buffer of its own,
+    kept from call to call, bit for bit the strips of a fresh copy."""
+
+    def test_warm_wide_conv_allocates_no_strip(self, strip_pool):
+        strip_pool(2)
+        x, wt, bias = wide_conv()
+        want = T.conv2d(x, wt, bias)  # warm: both threads have a workspace
+        tracemalloc.start()
+        try:
+            got = T.conv2d(x, wt, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        grid, out = 64 * 63 * 62 * 4, 64 * 3720 * 4
+        assert peak < grid + out + 9 * 64 * 62 * 4  # less than one grid row
+
+    def test_concurrent_callers_equal_the_serial_loop(self, strip_pool):
+        """Two callers at once on one pool, more threads than cores and a
+        short switch interval: a buffer shared between strips in flight
+        would show as a mismatch."""
+        strip_pool(3)
+        cases = [wide_conv(np.float32, seed=30), wide_conv(np.float32,
+                                                           seed=31)]
+        rows = T.STRIP_BYTES // (3 * 9 * 64 * 62 * 4)
+        wants = [(serial_strips(wt.reshape(64, -1), x, rows)
+                  + bias[:, None]).reshape(64, 60, 62)[:, :, :60]
+                 for x, wt, bias in cases]
+        matches = [[], []]
+
+        def caller(i):
+            x, wt, bias = cases[i]
+            for _ in range(5):
+                matches[i].append(np.array_equal(T.conv2d(x, wt, bias),
+                                                 wants[i]))
+
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matches == [[True] * 5, [True] * 5]
+
+    def test_float64_after_float32_reuses_the_buffer(self, strip_pool):
+        strip_pool(2)
+        x32, wt32, _ = wide_conv(np.float32)
+        x64, wt64, _ = wide_conv(np.float64, seed=24)
+
+        def run():
+            T._conv_gemm(wt32.reshape(64, -1), x32)
+            buf = T._workspace.buf
+            got = T._conv_gemm(wt64.reshape(64, -1), x64)
+            return got, T._workspace.buf is buf
+
+        got, same = in_fresh_thread(run)
+        rows = T.STRIP_BYTES // (2 * 9 * 64 * 62 * 8)
+        assert same
+        assert np.array_equal(got, serial_strips(wt64.reshape(64, -1), x64,
+                                                 rows))
+
+    def test_workspaces_hold_at_most_strip_bytes(self, strip_pool):
+        """The denoiser's wide convs, both dtypes, on a caller and a worker
+        that start with no workspace."""
+        spy = strip_pool(2)
+
+        def run():
+            for dtype in (np.float32, np.float64):
+                for c_in, c_out in ((31, 64), (64, 64), (64, 31)):
+                    rng = np.random.default_rng(c_in + c_out)
+                    x = rng.normal(size=(c_in, 60, 60)).astype(dtype)
+                    wt = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+                    T._conv_gemm(wt.reshape(c_out, -1), x)
+                    T.conv2d_transpose(wt, rng.normal(
+                        size=(c_out, 60, 60)).astype(dtype))
+            return workspace_bytes()
+
+        caller = in_fresh_thread(run)
+        worker = workspace_bytes(spy.executor)
+        assert caller and worker
+        assert caller + worker <= T.STRIP_BYTES
+
+    def test_a_row_wider_than_strip_bytes_keeps_one_row(self, strip_pool):
+        spy = strip_pool(2)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(64, 3, 248))  # 3 grid rows of 250 columns
+        wt = rng.normal(size=(64, 64, 3, 3))
+        row = 9 * 64 * 250 * 8
+        assert row > T.STRIP_BYTES
+        got, caller = in_fresh_thread(
+            lambda: (T._conv_gemm(wt.reshape(64, -1), x), workspace_bytes()))
+        assert np.array_equal(got, serial_strips(wt.reshape(64, -1), x, 1))
+        assert (caller, workspace_bytes(spy.executor)) == (row, 0)
 
 
 class TestRelu:

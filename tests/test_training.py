@@ -161,11 +161,13 @@ class TestStubEngine:
                      for k, v in params.as_dict().items()}
             return 1.0, grads, {}
 
-        def infer(noisy, params):
-            validated.append(params.copy())
-            if len(validated) > 3:  # the second epoch's validation
-                raise DivergenceError("stub divergence", iteration=1)
-            return np.zeros_like(noisy)
+        def infer(params):
+            def block(noisy):
+                validated.append(params.copy())
+                if len(validated) > 3:  # the second epoch's validation
+                    raise DivergenceError("stub divergence", iteration=1)
+                return np.zeros_like(noisy)
+            return block
 
         cfg = EndToEndConfig(epochs=2, lr=1e-2, batch_size=3,
                              val_fraction=0.5)
@@ -197,8 +199,10 @@ class TestStubEngine:
             return 1.0, {k: np.ones(np.shape(v))
                          for k, v in params.as_dict().items()}, {}
 
-        def infer(noisy, params):
-            raise DivergenceError("stub divergence", iteration=1)
+        def infer(params):
+            def block(noisy):
+                raise DivergenceError("stub divergence", iteration=1)
+            return block
 
         cfg = EndToEndConfig(epochs=2, lr=1e-2, batch_size=3,
                              val_fraction=0.0 if split == "empty" else 0.5)
@@ -397,6 +401,42 @@ class TestDivergentValidation:
         assert np.isnan(history[1]["val_psnr"])
         for k, v in one_epoch.as_dict().items():
             assert np.array_equal(best.as_dict()[k], v), k
+
+
+class TestValidationNetwork:
+    """A validation pass makes one float32 network copy and one N(0) for
+    all its blocks, and scores them as blocks solved one by one would."""
+
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_one_network_per_validation_pass(self, monkeypatch, engine):
+        real_copy, real_denoise = pipeline.float32_params, pipeline.denoise
+        copies, zero_blocks, blocks = [], [], []
+
+        def copy(params):
+            copies.append(1)
+            return real_copy(params)
+
+        def n0(den, block):  # pipeline runs the network on zeros only
+            zero_blocks.append(not block.any())
+            return real_denoise(den, block)
+
+        monkeypatch.setattr(pipeline, "float32_params", copy)
+        monkeypatch.setattr(pipeline, "denoise", n0)
+        real_block = pipeline.denoise_block
+        monkeypatch.setattr(pipeline, "denoise_block", lambda *args: (
+            blocks.append(1), real_block(*args))[1])
+        _, history, _ = TestDivergentValidation.train(
+            engine, make_params(seed=4), epochs=2)
+        assert len(blocks) == 4  # 2 validation blocks in each of 2 passes
+        assert len(copies) == 2 and zero_blocks == [True, True]
+
+        monkeypatch.setattr(pipeline, "block_solver", lambda bundle: (
+            lambda Y: real_block(bundle, Y)))  # a network per block
+        _, per_block, _ = TestDivergentValidation.train(
+            engine, make_params(seed=4), epochs=2)
+        assert len(copies) == 6
+        assert ([h["val_psnr"] for h in history]
+                == [h["val_psnr"] for h in per_block])
 
 
 @pytest.mark.parametrize("engine", ["deq", "du"])

@@ -1,21 +1,32 @@
-"""Print the tracemalloc peak inside each ``blocksc`` function of one unit.
+"""Print the tracemalloc peak, or the minor page faults, inside each
+``blocksc`` function of one unit.
 
     python tools/peak_phases.py train_du --seed 2
+    python tools/peak_phases.py denoise --seed 2 --faults --units 5
 
-Runs one perfbench-sized unit of a workload (``denoise``, ``train_deq``,
-``train_du``, ``ksvd``) from the root of a source checkout, the way
-``perfbench/harness.py`` times its warm-up unit: the inputs of the seed's
-input set are generated and loaded first, then ``tracemalloc`` starts and
-the unit runs, on one BLAS thread.  ``perfbench`` is only imported, never
-changed.  For every ``blocksc`` function the unit calls, the table gives
-its calls and the highest traced memory (MB, absolute, as perfbench's
-``peak_alloc_mb`` counts it) seen while one of its calls was open, nested
-calls included; the last line names the innermost open function at the
-unit's peak.
+Runs perfbench-sized units of a workload (``denoise``, ``train_deq``,
+``train_du``, ``ksvd``) from the root of a source checkout, on one BLAS
+thread; the inputs of the seed's input set are generated and loaded first.
+``perfbench`` is only imported, never changed.
+
+By default one unit runs under ``tracemalloc``, the way
+``perfbench/harness.py`` times its warm-up unit.  For every ``blocksc``
+function the unit calls, the table gives its calls and the highest traced
+memory (MB, absolute, as perfbench's ``peak_alloc_mb`` counts it) seen while
+one of its calls was open, nested calls included; the last line names the
+innermost open function at the unit's peak.
+
+With ``--faults`` nothing is traced.  One warm-up unit runs first, then
+``--units`` units each print their minor page faults (``ru_minflt`` of the
+whole process, so the conv strip threads count too), then one more unit
+gives the table: each function's calls, the faults taken while one of its
+calls was open (nested calls included) and those taken while it was the
+innermost open ``blocksc`` function.  A fault is a page the allocator got
+fresh from the kernel, so these count memory freed and mapped again.
 
 The windows are opened and closed by a ``sys.setprofile`` hook on the
-functions' call and return events, and the peak between two events is
-folded into every window open at the time.  A wrapper around each
+functions' call and return events, and what happened between two events
+is folded into every window open at the time.  A wrapper around each
 function would be simpler but reads wrong: its frame keeps the wrapped
 call's arguments alive until the call returns, so it moves the peak it
 measures (a seed-2 ``train_deq`` unit read 9.23 MB plain and 9.54 MB
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -43,13 +55,17 @@ import tracemalloc  # noqa: E402
 MB = 2.0 ** 20
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class PeakWindows:
     """Per-function peaks from call/return events of ``blocksc`` code."""
 
     def __init__(self, package_dir: str):
         self.package_dir = package_dir
         self.open = []      # code objects of the open calls, innermost last
-        self.peak = {}      # code -> highest traced bytes while open
+        self.total = {}     # code -> highest traced bytes while open
         self.calls = {}     # code -> number of calls
         self.top = (0, None)  # (bytes, innermost open code) at the peak
 
@@ -58,8 +74,8 @@ class PeakWindows:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for code in self.open:
-            if peak > self.peak[code]:
-                self.peak[code] = peak
+            if peak > self.total[code]:
+                self.total[code] = peak
         if peak > self.top[0]:
             self.top = (peak, self.open[-1] if self.open else None)
 
@@ -72,18 +88,37 @@ class PeakWindows:
         self.fold()
         if event == "call":  # keyed by code: naming here moved the peak
             self.open.append(code)
-            self.peak.setdefault(code, 0)
+            self.total.setdefault(code, 0)
             self.calls[code] = self.calls.get(code, 0) + 1
         else:
             self.open.pop()
+
+
+class FaultWindows(PeakWindows):
+    """Per-function minor page faults: those since the last event are added
+    to every open window and to the innermost one's own count."""
+
+    def __init__(self, package_dir: str):
+        super().__init__(package_dir)
+        self.own = {}       # code -> faults while the innermost open call
+        self.last = minor_faults()
+
+    def fold(self) -> None:
+        now = minor_faults()
+        faults, self.last = now - self.last, now
+        for code in self.open:
+            self.total[code] += faults
+        if self.open:
+            inner = self.open[-1]
+            self.own[inner] = self.own.get(inner, 0) + faults
 
 
 def name(code) -> str:
     return f"{Path(code.co_filename).stem}.{code.co_qualname}"
 
 
-def run(workload: str, seed: int) -> PeakWindows:
-    import blocksc
+def load(workload: str, seed: int):
+    """(workload, size, state) of the seed's input set."""
     from perfbench import harness, workloads
 
     wl = workloads.WORKLOADS[workload]
@@ -91,16 +126,45 @@ def run(workload: str, seed: int) -> PeakWindows:
     with tempfile.TemporaryDirectory() as work:
         wl.generate(size, seed % harness.INPUT_SETS, Path(work))
         state = wl.load(size, Path(work))
-    windows = PeakWindows(str(Path(blocksc.__file__).parent))
-    tracemalloc.start()
+    return wl, size, state
+
+
+def hooked(windows: PeakWindows, unit) -> PeakWindows:
     sys.setprofile(windows)
     try:
-        wl.unit(size, state)
+        unit()
     finally:
         sys.setprofile(None)
         windows.fold()
-        tracemalloc.stop()
     return windows
+
+
+def run(workload: str, seed: int) -> PeakWindows:
+    import blocksc
+
+    wl, size, state = load(workload, seed)
+    windows = PeakWindows(str(Path(blocksc.__file__).parent))
+    tracemalloc.start()
+    try:
+        return hooked(windows, lambda: wl.unit(size, state))
+    finally:
+        tracemalloc.stop()
+
+
+def run_faults(workload: str, seed: int, units: int):
+    """(faults of each unit after one warm-up unit, FaultWindows of one
+    more unit)."""
+    import blocksc
+
+    wl, size, state = load(workload, seed)
+    wl.unit(size, state)  # warm-up: first-use set-up and caches
+    counts = []
+    for _ in range(units):
+        before = minor_faults()
+        wl.unit(size, state)
+        counts.append(minor_faults() - before)
+    windows = FaultWindows(str(Path(blocksc.__file__).parent))
+    return counts, hooked(windows, lambda: wl.unit(size, state))
 
 
 def main(argv=None) -> int:
@@ -108,10 +172,26 @@ def main(argv=None) -> int:
     ap.add_argument("workload", choices=("denoise", "train_deq", "train_du",
                                          "ksvd"))
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--faults", action="store_true",
+                    help="count minor page faults instead of the peak")
+    ap.add_argument("--units", type=int, default=5,
+                    help="units counted after the warm-up (--faults)")
     args = ap.parse_args(argv)
-    windows = run(args.workload, args.seed)
-    rows = sorted(windows.peak.items(), key=lambda kv: -kv[1])
+    if args.faults:
+        counts, windows = run_faults(args.workload, args.seed, args.units)
+    else:
+        windows = run(args.workload, args.seed)
+    rows = sorted(windows.total.items(), key=lambda kv: -kv[1])
     width = max(len(name(code)) for code, _ in rows)
+    if args.faults:
+        print(f"{'function':<{width}}  {'calls':>6}  {'faults':>8}  "
+              f"{'own':>8}")
+        for code, faults in rows:
+            print(f"{name(code):<{width}}  {windows.calls[code]:>6}  "
+                  f"{faults:>8}  {windows.own.get(code, 0):>8}")
+        print(f"{args.workload} seed {args.seed}: minor faults per unit "
+              f"after one warm-up unit: {' '.join(map(str, counts))}")
+        return 0
     print(f"{'function':<{width}}  {'calls':>6}  {'peak MB':>8}")
     for code, peak in rows:
         print(f"{name(code):<{width}}  {windows.calls[code]:>6}  "
