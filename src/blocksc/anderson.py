@@ -10,6 +10,17 @@ damps the update with beta:
 The constrained least-squares is solved by eliminating the constraint:
 (U^T U + ridge I) w = 1, alpha = w / sum(w); each iteration updates the
 Gram matrix U^T U by the one row it writes.
+
+One iteration allocates, beyond what ``f`` returns, only what a mixed step
+must: the new iterate ``alpha X`` and one temporary ``alpha U``, scaled,
+added and then reused for the difference the relative residual takes.  A
+plain step (the first, m = 1, or a singular Gram matrix) takes f(g) as the
+iterate and U's new row as that difference, and allocates nothing
+code-sized.  The iterate is written to X's row, so the ring holds it while
+the step runs and the previous one is not kept; ||g|| is carried from the
+step that made g.  Finiteness is read from the new Gram diagonal u.u: it
+is finite exactly when u is and no square overflows, so only a non-finite
+u.u pays the elementwise scan of f(g) that decides.
 """
 
 from __future__ import annotations
@@ -58,12 +69,6 @@ class FixedPointReport:
     converged: bool
 
 
-def _rel_residual(prev, cur):
-    num = np.linalg.norm(cur - prev)
-    denom = max(np.linalg.norm(prev), np.linalg.norm(cur), 1e-30)
-    return float(num / denom)
-
-
 def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
                    callback=None, f0: np.ndarray | None = None
                    ) -> FixedPointReport:
@@ -72,7 +77,9 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
     ``callback(k, g)`` is invoked after every update with the iterate so
     callers can log per-iteration quality.  ``f0``, when given, is f(g0)
     and takes the place of the first call.  No ``f(g)`` is held past its
-    iteration.  Raises DivergenceError on a non-finite iterate.
+    iteration, and g0 is only read, so it may be a read-only view (a zero
+    start as ``np.broadcast_to(0.0, shape)``).  Raises DivergenceError on
+    a non-finite f(g).
     """
     g = np.asarray(g0, dtype=np.float64)
     shape = g.shape
@@ -81,42 +88,57 @@ def anderson_solve(f, g0: np.ndarray, cfg: AndersonConfig,
     gram = np.empty((cfg.m, cfg.m))
     residuals = []
     converged = False
+    g_norm = None  # ||g||, carried from the step that made g
     k = 0
     for k in range(1, cfg.max_iters + 1):
         fg, f0 = (f(g) if f0 is None else f0), None  # not held past use
         fg = np.asarray(fg, dtype=np.float64)
-        if not np.all(np.isfinite(fg)):
+        j, c = (k - 1) % cfg.m, min(k, cfg.m)  # row j: the oldest, once full
+        x, u = X[j], U[j]
+        x.reshape(shape)[...] = g
+        del g  # x holds it
+        np.subtract(fg.ravel(), x, out=u)
+        gram[j, :c] = gram[:c, j] = U[:c] @ u
+        if not math.isfinite(gram[j, j]) and not np.all(np.isfinite(fg)):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k)
-        j, c = (k - 1) % cfg.m, min(k, cfg.m)  # row j: the oldest, once full
-        X[j] = g.ravel()
-        np.subtract(fg.ravel(), X[j], out=U[j])
-        gram[j, :c] = gram[:c, j] = U[:c] @ U[j]
-        if c == 1:
-            g_next = fg  # plain step: first iteration, or m = 1
+        if g_norm is None:
+            g_norm = np.linalg.norm(x)
+        alpha = _mix_weights(gram[:c, :c], cfg.ridge) if c > 1 else None
+        if alpha is None:
+            g, diff = fg, u  # plain step: u is exactly f(g) - g
         else:
-            utu = gram[:c, :c]
-            # ridge is relative to the residual scale so late iterations
-            # keep refining instead of degenerating to plain averaging
-            scale = max(float(np.trace(utu)) / c, 1e-300)
-            h = utu + cfg.ridge * scale * np.eye(c)
-            try:
-                w = np.linalg.solve(h, np.ones(c))
-            except np.linalg.LinAlgError:
-                w = None
-            if w is None or abs(w.sum()) < 1e-300:
-                g_next = fg
-            else:
-                alpha = w / w.sum()
-                mix = alpha @ X[:c] + cfg.beta * (alpha @ U[:c])
-                g_next = mix.reshape(shape)
-        del fg  # dead before the next map call, unless it is g_next
-        res = _rel_residual(g, g_next)
+            del fg  # dead before the mix allocates
+            g = alpha @ X[:c]
+            diff = alpha @ U[:c]
+            diff *= cfg.beta
+            g += diff
+            np.subtract(g, x, out=diff)
+            g = g.reshape(shape)
+        g_next_norm = np.linalg.norm(g)
+        res = float(np.linalg.norm(diff) / max(g_norm, g_next_norm, 1e-30))
+        del diff
+        g_norm = g_next_norm
         residuals.append(res)
-        g = g_next
         if callback is not None:
             callback(k, g)
         if res < cfg.tol:
             converged = True
             break
     return FixedPointReport(g, k, residuals, converged)
+
+
+def _mix_weights(utu: np.ndarray, ridge: float):
+    """alpha minimizing ||U alpha|| with sum(alpha) = 1, from the Gram
+    matrix; None when the ridged system is singular or sums to ~0."""
+    c = len(utu)
+    # ridge is relative to the residual scale so late iterations keep
+    # refining instead of degenerating to plain averaging
+    scale = max(float(np.trace(utu)) / c, 1e-300)
+    try:
+        w = np.linalg.solve(utu + ridge * scale * np.eye(c), np.ones(c))
+    except np.linalg.LinAlgError:
+        return None
+    if abs(w.sum()) < 1e-300:
+        return None
+    return w / w.sum()

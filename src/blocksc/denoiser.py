@@ -178,9 +178,11 @@ class DenoiserLinearization:
     """The network linearized at one block, for reverse sweeps.
 
     Keeps activations only: the four layer inputs as (c_in, n, n) images
-    and the d x N output, no weights or patch matrices.  Layer i's ReLU
-    mask is ``inputs[i + 1] > 0``: relu(h) > 0 exactly where h > 0, NaN
-    and -0.0 included.
+    and the d x N output, no weights or patch matrices, all in the dtype
+    of the network that made them (``out`` too: a float32 network's output
+    is not cast up to hold twice its bytes; float64 algebra that reads it
+    promotes it, exactly).  Layer i's ReLU mask is ``inputs[i + 1] > 0``:
+    relu(h) > 0 exactly where h > 0, NaN and -0.0 included.
     """
 
     inputs: list
@@ -203,7 +205,8 @@ class DenoiserLinearization:
 
 def denoise_linearize(params: DenoiserParams,
                       block: np.ndarray) -> DenoiserLinearization:
-    """Run ``denoise`` once, keeping the activations reverse sweeps reuse."""
+    """Run ``denoise`` once, keeping the activations reverse sweeps reuse;
+    ``out`` stays in the weights' dtype, where ``denoise`` casts back."""
     h = _as_image(block).astype(params.weights[0].dtype, copy=False)
     inputs = []
     for i in range(4):
@@ -211,8 +214,7 @@ def denoise_linearize(params: DenoiserParams,
         h = conv2d(h, params.weights[i], params.biases[i])
         if i < 3:
             h = relu(h)
-    return DenoiserLinearization(
-        inputs, h.reshape(block.shape).astype(block.dtype, copy=False))
+    return DenoiserLinearization(inputs, h.reshape(block.shape))
 
 
 def denoise_vjp(params: DenoiserParams, lin: DenoiserLinearization,

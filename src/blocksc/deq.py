@@ -29,7 +29,8 @@ from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
                      linearize_map, map_vjp, reconstruct)
-from .training import Adam, EndToEndConfig, end_to_end_train
+from .training import Adam, EndToEndConfig, end_to_end_train, \
+    step_zero_response
 
 
 def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
@@ -39,7 +40,9 @@ def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
 
     The first map step runs the network on D g0 = 0.  ``n0``, the
     network's output N(0) on an all-zero block, replaces that call: it is
-    the same for every block, so ``pipeline`` computes it once per cube.
+    the same for every block, so ``pipeline`` computes it once per cube and
+    ``deq_train`` once per optimizer step.  g0 is ``initial_codes``, a
+    read-only view that holds no code matrix.
     """
     g0 = initial_codes(ctx)
     return anderson_solve(lambda g: iteration_map(ctx, g, params), g0, cfg,
@@ -62,9 +65,14 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
     net = params if net is None else net
     seed = ctx.D.T @ (ctx.D @ g_star - X)
     lin = linearize_map(ctx, g_star, net)
-    try:
-        report = anderson_solve(lambda gamma: lin(net, gamma) + seed,
-                                np.zeros_like(g_star), cfg, f0=seed)
+
+    def adjoint_map(gamma):
+        out = lin(net, gamma)
+        out += seed
+        return out
+
+    try:  # from the zero code, as the forward: a view that holds no memory
+        report = anderson_solve(adjoint_map, initial_codes(ctx), cfg, f0=seed)
     except DivergenceError as exc:
         raise DivergenceError(
             f"adjoint solve diverged at iteration {exc.iteration}; "
@@ -98,9 +106,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
     """End-to-end training of the equilibrium model (full or fast variant).
 
     Each block solves and runs its adjoint on one ``float32_params`` copy,
-    dead before the float64 parameter VJP (see ``denoiser``); validation
-    scores the served ``pipeline.block_solver``.  Returns (best params,
-    history, optimizer) to resume from.
+    dead before the float64 parameter VJP (see ``denoiser``); the forward
+    solves of one optimizer step share one N(0), made on the step's first
+    block.  Validation scores the served ``pipeline.block_solver``.
+    Returns (best params, history, optimizer) to resume from.
     """
     from .pipeline import ModelBundle, block_context, block_solver
 
@@ -108,10 +117,14 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
         return ModelBundle(D, params, "deq", cfg.variant, anderson=cfg.anderson,
                            support_size=cfg.support_size)
 
+    adam = adam or Adam(cfg.lr)
+    n0 = step_zero_response(adam)
+
     def block_grad(noisy, clean, params):
         ctx = block_context(bundle(params), noisy)
         nets = [float32_params(params)]  # popped: dies in deq_backward
-        fwd = deq_forward(ctx, nets[0], cfg.anderson)
+        fwd = deq_forward(ctx, nets[0], cfg.anderson,
+                          n0=n0(nets[0], noisy.shape))
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
                                   cfg.anderson, nets.pop())
         return deq_loss(ctx, fwd.solution, clean), grads, {

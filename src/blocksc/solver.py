@@ -101,17 +101,23 @@ def iteration_map(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     caller passes ``net_out``, the network's output N(D G) at this G.
 
     At G = 0 that is N(0), which depends only on the weights and the block
-    shape, so ``pipeline`` computes it once per cube; the rest of the map,
-    the full map's b A^-1 soft(0) included, runs as for any G.  The fast
-    map has no shrinkage branch: its sparsity is structural.
+    shape, so ``pipeline`` computes it once per cube and the trainers once
+    per optimizer step; the rest of the map, the full map's b A^-1 soft(0)
+    included, runs as for any G.  The fast map has no shrinkage branch: its
+    sparsity is structural.  The map's one fresh product P N is scaled and
+    summed in place, in the order c0 + b P N [+ b A^-1 soft(G)].
     """
     ctx.check(params)
     b = ctx.b
     if net_out is None:
         net_out = denoise(params.denoiser, ctx.D @ G)
-    out = ctx.c0 + b * (ctx.P @ net_out)
+    out = ctx.P @ net_out
+    out *= b
+    out += ctx.c0
     if ctx.mode == "full":
-        out += b * (ctx.Ainv @ soft_threshold(G, params.scalars.mu / b))
+        shrink = ctx.Ainv @ soft_threshold(G, params.scalars.mu / b)
+        shrink *= b
+        out += shrink
     return out
 
 
@@ -135,11 +141,16 @@ class MapLinearization:
 
     def __call__(self, net: ModelParams, cot: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        cot_G = ctx.D.T @ self.den.transpose(net.denoiser,
-                                             ctx.b * (ctx.P.T @ cot))
+        DW = ctx.P.T @ cot
+        DW *= ctx.b
+        cot_G = ctx.D.T @ self.den.transpose(net.denoiser, DW)
         if self.mask is None:
             return cot_G
-        return (ctx.b * (ctx.Ainv @ cot)) * self.mask + cot_G
+        out = ctx.Ainv @ cot  # (b W) * mask + cot_G, in place
+        out *= ctx.b
+        out *= self.mask
+        out += cot_G
+        return out
 
 
 def linearize_map(ctx: SolverContext, G: np.ndarray,
@@ -215,7 +226,9 @@ def reconstruct(ctx: SolverContext, G: np.ndarray) -> np.ndarray:
 
 
 def initial_codes(ctx: SolverContext) -> np.ndarray:
-    return np.zeros(ctx.c0.shape)
+    """The zero code every solve starts from, as a read-only zero-stride
+    view (``np.broadcast_to``): it holds one float, not a code matrix."""
+    return np.broadcast_to(0.0, ctx.c0.shape)
 
 
 def contraction_estimate(ctx: SolverContext, params: ModelParams,

@@ -53,7 +53,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import linalg as _sla
 
 SYM_TOL = 1e-10  # relative asymmetry chol_factor accepts
@@ -95,7 +94,7 @@ def _windows(x: np.ndarray) -> np.ndarray:
     xp = np.zeros((c, h + 3, w + 2), dtype=x.dtype)
     xp[:, 1:h + 1, 1:w + 1] = x
     sc, sr, s = xp.strides
-    return as_strided(xp, (c, 3, 3, h * (w + 2)), (sc, sr, s, s))
+    return np.ndarray((c, 3, 3, h * (w + 2)), x.dtype, xp, 0, (sc, sr, s, s))
 
 
 def _patches(x: np.ndarray) -> np.ndarray:
@@ -226,7 +225,11 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise shrinkage sign(x) * max(|x| - tau, 0)."""
     if tau <= 0:
         raise ValueError(f"soft_threshold: tau must be positive, got {tau}")
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+    out = np.abs(x)  # a scalar for 0-d x, where in place means rebinding
+    out -= tau
+    out = np.maximum(out, 0.0, out=out if out.ndim else None)
+    out *= np.sign(x)
+    return out
 
 
 def soft_threshold_vjp(x, tau, cot):

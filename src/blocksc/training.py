@@ -75,6 +75,24 @@ class Adam:
                     moments[name] = np.array(arr).reshape(shape)
 
 
+def step_zero_response(adam: Adam):
+    """``n0(net, shape)``: N(0), ``net``'s output on an all-zero ``shape``
+    block, in ``net``'s dtype, once per optimizer step of ``adam``.  The
+    weights change only at a step, so the step's first block runs the
+    network (on its own float32 copy, in training) and the step's other
+    blocks reuse that N(0); only the latest is held."""
+    held = {}
+
+    def n0(net: ModelParams, shape) -> np.ndarray:
+        key = (adam.t, shape)
+        if key not in held:
+            held.clear()
+            held[key] = denoise(net.denoiser, np.zeros(
+                shape, net.denoiser.weights[0].dtype))
+        return held[key]
+    return n0
+
+
 def _append_jsonl(path, record: dict) -> None:
     """Append ``record`` as one JSON line to ``path``; no-op for no path."""
     if path:

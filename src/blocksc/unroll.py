@@ -19,7 +19,8 @@ from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
 from .solver import SolverContext, initial_codes, iteration_map, map_vjp, \
     reconstruct
-from .training import Adam, EndToEndConfig, end_to_end_train
+from .training import Adam, EndToEndConfig, end_to_end_train, \
+    step_zero_response
 
 
 @dataclass
@@ -92,7 +93,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
     """End-to-end training of the unrolled model; K is fixed at train time.
 
     Each block trains on its own ``float32_params`` copy (see ``denoiser``);
-    validation scores the served ``pipeline.block_solver``.
+    the forward traces of one optimizer step share one N(0), made on the
+    step's first block.  Validation scores the served
+    ``pipeline.block_solver``.
     """
     from .pipeline import ModelBundle, block_context, block_solver
 
@@ -100,9 +103,12 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
         return ModelBundle(D, params, "du", cfg.unroll.variant, K=cfg.unroll.K,
                            support_size=cfg.support_size)
 
+    adam = adam or Adam(cfg.lr)
+    n0 = step_zero_response(adam)
+
     def block_grad(noisy, clean, params):
         ctx, net = block_context(bundle(params), noisy), float32_params(params)
-        _, trace = du_forward(ctx, net, cfg.unroll.K)
+        _, trace = du_forward(ctx, net, cfg.unroll.K, n0(net, noisy.shape))
         loss, grads = du_backward(ctx, trace, clean, net)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}

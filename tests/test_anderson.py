@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from blocksc.anderson import AndersonConfig, DivergenceError, \
-    FixedPointReport, _rel_residual, anderson_solve
+    FixedPointReport, anderson_solve
 
 
 def solve_scalar_affine(m, tol=1e-12, max_iters=100, beta=1.0):
@@ -124,6 +125,13 @@ class TestReportContract:
         assert seen[-1][1] == report.solution[0]
 
 
+def rel_residual(prev, cur):
+    """||cur - prev|| / max(||prev||, ||cur||, 1e-30), as the solver forms it."""
+    num = np.linalg.norm(cur - prev)
+    denom = max(np.linalg.norm(prev), np.linalg.norm(cur), 1e-30)
+    return float(num / denom)
+
+
 def deque_anderson(f, g0, cfg, callback=None):
     """The deque/np.stack solver the ring buffers replaced, as the oracle:
     it rebuilds U^T U from scratch and mixes (1-beta) X alpha + beta F alpha.
@@ -161,7 +169,7 @@ def deque_anderson(f, g0, cfg, callback=None):
                 alpha = w / w.sum()
                 mix = (1.0 - cfg.beta) * (X @ alpha) + cfg.beta * (F @ alpha)
                 g_next = mix.reshape(shape)
-        res = _rel_residual(g, g_next)
+        res = rel_residual(g, g_next)
         residuals.append(res)
         g = g_next
         if callback is not None:
@@ -239,3 +247,89 @@ class TestRingBuffers:
         assert anderson_solve(traced, np.zeros((6, 3)), cfg).iterations == 10
         for k in range(3, 11):  # call k sees the outputs of calls 1..k-1
             assert not alive[k - 1][k - 2], k
+
+
+class TestDivergenceContract:
+    """Finiteness is read from the Gram diagonal u.u, and only a non-finite
+    u.u scans f(g): the error names the iteration whose f(g) is non-finite,
+    and nothing else raises."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_non_finite_map_value_raises_at_its_iteration(self, bad, at):
+        A, c = linear_contraction(5, 0.5, seed=1)
+        calls = []
+
+        def f(g):
+            calls.append(g)
+            out = A @ g + c
+            if len(calls) == at:
+                out[3] = bad  # one element of f(g) at call ``at``
+            return out
+
+        cfg = AndersonConfig(m=3, max_iters=10, tol=0.0)
+        with pytest.raises(DivergenceError) as exc:
+            anderson_solve(f, np.zeros(5), cfg)
+        assert exc.value.iteration == at == len(calls)
+
+    def test_overflowing_residual_square_is_not_divergence(self):
+        """|u| ~ 1e200: u.u overflows to inf, but f(g) is finite (m = 1:
+        no mix reads the overflowed Gram matrix)."""
+        cfg = AndersonConfig(m=1, max_iters=5, tol=1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = anderson_solve(lambda g: np.full_like(g, 1e200),
+                                    np.zeros(4), cfg)
+        assert report.converged
+        assert np.array_equal(report.solution, np.full(4, 1e200))
+
+    def test_non_finite_start_with_finite_map_value(self):
+        g0 = np.array([math.inf, -math.inf, math.nan, 1.0])
+        cfg = AndersonConfig(m=1, max_iters=5, tol=1e-12)
+        with np.errstate(invalid="ignore"):
+            report = anderson_solve(lambda g: np.ones_like(g), g0, cfg)
+        assert report.converged and report.iterations == 2
+        assert np.array_equal(report.solution, np.ones(4))
+
+
+class TestMemoryContract:
+    """What ``anderson_solve`` allocates beyond the caller's arrays (g0, f0
+    and f's outputs), read by ``tracemalloc`` inside f."""
+
+    def test_one_iterate_during_f_and_two_codes_between_calls(self):
+        rng = np.random.default_rng(4)
+        A = 0.05 * rng.normal(size=(64, 64))
+        c = rng.normal(size=(64, 400))
+
+        def f(g):  # allocates its output and nothing else
+            out = A @ g
+            out += c
+            return out
+
+        g0 = np.broadcast_to(0.0, c.shape)  # a zero start: one float
+        f0 = f(g0)
+        cfg = AndersonConfig(m=5, max_iters=12, tol=0.0)
+        code = f0.nbytes
+        own = 2 * cfg.m * code + cfg.m * cfg.m * 8  # the rings and the Gram
+        seen = []
+
+        def traced(g):
+            seen.append(tracemalloc.get_traced_memory())
+            out = f(g)
+            tracemalloc.reset_peak()  # from here: the solver's own step
+            return out
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert anderson_solve(traced, g0, cfg, f0=f0).iterations == 12
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 11
+        slack = code // 4  # the report's residuals, alpha, the Gram solve
+        for current, peak in seen:
+            # during f: the rings, the Gram matrix and the iterate f reads
+            assert current - base <= own + code + slack
+        for current, peak in seen[1:]:
+            # between calls: f(g) beside the iterate, or the next iterate
+            # beside its step; never more than two codes at once
+            assert peak - base <= own + 2 * code + slack

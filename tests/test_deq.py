@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -214,6 +215,39 @@ class TestDeqBackward:
         monkeypatch.setattr(dq, "anderson_solve", blow_up)
         with pytest.raises(DivergenceError, match="smaller beta"):
             dq.deq_backward(ctx, fwd.solution, X, params, TIGHT)
+
+
+class TestZeroStarts:
+    """The forward and the adjoint solve start from a zero code that holds
+    one float: a read-only zero-stride view, not a code-sized array."""
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_no_code_sized_zero_start(self, monkeypatch, variant):
+        D, Y, X, params, ctx = tiny_instance(12, variant, M=12, N=400)
+        starts = []
+
+        def spy(f, g0, cfg, **kwargs):
+            starts.append((g0, tracemalloc.get_traced_memory()[0]))
+            return anderson_solve(f, g0, cfg, **kwargs)
+
+        monkeypatch.setattr(dq, "anderson_solve", spy)
+        cfg = AndersonConfig(max_iters=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fwd = dq.deq_forward(ctx, params, cfg)
+            dq.deq_backward(ctx, fwd.solution, X, params, cfg)
+        finally:
+            tracemalloc.stop()
+        (g0, at_forward), (gamma0, _) = starts
+        code = fwd.solution.nbytes
+        # the forward holds only f(g0) when its solve starts
+        assert at_forward - base < code + code // 4
+        for start in (g0, gamma0):
+            assert start.shape == fwd.solution.shape
+            assert not start.flags.writeable and not start.any()
+            lo, hi = np.lib.array_utils.byte_bounds(start)
+            assert hi - lo == start.itemsize
 
 
 def micro_dataset(seed=0, count=10, d=6, M=12, N=16):
@@ -489,7 +523,9 @@ class TestTrainPrecisionSplit:
                             ("deq_backward", "backward")):
             monkeypatch.setattr(dq, name, in_phase(label, getattr(dq, name)))
         self.train(variant)
-        assert seen[None] == []  # no validation split: no other solve
+        # no validation split, so no other solve: outside the phases runs
+        # only each optimizer step's float32 N(0) (2 steps in each epoch)
+        assert seen[None] == [("conv2d", {np.dtype(np.float32)})] * (4 * 4)
         fwd, bwd = seen["forward"], seen["backward"]
         assert {name for name, _ in fwd} == {"conv2d"}
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)

@@ -340,11 +340,14 @@ class TestDuTrainPrecisionSplit:
                             ("du_backward", "backward")):
             monkeypatch.setattr(du, name, in_phase(label, getattr(du, name)))
         self.train(variant)
-        assert seen[None] == []  # no validation split: no other pass
+        # no validation split, so no other pass: outside the phases runs
+        # only each optimizer step's float32 N(0) (2 steps in each epoch)
+        assert seen[None] == [("conv2d", {np.dtype(np.float32)})] * (4 * 4)
         fwd, bwd = seen["forward"], seen["backward"]
-        # K = 3 map applications per block and epoch (8), 4 layers each;
-        # the backward re-linearizes each one and sweeps it in reverse
-        assert [name for name, _ in fwd] == ["conv2d"] * (4 * 3 * 8)
+        # K = 3 map applications per block and epoch (8), 4 layers each,
+        # but the first takes the step's N(0); the backward re-linearizes
+        # each one and sweeps it in reverse
+        assert [name for name, _ in fwd] == ["conv2d"] * (4 * 2 * 8)
         assert sorted(name for name, _ in bwd) == (
             ["conv2d"] * (4 * 3 * 8) + ["conv2d_vjp"] * (4 * 3 * 8))
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd + bwd)
