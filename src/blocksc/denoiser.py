@@ -188,8 +188,9 @@ class DenoiserLinearization:
     inputs: list
     out: np.ndarray
 
-    def transpose(self, params: DenoiserParams, cot: np.ndarray) -> np.ndarray:
-        """Block cotangent J^T cot, without parameter cotangents.
+    def transpose(self, params: DenoiserParams, cot: np.ndarray,
+                  grads: dict | None = None) -> np.ndarray:
+        """Block cotangent J^T cot; given ``grads``, each parameter's too.
 
         Runs in the dtype of ``params``' weights, at this linearization's
         masks, and returns the cotangent's dtype, as ``denoise`` does.
@@ -199,8 +200,23 @@ class DenoiserLinearization:
         for i in reversed(range(4)):
             if i < 3:
                 c = c * (self.inputs[i + 1] > 0.0)
+            if grads is not None:
+                _, cw, cb = conv2d_vjp(
+                    self.inputs[i].astype(c.dtype, copy=False), None, c)
+                add_grad(grads, f"denoiser.layer{i + 1}.weight", cw)
+                add_grad(grads, f"denoiser.layer{i + 1}.bias", cb)
+                del cw, cb  # added, and dropped, before the transposed conv
             c = conv2d_transpose(params.weights[i], c)
         return c.reshape(cot.shape).astype(cot.dtype, copy=False)
+
+
+def add_grad(grads: dict, key: str, g) -> None:
+    """Add ``g`` into the float64 sum ``grads[key]``, in place; the key's
+    first writer stores ``g`` cast, so the sum is bit for bit cast-then-add."""
+    if grads.get(key) is None:
+        grads[key] = g.astype(np.float64, copy=False)
+    else:
+        grads[key] += g
 
 
 def denoise_linearize(params: DenoiserParams,
@@ -218,29 +234,19 @@ def denoise_linearize(params: DenoiserParams,
 
 
 def denoise_vjp(params: DenoiserParams, lin: DenoiserLinearization,
-                cot: np.ndarray):
-    """Reverse-mode of ``denoise``: returns (cot_block, grads dict).
+                cot: np.ndarray, grads: dict | None = None):
+    """Reverse-mode of ``denoise``: returns (cot_block, grads).
 
     ``lin``, the ``denoise_linearize`` of the block, holds activations
-    only; the sweep runs on ``params``' weights, in their dtype, and
-    returns the cotangent's.  ``lin``'s layer inputs are cast to the
-    weights' dtype, so a float32 ``lin`` serves float64 weights.
+    only; ``lin.transpose`` runs the sweep on ``params``' weights and adds
+    each parameter cotangent into ``grads`` (a new dict for None).
     The spectral-normalization constant is treated as a constant here;
     gradients are w.r.t. the stored (already normalized) weights.
     """
-    grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
-                          for kind in ("weight", "bias"))
-    c = cot.reshape(lin.inputs[0].shape).astype(params.weights[0].dtype,
-                                                 copy=False)
-    for i in reversed(range(4)):
-        if i < 3:
-            c = c * (lin.inputs[i + 1] > 0.0)
-        w = params.weights[i]
-        c, cw, cb = conv2d_vjp(lin.inputs[i].astype(w.dtype, copy=False), w, c)
-        grads[f"denoiser.layer{i + 1}.weight"] = cw
-        grads[f"denoiser.layer{i + 1}.bias"] = cb
-    return c.reshape(cot.shape).astype(cot.dtype, copy=False), {
-        k: g.astype(cot.dtype, copy=False) for k, g in grads.items()}
+    if grads is None:
+        grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
+                              for kind in ("weight", "bias"))
+    return lin.transpose(params, cot, grads), grads
 
 
 def estimated_spectral_norms(params: DenoiserParams) -> list:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserLinearization, ModelParams, denoise, \
+from .denoiser import DenoiserLinearization, ModelParams, add_grad, denoise, \
     denoise_linearize, denoise_vjp
 from .dictionary import Dictionary, SupportSet, omp
 from .tensor import chol_factor, soft_threshold, soft_threshold_vjp
@@ -164,17 +164,18 @@ def linearize_map(ctx: SolverContext, G: np.ndarray,
 
 
 def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
-            cot: np.ndarray, lin: MapLinearization | None = None):
+            cot: np.ndarray, lin: MapLinearization | None = None,
+            grads: dict | None = None):
     """Cotangents of one map application at G.
 
     Returns (cot_G, grads) where grads carries the denoiser entries plus
-    scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map
-    has no mu dependence).  Pass ``lin``, the ``linearize_map`` at the
-    same G, to reuse its forward.  It holds activations only, so it may be
-    made on a ``float32_params`` copy; the VJP runs on ``params``, and
-    checks ``ctx`` against it, either way.  The scalar cotangents run
-    first, so their code-sized temporaries are dead before the network
-    VJP's peak.
+    scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map has
+    no mu dependence), each added as formed into ``grads``, float64 sums, when
+    given (``add_grad``).  Pass ``lin``, the ``linearize_map`` at the same G,
+    to reuse its forward; it holds activations only, so it may be made on a
+    ``float32_params`` copy.  The VJP runs on ``params`` and checks ``ctx``
+    against it.  Its scalar cotangents (G_next, b A^-1 S and tau's formed in
+    place as in ``iteration_map``) and G die before the network VJP.
     """
     ctx.check(params)
     if lin is None:
@@ -182,23 +183,28 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     b, mu, nout = ctx.b, params.scalars.mu, lin.den.out
     DW = ctx.P.T @ cot  # D A^-1 cot, A being symmetric
     # b enters the matrix (1+b) D^T D [+ I] and every rhs term
-    G_next = ctx.c0 + b * (ctx.P @ nout)
+    G_next = ctx.P @ nout
+    G_next *= b
+    G_next += ctx.c0
     cot_b_rhs = float((DW * nout).sum())
     cot_b_tau = cot_mu = 0.0
     if ctx.mode == "full":  # the shrinkage branch, tau = mu / b
-        tau = mu / b
-        W = ctx.Ainv @ cot
-        S = soft_threshold(G, tau)
-        G_next += b * (ctx.Ainv @ S)
-        cot_tau = soft_threshold_vjp(G, tau, b * W)[1]
-        cot_b_rhs = float((W * S).sum()) + cot_b_rhs
+        S = soft_threshold(G, mu / b)
+        W = ctx.Ainv @ S  # b A^-1 S, then A^-1 cot in its buffer
+        W *= b
+        G_next += W
+        np.matmul(ctx.Ainv, cot, out=W)
+        cot_b_rhs = float(np.multiply(S, W, out=S).sum()) + cot_b_rhs
+        del S
+        W *= b  # b W, masked in place: only tau's cotangent is read
+        cot_tau = soft_threshold_vjp(G, mu / b, W, out=W)[1]
         cot_b_tau = cot_tau * (-mu / (b * b))
         cot_mu = cot_tau / b
-        del W, S
+        del W
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
-    del G_next, nout
+    del G, G_next, nout
     DW *= b  # the network's cotangent b D W, formed in place
-    cot_T, grads = denoise_vjp(params.denoiser, lin.den, DW)
+    cot_T, grads = denoise_vjp(params.denoiser, lin.den, DW, grads)
     mask = lin.mask
     del lin, DW  # a linearization made here dies before the code cotangent
     cot_G = ctx.D.T @ cot_T
@@ -206,8 +212,8 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         cot_G = (b * (ctx.Ainv @ cot)) * mask + cot_G
 
     chain_b, chain_mu = params.scalars.grad_chain()
-    grads["scalars.raw_b"] = np.float64(cot_b * chain_b)
-    grads["scalars.raw_mu"] = np.float64(cot_mu * chain_mu)
+    add_grad(grads, "scalars.raw_b", np.float64(cot_b * chain_b))
+    add_grad(grads, "scalars.raw_mu", np.float64(cot_mu * chain_mu))
     return cot_G, grads
 
 

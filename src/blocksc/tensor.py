@@ -16,19 +16,19 @@ padded grid alive during the GEMM, and a few-channel grid's whole patch
 matrix already fits in L2.
 
 The strips of a wide grid are shared out between the caller and one
-persistent worker thread per other usable CPU (``os.sched_getaffinity``):
-the 60x60 inference convs otherwise left a core idle, and on two CPUs
-a ``denoise`` cube took 22% less time.  Each strip is the same
-copy-and-GEMM, written into its own columns of one output, so the result
-is bit for bit that of the same strips run in turn; numpy releases the GIL
-inside the GEMM.  A strip gets as many whole grid rows as fit in
-``STRIP_BYTES / workers`` of patches, so all strips in flight together
-hold no more than ``STRIP_BYTES``, as one strip did before, and the peak
-stays flat; only as many workers take part as leave each strip a row.
-The workers are made on the first wide conv of each process, so a forked
-child makes its own.  The pool assumes single-threaded BLAS, as the
-benchmark pins it: two BLAS threads on two cores made ``denoise`` 2.5x
-slower even before the convs ran in parallel.
+persistent worker thread per other usable CPU (``os.sched_getaffinity``),
+so the 60x60 inference convs leave no core idle; yet on a 2-CPU Xeon VM a
+warm ``denoise`` cube took a median 220.8 ms with the pool and 216.7 ms on
+one thread (10 alternating pairs).  Each strip is the same copy-and-GEMM,
+written into its own columns of one output, so the result is bit for bit
+that of the same strips run in turn; numpy releases the GIL inside the
+GEMM.  A strip gets as many whole grid rows as fit in
+``STRIP_BYTES / workers`` of patches, so all strips in flight hold no more
+than ``STRIP_BYTES`` and the peak stays flat; only as many workers take
+part as leave each strip a row.  The workers are made on the first wide
+conv of each process, so a forked child makes its own.  The pool assumes
+single-threaded BLAS, as the benchmark pins it: two BLAS threads on two
+cores made ``denoise`` 2.5x slower even before the convs ran in parallel.
 
 Each thread that runs strips copies its patches into one raw byte buffer
 of its own (``_strip_workspace``, a ``threading.local``), kept from call to
@@ -202,15 +202,14 @@ def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
 
 
 def conv2d_vjp(x, weight, cot):
-    """Cotangents w.r.t. (x, weight, bias)."""
-    c_out, c_in = weight.shape[:2]
-    _, h, w = x.shape
+    """Cotangents w.r.t. (x, weight, bias); x's is None if ``weight`` is."""
+    (c_in, h, w), c_out = x.shape, cot.shape[0]
     wide = np.zeros((c_out, h, w + 2), dtype=cot.dtype)  # zero junk columns
     wide[:, :, :w] = cot
     cot_weight = (wide.reshape(c_out, -1) @ _patches(x).T).reshape(
         c_out, c_in, 3, 3)
-    cot_bias = cot.reshape(c_out, h * w).sum(axis=1)
-    return conv2d_transpose(weight, cot), cot_weight, cot_bias
+    cot_x = None if weight is None else conv2d_transpose(weight, cot)
+    return cot_x, cot_weight, cot.reshape(c_out, h * w).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +231,13 @@ def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def soft_threshold_vjp(x, tau, cot):
-    """Cotangents w.r.t. (x, tau); subgradient 0 on the |x| = tau boundary."""
-    mask = np.abs(x) > tau
-    cot_x = cot * mask
-    cot_tau = float(-(np.sign(x) * mask * cot).sum())
-    return cot_x, cot_tau
+def soft_threshold_vjp(x, tau, cot, out=None):
+    """Cotangents w.r.t. (x, tau); subgradient 0 on the |x| = tau boundary.
+    x's goes into ``out`` when given, which may be ``cot`` itself."""
+    cot_x = np.multiply(cot, np.abs(x) > tau, out=out)
+    terms = np.sign(x)
+    terms *= cot_x  # sign(x) * mask * cot, exact in any order
+    return cot_x, float(-terms.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,16 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
 
     ``block_grad_fn(noisy, clean, params)`` returns (loss, grads dict,
     counts dict), counts keyed by their log fields in ``COUNTS`` (one left
-    out counts 0); ``infer_fn(params)``, called once per validation pass
-    so that what it builds from the params serves all the pass's blocks,
-    returns a function from a noisy block to its reconstruction.  A block
-    is skipped when ``block_grad_fn`` raises ``FloatingPointError`` or
-    ``DivergenceError`` or gives a non-finite loss or gradient; a
-    validation block that raises either scores NaN.  Each step averages
-    loss and gradients over the blocks it kept and logs one JSONL record
-    with the sums of their counts and the number of blocks it ``skipped``;
-    a step that kept none takes no optimizer step and logs ``loss`` and
-    ``grad_norm`` null.  Each epoch's
+    out counts 0), its gradients the loop's to scale and sum in place;
+    ``infer_fn(params)``, called once per validation pass so that what it
+    builds from the params serves all the pass's blocks, returns a function
+    from a noisy block to its reconstruction.  A block is skipped when
+    ``block_grad_fn`` raises ``FloatingPointError`` or ``DivergenceError``
+    or gives a non-finite loss or gradient; a validation block that raises
+    either scores NaN.  Each step averages loss and gradients over the
+    blocks it kept and logs one JSONL record with the sums of their counts
+    and the number of blocks it ``skipped``; a step that kept none takes no
+    optimizer step and logs ``loss`` and ``grad_norm`` null.  Each epoch's
     history row holds the mean loss of its records that kept a block (NaN
     for none), their summed ``skipped`` and ``*_nonconverged`` counts and
     ``val_psnr``, the mean validation block PSNR.  Returns (best params,
@@ -216,17 +216,17 @@ def end_to_end_train(pairs, params0: ModelParams, cfg: EndToEndConfig,
                     continue
                 step.update(counts, loss=loss)
                 kept += 1
-                if grads is None:
-                    grads = {k: v / len(batch) for k, v in g.items()}
-                else:
-                    for k in g:
-                        grads[k] += g[k] / len(batch)
+                for k in g:  # in place; the first kept block's is the sum
+                    g[k] /= len(batch)
+                    if grads is not None:
+                        grads[k] += g[k]
+                grads = g if grads is None else grads
                 del g
             loss = gnorm = None  # no block kept: no optimizer step
             if kept:
                 if kept < len(batch):  # average over the kept blocks only
-                    grads = {k: v * (len(batch) / kept)
-                             for k, v in grads.items()}
+                    for k in grads:
+                        grads[k] *= len(batch) / kept
                 adam.step(pdict, grads)
                 spectral_normalize(params.denoiser)
                 loss = step["loss"] / kept

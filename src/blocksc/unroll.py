@@ -1,11 +1,12 @@
 """Unrolled engine: K applications of the iteration map as a K-layer net.
 
-The forward pass keeps the whole iterate trace; the backward pass chains
-the map VJP through all K layers, so memory grows linearly with K (the
-price the unrolled variant pays that the equilibrium engine avoids).
-Like the equilibrium engine, it is trained and served on the
-reconstructed block D G_K.  Which pass runs in which precision: see
-``denoiser``.
+The forward pass keeps the whole iterate trace, so memory grows linearly with
+K (the price the unrolled variant pays that the equilibrium engine avoids),
+and in training its last map step's linearization, for the backward's first
+layer.  The backward chains the map VJP through all K layers, each adding its
+cotangents into one float64 gradient sum as it forms them.  Like the
+equilibrium engine, it is trained and served on the reconstructed block
+D G_K.  Which pass runs in which precision: see ``denoiser``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .anderson import DivergenceError
 from .denoiser import ModelParams, float32_params
 from .dictionary import Dictionary
-from .solver import SolverContext, initial_codes, iteration_map, map_vjp, \
-    reconstruct
+from .solver import SolverContext, initial_codes, iteration_map, \
+    linearize_map, map_vjp, reconstruct
 from .training import Adam, EndToEndConfig, end_to_end_train, \
     step_zero_response
 
@@ -36,17 +37,22 @@ class UnrollConfig:
 
 
 def du_forward(ctx: SolverContext, params: ModelParams, K: int,
-               n0: np.ndarray | None = None):
+               n0: np.ndarray | None = None, lins: list | None = None):
     """K map applications from G0 = 0; returns (G_K, full iterate trace).
 
     ``n0``, the network's output N(0) on an all-zero block, replaces the
     network call of the first application, as in ``deq.deq_forward``.
-    Raises DivergenceError on a non-finite iterate, as Anderson does.
+    Given a list ``lins``, the last application runs from the linearization
+    it makes at G_{K-1} (for K = 1, in place of ``n0``), appended there for
+    ``du_backward``.  Raises DivergenceError on a non-finite iterate.
     """
     trace = [initial_codes(ctx)]
     for k in range(1, K + 1):
-        trace.append(iteration_map(ctx, trace[-1], params,
-                                   n0 if k == 1 else None))
+        net_out = n0 if k == 1 else None
+        if lins is not None and k == K:
+            lins.append(linearize_map(ctx, trace[-1], params))
+            net_out = lins[-1].den.out
+        trace.append(iteration_map(ctx, trace[-1], params, net_out))
         if not np.all(np.isfinite(trace[-1])):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k)
@@ -54,16 +60,16 @@ def du_forward(ctx: SolverContext, params: ModelParams, K: int,
 
 
 def du_backward(ctx: SolverContext, trace, X: np.ndarray,
-                params: ModelParams):
+                params: ModelParams, lins: list | None = None):
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
     Consumes ``trace``, the list ``du_forward`` returned: each iterate is
     popped when its layer runs, so the list is empty on return and no
     iterate outlives its layer.  Each layer's ``map_vjp`` re-linearizes
     the map on ``params`` at its trace point, so ``params`` should be the
-    network that made the trace.  Returns (loss, grads dict) with float64
-    gradients for theta and the raw penalty scalars, summed in place
-    across all layers.
+    network that made the trace, but the first pops the forward's one at
+    G_{K-1} from ``lins`` when it holds one.  Returns (loss, grads dict),
+    one float64 sum per parameter that every layer adds into as it goes.
     """
     resid = reconstruct(ctx, trace.pop()) - X
     loss = float((resid * resid).sum())
@@ -71,13 +77,8 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     del resid
     grads = None
     while trace:
-        cot, layer_grads = map_vjp(ctx, trace.pop(), params, cot)
-        if grads is None:
-            grads = layer_grads
-        else:
-            for key in grads:
-                grads[key] += layer_grads[key]
-        del layer_grads
+        cot, grads = map_vjp(ctx, trace.pop(), params, cot,
+                             lins.pop() if lins else None, grads)
     return loss, grads
 
 
@@ -108,8 +109,10 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
 
     def block_grad(noisy, clean, params):
         ctx, net = block_context(bundle(params), noisy), float32_params(params)
-        _, trace = du_forward(ctx, net, cfg.unroll.K, n0(net, noisy.shape))
-        loss, grads = du_backward(ctx, trace, clean, net)
+        lins = []  # the forward's last linearization, for the backward
+        _, trace = du_forward(ctx, net, cfg.unroll.K, n0(net, noisy.shape),
+                              lins)
+        loss, grads = du_backward(ctx, trace, clean, net, lins)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}
 

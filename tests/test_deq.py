@@ -520,7 +520,8 @@ class TestTrainPrecisionSplit:
         """Of the backward's convs, only the parameter VJP's run float64."""
         seen, in_phase = conv_spy
         for name, label in (("deq_forward", "forward"),
-                            ("deq_backward", "backward")):
+                            ("deq_backward", "backward"),
+                            ("map_vjp", "parameter VJP")):
             monkeypatch.setattr(dq, name, in_phase(label, getattr(dq, name)))
         self.train(variant)
         # no validation split, so no other solve: outside the phases runs
@@ -530,15 +531,18 @@ class TestTrainPrecisionSplit:
         assert {name for name, _ in fwd} == {"conv2d"}
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd)
         by_name = {name: [dtypes for n, dtypes in bwd if n == name]
-                   for name in ("conv2d", "conv2d_transpose", "conv2d_vjp")}
+                   for name in ("conv2d", "conv2d_transpose")}
         assert {name for name, _ in bwd} == set(by_name)
         # one float32 linearization at g* per block and epoch (8), adjoint
-        # products in float32, and one float64 parameter VJP
-        assert len(by_name["conv2d"]) == len(by_name["conv2d_vjp"]) == 4 * 8
+        # products in float32, and one float64 parameter VJP: each layer's
+        # weight cotangent, then its input's transposed conv
+        assert len(by_name["conv2d"]) == 4 * 8
         for name, dtype in (("conv2d", np.float32),
-                            ("conv2d_transpose", np.float32),
-                            ("conv2d_vjp", np.float64)):
+                            ("conv2d_transpose", np.float32)):
             assert all(d == {np.dtype(dtype)} for d in by_name[name]), name
+        assert seen["parameter VJP"] == [
+            ("conv2d_vjp", {np.dtype(np.float64)}),
+            ("conv2d_transpose", {np.dtype(np.float64)})] * (4 * 8)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_float32_copy_is_dead_before_the_backward(self, monkeypatch,

@@ -496,3 +496,33 @@ class TestMapVjpPeak:
 
         peak = self.traced_peak(lambda: sv.map_vjp(ctx, G, net, cot))
         assert peak <= self.traced_peak(network_alone) + 4096
+
+    def test_scalar_branch_holds_few_codes(self, monkeypatch):
+        """Up to the network VJP, the full map's scalar cotangents hold at
+        most four code-sized arrays beyond what the caller passed: G_next,
+        b A^-1 S and the tau cotangent are formed in place, and x's
+        cotangent of the shrinkage, which nothing reads, is not formed."""
+        rng = np.random.default_rng(5)
+        d, M, n = 4, 64, 10  # codes far larger than the tiny network's
+        D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
+        params = make_params(d, hidden=2, b=0.8, mu=0.05, seed=5)
+        ctx = sv.make_context(D, params, rng.normal(size=(d, n * n)))
+        G = 0.1 * rng.normal(size=ctx.c0.shape)
+        cot = rng.normal(size=G.shape)
+        lin = sv.linearize_map(ctx, G, params)
+        peaks, real = [], sv.denoise_vjp
+
+        def at_network_vjp(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(*args)
+
+        monkeypatch.setattr(sv, "denoise_vjp", at_network_vjp)
+        sv.map_vjp(ctx, G, params, cot, lin=lin)  # lazy allocations first
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            sv.map_vjp(ctx, G, params, cot, lin=lin)
+        finally:
+            tracemalloc.stop()
+        # one fresh array per step, x's shrinkage cotangent too: about eight
+        assert peaks[-1] - entry <= 4 * G.nbytes

@@ -126,6 +126,42 @@ class TestStubEngine:
         assert list(history[0]) == ["epoch", "loss", "val_psnr", "skipped",
                                     "fwd_nonconverged", "adj_nonconverged"]
 
+    def test_step_sum_is_the_mean_of_the_kept_blocks(self, monkeypatch):
+        """The step's gradient is bit for bit sum(g / len(batch)) over the
+        kept blocks in batch order, times len(batch) / kept, both for
+        arrays and for 0-d float64 scalars as the engines return them."""
+        pairs = [(np.full((6, 16), float(i)), np.zeros((6, 16)))
+                 for i in range(3)]
+        kept = []  # (copies of) each kept block's gradients, in call order
+
+        def block_grad(noisy, clean, params):
+            i = int(noisy[0, 0])
+            if i == 1:
+                raise DivergenceError("stub divergence", iteration=1)
+            rng = np.random.default_rng(i)
+            grads = {k: rng.normal(size=np.shape(v)) if np.ndim(v)
+                     else np.float64(rng.normal())
+                     for k, v in params.as_dict().items()}
+            kept.append({k: np.copy(v) for k, v in grads.items()})
+            return 1.0, grads, {}
+
+        stepped, real_step = [], training.Adam.step
+
+        def step(adam, params, grads):
+            stepped.append({k: np.copy(v) for k, v in grads.items()})
+            real_step(adam, params, grads)
+
+        monkeypatch.setattr(training.Adam, "step", step)
+        cfg = EndToEndConfig(epochs=1, batch_size=3, val_fraction=0.0)
+        end_to_end_train(pairs, make_params(), cfg, block_grad, None, "stub")
+        want = {k: v / 3 for k, v in kept[0].items()}
+        for k in want:
+            want[k] += kept[1][k] / 3
+        want = {k: v * (3 / 2) for k, v in want.items()}
+        assert len(stepped) == 1 and list(stepped[0]) == list(want)
+        for k, v in want.items():
+            assert np.array_equal(stepped[0][k], v), k
+
     def test_a_non_finite_loss_or_gradient_is_skipped(self, tmp_path):
         params0 = make_params()
         pairs = [(np.full((6, 16), float(i)), np.zeros((6, 16)))

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -345,11 +346,13 @@ class TestDuTrainPrecisionSplit:
         assert seen[None] == [("conv2d", {np.dtype(np.float32)})] * (4 * 4)
         fwd, bwd = seen["forward"], seen["backward"]
         # K = 3 map applications per block and epoch (8), 4 layers each,
-        # but the first takes the step's N(0); the backward re-linearizes
-        # each one and sweeps it in reverse
+        # but the first takes the step's N(0) and the last linearizes; the
+        # backward re-linearizes the other K - 1 and sweeps all K in
+        # reverse, forming each layer's weight cotangent, then its input's
         assert [name for name, _ in fwd] == ["conv2d"] * (4 * 2 * 8)
         assert sorted(name for name, _ in bwd) == (
-            ["conv2d"] * (4 * 3 * 8) + ["conv2d_vjp"] * (4 * 3 * 8))
+            ["conv2d"] * (4 * 2 * 8) + ["conv2d_transpose"] * (4 * 3 * 8)
+            + ["conv2d_vjp"] * (4 * 3 * 8))
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd + bwd)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
@@ -361,3 +364,110 @@ class TestDuTrainPrecisionSplit:
         for k in expect:
             np.testing.assert_allclose(got[k], expect[k], rtol=1e-6,
                                        atol=0, err_msg=k)
+
+
+class TestKeptLinearization:
+    """``du_train`` keeps the linearization that its forward's last map
+    step makes at G_{K-1}, so its backward re-linearizes only the other
+    K - 1 trace points; the served DU path linearizes none."""
+
+    @staticmethod
+    def count_linearizations(monkeypatch):
+        """(counts by phase, in_phase): every network linearization the
+        map code runs, listed under the innermost open phase."""
+        phase, counts = [None], {}
+        real = sv.denoise_linearize
+
+        def spy(*args):
+            counts[phase[-1]] = counts.get(phase[-1], 0) + 1
+            return real(*args)
+
+        def in_phase(label, fn):
+            def run(*args, **kwargs):
+                phase.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return run
+
+        monkeypatch.setattr(sv, "denoise_linearize", spy)
+        return counts, in_phase
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_backward_relinearizes_k_minus_one_points(self, monkeypatch,
+                                                      variant):
+        counts, in_phase = self.count_linearizations(monkeypatch)
+        for name in ("du_forward", "du_backward"):
+            monkeypatch.setattr(du, name, in_phase(name, getattr(du, name)))
+        TestDuTrainPrecisionSplit.train(variant)  # K = 3, 8 blocks
+        assert counts == {"du_forward": 8, "du_backward": 2 * 8}
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_served_path_linearizes_none(self, monkeypatch, variant):
+        from blocksc.pipeline import ModelBundle, denoise_block
+        counts, _ = self.count_linearizations(monkeypatch)
+        D, pairs = TestDuTrain._dataset(seed=14, count=1)
+        bundle = ModelBundle(D, make_params(6, hidden=4, seed=14), "du",
+                             variant, K=3, support_size=3)
+        denoise_block(bundle, pairs[0][0])
+        denoise_block(bundle, pairs[0][0], budgets=[1, 3])
+        assert counts == {}
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_kept_linearization_changes_no_bit(self, variant, K):
+        D, Y, X, params, ctx = instance(13, variant)
+        net = float32_params(params)
+        G_K, trace = du.du_forward(ctx, net, K)
+        want = du.du_backward(ctx, trace, X, net)
+        lins = []
+        kept_G_K, trace = du.du_forward(ctx, net, K, lins=lins)
+        assert len(lins) == 1 and np.array_equal(kept_G_K, G_K)
+        loss, grads = du.du_backward(ctx, trace, X, net, lins)
+        assert lins == [] and loss == want[0] and list(grads) == list(want[1])
+        for k, g in grads.items():
+            assert np.array_equal(g, want[1][k]), k
+
+
+class TestBackwardMemory:
+    """``du_backward`` holds one float64 gradient sum: every layer adds its
+    cotangents into it as the network VJP forms them, with no per-layer
+    dict or float64 copy of one beside it."""
+
+    def test_holds_one_gradient_sum(self):
+        rng = np.random.default_rng(3)
+        d, M, n = 31, 64, 20  # one full-variant training block
+        D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
+        params = make_params(d, hidden=64, b=0.8, mu=0.05, seed=3)
+        ctx = sv.make_context(D, params, rng.normal(size=(d, n * n)))
+        X = rng.normal(size=(d, n * n))
+        net = float32_params(params)
+        G = du.du_forward(ctx, net, 3)[1][-2]
+        cot = rng.normal(size=G.shape)
+
+        def above_entry(fn, make_args):
+            """fn's traced peak above its entry, on arguments made first,
+            as training makes the trace that ``du_backward`` consumes."""
+            fn(*make_args())  # one-time lazy allocations stay out
+            tracemalloc.start()
+            try:
+                args = make_args()
+                tracemalloc.reset_peak()
+                entry = tracemalloc.get_traced_memory()[0]
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        # one layer's working set with no parameter cotangents at all
+        layer = above_entry(lambda: sv.linearize_map(ctx, G, net)(net, cot),
+                            tuple)
+        peak = above_entry(
+            lambda trace: du.du_backward(ctx, trace, X, net),
+            lambda: (du.du_forward(ctx, net, 3)[1],))
+        grad_sum = sum(v.size for v in params.as_dict().values()) * 8
+        weight_cot = max(w.size for w in net.denoiser.weights) * 4
+        # a per-layer gradient dict and its float64 copy held beside the sum
+        # read about 1.55 sums above ``layer``
+        assert peak <= layer + grad_sum + weight_cot
