@@ -10,47 +10,26 @@ i keeps w + 2 columns and the two extra ones are dropped.
 
 A grid wider than ``STRIP_COLS`` columns whose patch matrix exceeds
 ``STRIP_BYTES`` runs the conv and its transpose by L2-sized strips of grid
-rows.  Any other grid keeps one GEMM on the caller's thread: on 20x20
-training blocks strips gained nothing, moved float64 bits and kept the
-padded grid alive during the GEMM, and a few-channel grid's whole patch
-matrix already fits in L2.
+rows, one after another on the caller's thread; each strip is a copy of
+its patches and one GEMM into its own columns of the output.  Any other
+grid keeps one GEMM: on 20x20 training blocks strips gained nothing, moved
+float64 bits and kept the padded grid alive during the GEMM, and a
+few-channel grid's whole patch matrix already fits in L2.
 
-The strips of a wide grid are shared out between the caller and one
-persistent worker thread per other usable CPU (``os.sched_getaffinity``),
-so the 60x60 inference convs leave no core idle; yet on a 2-CPU Xeon VM a
-warm ``denoise`` cube took a median 220.8 ms with the pool and 216.7 ms on
-one thread (10 alternating pairs).  Each strip is the same copy-and-GEMM,
-written into its own columns of one output, so the result is bit for bit
-that of the same strips run in turn; numpy releases the GIL inside the
-GEMM.  A strip gets as many whole grid rows as fit in
-``STRIP_BYTES / workers`` of patches, so all strips in flight hold no more
-than ``STRIP_BYTES`` and the peak stays flat; only as many workers take
-part as leave each strip a row.  The workers are made on the first wide
-conv of each process, so a forked child makes its own.  The pool assumes
-single-threaded BLAS, as the benchmark pins it: two BLAS threads on two
-cores made ``denoise`` 2.5x slower even before the convs ran in parallel.
-
-Each thread that runs strips copies its patches into one raw byte buffer
-of its own (``_strip_workspace``, a ``threading.local``), kept from call to
-call and shared by float32 and float64 strips, so a warm wide conv takes
-no fresh pages for patches.  With a fresh copy per strip, a warm
-``denoise`` cube took about 8,550 minor page faults; with the buffers it
-takes 2,850 and 6.6% less time on two CPUs.  A buffer grows to the
-largest strip its thread has run, at most ``STRIP_BYTES / workers`` or one
-grid row, so the threads of one conv shape keep at most ``STRIP_BYTES``
-between them, what their strips in flight held anyway (one grid row when
-a row is larger).  A shape that lets fewer threads take part can leave the
-caller with more than its share, which it keeps.  Concurrent callers never
-share a buffer, and a forked child gets a private copy of the forking
-thread's and fresh ones in its own workers.
+Each thread copies its strips' patches into one raw byte buffer of its own
+(``_strip_workspace``, a ``threading.local``), kept from call to call and
+shared by float32 and float64 strips, so a warm wide conv takes no fresh
+pages for patches (a warm ``denoise`` cube took about 8,550 minor page
+faults with a fresh copy per strip, and takes none now).  The buffer
+grows to the largest strip its thread has run: at most ``STRIP_BYTES``, or
+one grid row when a row is larger.  Two threads that call ``conv2d`` at
+once never share a buffer.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy import linalg as _sla
@@ -58,11 +37,11 @@ from scipy import linalg as _sla
 SYM_TOL = 1e-10  # relative asymmetry chol_factor accepts
 # A grid of at most this many columns (a 20x20 block has 440) keeps one GEMM.
 STRIP_COLS = 512
-# Patch bytes of all the strips in flight at once, one 576 x 496 float32
-# strip: one BLAS thread ran a 576 x 440 float32 strip, which fits in L2,
-# at 79 GFLOP/s and a 60x60 image's 8.6 MB at 55.  A grid whose whole patch
-# matrix is no larger keeps one GEMM (a 2 -> 3 channel 30x40 float64 conv
-# ran 0.037 ms as one GEMM and 0.051 ms by strips).
+# Patch bytes of one strip, a 576 x 496 float32 one: one BLAS thread ran a
+# 576 x 440 float32 strip, which fits in L2, at 79 GFLOP/s and a 60x60
+# image's 8.6 MB at 55.  A grid whose whole patch matrix is no larger keeps
+# one GEMM (a 2 -> 3 channel 30x40 float64 conv ran 0.037 ms as one GEMM
+# and 0.051 ms by strips).
 STRIP_BYTES = 576 * 496 * 4
 
 
@@ -71,7 +50,7 @@ class DimensionError(ValueError):
 
 
 class UnsupportedKernelError(ValueError):
-    """conv2d only supports 3x3 kernels."""
+    """conv2d and its transpose only support 3x3 kernels."""
 
 
 class FactorizationError(RuntimeError):
@@ -103,7 +82,6 @@ def _patches(x: np.ndarray) -> np.ndarray:
     return _windows(x).reshape(9 * x.shape[0], -1)
 
 
-_pool = None  # (pid, workers, executor) of this process's strip threads
 _workspace = threading.local()  # .buf: this thread's strip patch bytes
 
 
@@ -116,54 +94,34 @@ def _strip_workspace(nbytes: int) -> np.ndarray:
     return buf
 
 
-def _strip_pool():
-    """(workers, executor): the caller plus one thread per other usable CPU,
-    or (1, None) on one CPU.  Made on first use, and again in a forked
-    child, which inherits the executor but none of its threads.  Two
-    threads racing on the first use each make one; the spare is dropped."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no sched_getaffinity off Linux
-            cpus = os.cpu_count() or 1
-        _pool = (os.getpid(), cpus,
-                 ThreadPoolExecutor(cpus - 1, "conv-strip") if cpus > 1
-                 else None)
-    return _pool[1:]
-
-
 def _conv_gemm(wmat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``wmat @ _patches(x)``; for a grid past STRIP_COLS columns and
-    STRIP_BYTES of patches, by strips of whole grid rows, every
-    ``workers``-th strip on one thread, the caller's included."""
+    STRIP_BYTES of patches, by strips of whole grid rows in turn."""
     c, h, w = x.shape
     cols, row = h * (w + 2), 9 * c * (w + 2) * x.itemsize  # row: patch bytes
     if cols <= STRIP_COLS or h * row <= STRIP_BYTES:
         return wmat @ _patches(x)
-    workers, pool = _strip_pool()
-    workers = min(workers, max(1, STRIP_BYTES // row))  # a row apiece
     view = _windows(x)
-    step = max(1, STRIP_BYTES // (workers * row)) * (w + 2)
+    step = max(1, STRIP_BYTES // row) * (w + 2)
     out = np.empty((len(wmat), cols), np.result_type(wmat, x))
-    starts = range(0, cols, step)
-
-    def run(share):
-        buf = _strip_workspace(9 * c * step * x.itemsize)
-        for a in share:
-            n = min(step, cols - a)
-            patch = buf[:9 * c * n * x.itemsize].view(x.dtype)
-            np.copyto(patch.reshape(c, 3, 3, n), view[..., a:a + n])
-            np.matmul(wmat, patch.reshape(9 * c, n), out=out[:, a:a + n])
-
-    tasks = [pool.submit(run, starts[k::workers]) for k in range(1, workers)]
-    try:
-        run(starts[::workers])
-    finally:  # no strip may still write into out once the caller has it
-        wait(tasks)
-    for task in tasks:
-        task.result()
+    buf = _strip_workspace(9 * c * step * x.itemsize)
+    for a in range(0, cols, step):
+        n = min(step, cols - a)
+        patch = buf[:9 * c * n * x.itemsize].view(x.dtype)
+        np.copyto(patch.reshape(c, 3, 3, n), view[..., a:a + n])
+        np.matmul(wmat, patch.reshape(9 * c, n), out=out[:, a:a + n])
     return out
+
+
+def _check_operands(op: str, weight: np.ndarray, x: np.ndarray, axis: int):
+    """Raise unless ``weight`` is a (c_out, c_in, 3, 3) kernel stack and
+    ``x`` a (c, h, w) image with c = ``weight.shape[axis]``."""
+    if weight.ndim != 4 or weight.shape[2:] != (3, 3):
+        raise UnsupportedKernelError(
+            f"{op}: kernel must be 3x3, got {weight.shape}")
+    if x.ndim != 3 or x.shape[0] != weight.shape[axis]:
+        raise DimensionError(
+            f"{op}: input {x.shape} incompatible with weight {weight.shape}")
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -172,12 +130,7 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     Output spatial size equals input size, so the denoiser stays an
     endomorphism of d x N blocks.
     """
-    if weight.ndim != 4 or weight.shape[2:] != (3, 3):
-        raise UnsupportedKernelError(
-            f"conv2d: kernel must be 3x3, got {weight.shape}")
-    if x.ndim != 3 or x.shape[0] != weight.shape[1]:
-        raise DimensionError(
-            f"conv2d: input {x.shape} incompatible with weight {weight.shape}")
+    _check_operands("conv2d", weight, x, 1)
     if bias.shape != (weight.shape[0],):
         raise DimensionError(
             f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
@@ -195,6 +148,7 @@ def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
     Needs neither the input nor its patch matrix, so a caller that only
     propagates cotangents pays one patch matrix and its GEMM per layer.
     """
+    _check_operands("conv2d_transpose", weight, cot, 0)
     c_in = weight.shape[1]
     _, h, w = cot.shape
     flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)

@@ -1,11 +1,6 @@
-import os
-import select
-import signal
 import sys
 import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -88,6 +83,16 @@ class TestConv2dTranspose:
         rhs = float((x * T.conv2d_transpose(w, y)).sum())
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
+    def test_checks_operands_as_conv2d_does(self):
+        # a 5x5 kernel whose flattened (4, 9 * 25) transpose matches the 9 * 25
+        # patch rows of a 25-channel cotangent
+        with pytest.raises(T.UnsupportedKernelError):
+            T.conv2d_transpose(np.ones((9, 4, 5, 5)), np.ones((25, 6, 6)))
+        with pytest.raises(T.DimensionError):  # 2 channels, not c_out = 3
+            T.conv2d_transpose(np.ones((3, 2, 3, 3)), np.ones((2, 6, 6)))
+        with pytest.raises(T.DimensionError):
+            T.conv2d_transpose(np.ones((3, 2, 3, 3)), np.ones((3, 6)))
+
 
 def loop_conv2d(x, w, bias):
     """Direct 3x3/pad-1 cross-correlation, one output pixel at a time."""
@@ -150,32 +155,19 @@ class TestLoopReference:
             assert rel_err(got[name], ref) < rtol, name
 
 
-class SpyPool:
-    """A real executor that keeps every task it is handed."""
-
-    def __init__(self, threads):
-        self.executor = ThreadPoolExecutor(threads)
-        self.tasks = []
-
-    def submit(self, fn, *args):
-        self.tasks.append(self.executor.submit(fn, *args))
-        return self.tasks[-1]
-
-
 @pytest.fixture
-def strip_pool(monkeypatch):
-    """``strip_pool(workers)`` runs wide convs on a SpyPool of
-    ``workers - 1`` threads beside the caller, whatever the CPU count."""
-    spies = []
+def strip_gemms(monkeypatch):
+    """(thread id, patch bytes) of every ``np.matmul`` call from here on,
+    which only the strips of a wide grid make."""
+    calls = []
+    matmul = np.matmul
 
-    def use(workers):
-        spies.append(SpyPool(max(1, workers - 1)))
-        monkeypatch.setattr(T, "_strip_pool", lambda: (workers, spies[-1]))
-        return spies[-1]
+    def spy(*args, **kwargs):
+        calls.append((threading.get_ident(), args[1].nbytes))
+        return matmul(*args, **kwargs)
 
-    yield use
-    for spy in spies:
-        spy.executor.shutdown()
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
 
 
 def serial_strips(wmat, x, rows):
@@ -197,13 +189,18 @@ def wide_conv(dtype=np.float32, c=64, h=60, w=60, seed=22):
             rng.normal(size=64).astype(dtype))
 
 
+def strip_rows(dtype, w=60):
+    """Grid rows per strip of a wide (64, h, w) grid."""
+    row = 9 * 64 * (w + 2) * np.dtype(dtype).itemsize  # patch bytes
+    return max(1, T.STRIP_BYTES // row)
+
+
 class TestStrips:
     """Grids past STRIP_COLS columns and STRIP_BYTES of patches run by
-    strips shared with the pool; smaller ones keep the single GEMM on the
-    caller's thread, bit for bit."""
+    strips in turn on the caller's thread; smaller ones keep the single
+    GEMM, bit for bit."""
 
-    def test_small_grid_is_the_single_gemm(self, strip_pool):
-        spy = strip_pool(2)
+    def test_small_grid_is_the_single_gemm(self, strip_gemms):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(64, 20, 20))
         wt = rng.normal(size=(64, 64, 3, 3))
@@ -213,111 +210,55 @@ class TestStrips:
         assert np.array_equal(T.conv2d(x, wt, bias),
                               one.reshape(64, 20, 22)[:, :, :20])
         T.conv2d_transpose(wt, x)
-        assert spy.tasks == []
+        assert strip_gemms == []
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("h,w", [(2, 600), (30, 40)])
-    def test_few_channel_wide_grid_is_the_single_gemm(self, strip_pool, h,
+    def test_few_channel_wide_grid_is_the_single_gemm(self, strip_gemms, h,
                                                       w, dtype):
-        spy = strip_pool(2)
         rng = np.random.default_rng(h + w)
         x = rng.normal(size=(2, h, w)).astype(dtype)
         wt = rng.normal(size=(3, 2, 3, 3)).astype(dtype)
         assert h * (w + 2) > T.STRIP_COLS
         one = wt.reshape(3, -1) @ T._patches(x)
         assert np.array_equal(T._conv_gemm(wt.reshape(3, -1), x), one)
-        assert spy.tasks == []
+        assert strip_gemms == []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("last", [1, 2, 3])
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
                                             (np.float32, 1e-5)])
-    def test_partial_last_strip(self, strip_pool, workers, dtype, rtol):
-        """29 grid rows: strips of more than one row leave a partial last
-        strip."""
-        strip_pool(workers)
-        x, wt, _ = wide_conv(dtype, h=29, w=40, seed=23)
+    def test_partial_last_strip(self, dtype, rtol, last):
+        """Two whole strips of several rows and a last one of ``last``."""
+        rows = strip_rows(dtype, w=40)
+        assert rows > last
+        x, wt, _ = wide_conv(dtype, h=2 * rows + last, w=40, seed=23)
         wmat = wt.reshape(64, -1)
         got, one = T._conv_gemm(wmat, x), wmat @ T._patches(x)
         assert rel_err(got, one) < rtol
 
-    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_parallel_strips_equal_the_serial_loop(self, strip_pool,
-                                                   workers, dtype):
-        """More threads than cores and a short switch interval, so a strip
-        lost or written twice would show in the (uninitialised) output."""
-        spy = strip_pool(workers)
+    def test_strips_equal_the_serial_loop(self, monkeypatch, dtype):
+        """Cold and warm: the first call makes the workspace, the second
+        reuses it."""
+        monkeypatch.setattr(T, "_workspace", threading.local())
         x, wt, bias = wide_conv(dtype)
-        rows = T.STRIP_BYTES // (workers * 9 * 64 * 62 * x.itemsize)
+        rows = strip_rows(dtype)
         flipped = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(64, -1)
         want_conv = (serial_strips(wt.reshape(64, -1), x, rows)
                      + bias[:, None]).reshape(64, 60, 62)[:, :, :60]
         want_t = serial_strips(flipped, x, rows).reshape(64, 60, 62)[..., :60]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert np.array_equal(T.conv2d(x, wt, bias), want_conv)
-                assert np.array_equal(T.conv2d_transpose(wt, x), want_t)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(spy.tasks) == 6 * (workers - 1)
+        for _ in range(2):
+            assert np.array_equal(T.conv2d(x, wt, bias), want_conv)
+            assert np.array_equal(T.conv2d_transpose(wt, x), want_t)
 
-    @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_a_failed_strip_raises_after_every_strip(self, strip_pool,
-                                                     monkeypatch, failing):
-        spy = strip_pool(2)
-        matmul = np.matmul
-        failed = []
-
-        def flaky(*args, out):
-            caller = threading.current_thread() is threading.main_thread()
-            if caller == (failing == "caller") and not failed:
-                failed.append(threading.current_thread())
-                raise FloatingPointError("strip failed")
-            if not caller:
-                time.sleep(0.02)  # the worker's share outlasts the caller's
-            return matmul(*args, out=out)
-
-        monkeypatch.setattr(np, "matmul", flaky)
+    def test_strips_never_leave_the_callers_thread(self, strip_gemms):
         x, wt, bias = wide_conv()
-        with pytest.raises(FloatingPointError, match="strip failed"):
-            T.conv2d(x, wt, bias)
-        assert failed and all(task.done() for task in spy.tasks)
-        assert (failed[0] is threading.main_thread()) == (failing == "caller")
-
-    def test_forked_child_makes_its_own_workers(self, monkeypatch):
-        """The child inherits the parent's executor but not its threads; a
-        child that handed them strips would hang until its alarm."""
-        monkeypatch.setattr(T, "_pool", None)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        x, wt, bias = wide_conv()
-        want = T.conv2d(x, wt, bias)
-        assert T._pool[1] == 2
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: never return into pytest
-            code = 1
-            try:
-                os.close(read)
-                signal.alarm(10)
-                with os.fdopen(write, "wb") as fh:
-                    fh.write(T.conv2d(x, wt, bias).tobytes())
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        data = b""
-        with os.fdopen(read, "rb") as fh:
-            while select.select([fh], [], [], 30)[0]:
-                chunk = fh.read1(1 << 20)
-                if not chunk:
-                    break
-                data += chunk
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        got = np.frombuffer(data, want.dtype).reshape(want.shape)
-        assert np.array_equal(got, want)
+        before = threading.enumerate()
+        T.conv2d(x, wt, bias)
+        T.conv2d_transpose(wt, x)
+        assert threading.enumerate() == before
+        assert len(strip_gemms) == 2 * -(-60 // strip_rows(np.float32))
+        assert {ident for ident, _ in strip_gemms} == {threading.get_ident()}
 
     def test_wide_grid_peaks_below_one_patch_matrix(self, monkeypatch):
         """Every thread starts with no workspace, so the traced peak counts
@@ -341,13 +282,10 @@ class TestStrips:
         assert strip_peak <= grid + out + 576 * 496 * 4 + 64 * 1024
 
 
-def workspace_bytes(threads=None):
-    """Bytes of the calling thread's strip workspace, or with ``threads``
-    (an executor of one thread) of that thread's."""
-    def own():
-        buf = getattr(T._workspace, "buf", None)
-        return 0 if buf is None else buf.nbytes
-    return own() if threads is None else threads.submit(own).result()
+def workspace_bytes():
+    """Bytes of the calling thread's strip workspace."""
+    buf = getattr(T._workspace, "buf", None)
+    return 0 if buf is None else buf.nbytes
 
 
 def in_fresh_thread(fn):
@@ -361,13 +299,12 @@ def in_fresh_thread(fn):
 
 
 class TestStripWorkspace:
-    """Each strip thread copies its patches into one buffer of its own,
+    """Each calling thread copies its patches into one buffer of its own,
     kept from call to call, bit for bit the strips of a fresh copy."""
 
-    def test_warm_wide_conv_allocates_no_strip(self, strip_pool):
-        strip_pool(2)
+    def test_warm_wide_conv_allocates_no_strip(self):
         x, wt, bias = wide_conv()
-        want = T.conv2d(x, wt, bias)  # warm: both threads have a workspace
+        want = T.conv2d(x, wt, bias)  # warm: the caller has a workspace
         tracemalloc.start()
         try:
             got = T.conv2d(x, wt, bias)
@@ -378,14 +315,13 @@ class TestStripWorkspace:
         grid, out = 64 * 63 * 62 * 4, 64 * 3720 * 4
         assert peak < grid + out + 9 * 64 * 62 * 4  # less than one grid row
 
-    def test_concurrent_callers_equal_the_serial_loop(self, strip_pool):
-        """Two callers at once on one pool, more threads than cores and a
-        short switch interval: a buffer shared between strips in flight
-        would show as a mismatch."""
-        strip_pool(3)
+    def test_concurrent_callers_equal_the_serial_loop(self):
+        """Two callers at once, more threads than cores and a short switch
+        interval: a buffer shared between their strips would show as a
+        mismatch."""
         cases = [wide_conv(np.float32, seed=30), wide_conv(np.float32,
                                                            seed=31)]
-        rows = T.STRIP_BYTES // (3 * 9 * 64 * 62 * 4)
+        rows = strip_rows(np.float32)
         wants = [(serial_strips(wt.reshape(64, -1), x, rows)
                   + bias[:, None]).reshape(64, 60, 62)[:, :, :60]
                  for x, wt, bias in cases]
@@ -411,8 +347,7 @@ class TestStripWorkspace:
         assert not any(thread.is_alive() for thread in threads)
         assert matches == [[True] * 5, [True] * 5]
 
-    def test_float64_after_float32_reuses_the_buffer(self, strip_pool):
-        strip_pool(2)
+    def test_float64_after_float32_reuses_the_buffer(self):
         x32, wt32, _ = wide_conv(np.float32)
         x64, wt64, _ = wide_conv(np.float64, seed=24)
 
@@ -423,16 +358,13 @@ class TestStripWorkspace:
             return got, T._workspace.buf is buf
 
         got, same = in_fresh_thread(run)
-        rows = T.STRIP_BYTES // (2 * 9 * 64 * 62 * 8)
         assert same
-        assert np.array_equal(got, serial_strips(wt64.reshape(64, -1), x64,
-                                                 rows))
+        assert np.array_equal(got, serial_strips(
+            wt64.reshape(64, -1), x64, strip_rows(np.float64)))
 
-    def test_workspaces_hold_at_most_strip_bytes(self, strip_pool):
-        """The denoiser's wide convs, both dtypes, on a caller and a worker
-        that start with no workspace."""
-        spy = strip_pool(2)
-
+    def test_workspaces_hold_at_most_strip_bytes(self, strip_gemms):
+        """The denoiser's wide convs, both dtypes, on a caller that starts
+        with no workspace."""
         def run():
             for dtype in (np.float32, np.float64):
                 for c_in, c_out in ((31, 64), (64, 64), (64, 31)):
@@ -445,12 +377,10 @@ class TestStripWorkspace:
             return workspace_bytes()
 
         caller = in_fresh_thread(run)
-        worker = workspace_bytes(spy.executor)
-        assert caller and worker
-        assert caller + worker <= T.STRIP_BYTES
+        assert caller <= T.STRIP_BYTES
+        assert caller == max(nbytes for _, nbytes in strip_gemms)
 
-    def test_a_row_wider_than_strip_bytes_keeps_one_row(self, strip_pool):
-        spy = strip_pool(2)
+    def test_a_row_wider_than_strip_bytes_keeps_one_row(self):
         rng = np.random.default_rng(25)
         x = rng.normal(size=(64, 3, 248))  # 3 grid rows of 250 columns
         wt = rng.normal(size=(64, 64, 3, 3))
@@ -459,7 +389,7 @@ class TestStripWorkspace:
         got, caller = in_fresh_thread(
             lambda: (T._conv_gemm(wt.reshape(64, -1), x), workspace_bytes()))
         assert np.array_equal(got, serial_strips(wt.reshape(64, -1), x, 1))
-        assert (caller, workspace_bytes(spy.executor)) == (row, 0)
+        assert caller == row
 
 
 class TestRelu:

@@ -30,11 +30,11 @@ leaves cached is: a seed-2 ``train_deq`` unit's peak read 8.587 MB with
 
 With ``--faults`` nothing is traced.  One warm-up unit runs first, then
 ``--units`` units each print their minor page faults (``ru_minflt`` of the
-whole process, so the conv strip threads count too), then one more unit
-gives the table: each function's calls, the faults taken while one of its
-calls was open (nested calls included) and those taken while it was the
-innermost open ``blocksc`` function.  A fault is a page the allocator got
-fresh from the kernel, so these count memory freed and mapped again.
+whole process), then one more unit gives the table: each function's calls,
+the faults taken while one of its calls was open (nested calls included)
+and those taken while it was the innermost open ``blocksc`` function.  A
+fault is a page the allocator got fresh from the kernel, so these count
+memory freed and mapped again.
 
 The windows are opened and closed by a ``sys.setprofile`` hook on the
 functions' call and return events, and what happened between two events
