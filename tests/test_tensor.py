@@ -251,6 +251,52 @@ class TestStrips:
             assert np.array_equal(T.conv2d(x, wt, bias), want_conv)
             assert np.array_equal(T.conv2d_transpose(wt, x), want_t)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parallel_strips_equal_the_serial_loop(self, monkeypatch,
+                                                   workers, dtype):
+        """``workers`` threads run wide convs at once with a short switch
+        interval, so a workspace shared between callers would show in
+        their outputs; each thread keeps a buffer of its own."""
+        monkeypatch.setattr(T, "_workspace", threading.local())
+        x, wt, bias = wide_conv(dtype)
+        rows = strip_rows(dtype)
+        flipped = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(64, -1)
+        want_conv = (serial_strips(wt.reshape(64, -1), x, rows)
+                     + bias[:, None]).reshape(64, 60, 62)[:, :, :60]
+        want_t = serial_strips(flipped, x, rows).reshape(64, 60, 62)[..., :60]
+        start = threading.Barrier(workers)
+        bufs, outs, errors = [], [], []
+
+        def run():
+            try:
+                start.wait()
+                for _ in range(3):
+                    outs.append((T.conv2d(x, wt, bias),
+                                 T.conv2d_transpose(wt, x)))
+                bufs.append(T._workspace.buf)
+            except BaseException as e:  # re-raised on the test's thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert len(outs) == 3 * workers
+        for conv, tconv in outs:
+            assert np.array_equal(conv, want_conv)
+            assert np.array_equal(tconv, want_t)
+        assert len({id(b) for b in bufs}) == workers
+
     def test_strips_never_leave_the_callers_thread(self, strip_gemms):
         x, wt, bias = wide_conv()
         before = threading.enumerate()
