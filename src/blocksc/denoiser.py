@@ -10,18 +10,18 @@ network is not non-expansive.  The positive penalty scalars of the
 splitting scheme live here too, kept positive by softplus.
 
 Which pass runs in which precision.  Every network pass runs in its
-weights' dtype and returns its inputs' dtype.  Inference runs on a
-``float32_params`` copy, and so does each training block: DU's forward
-trace and backward, DEQ's forward solve, linearization at g* and adjoint
-products; the map's GEMMs, Anderson, the Cholesky solve, the gradient sums
-and Adam stay float64.  Only DEQ's parameter VJP keeps the float64
-weights, at the float32 linearization's layer inputs and masks (a
-linearization holds no weights; each reverse sweep takes them): in
-float32 its input-cotangent chain moved a near-zero trained weight by
-2.6e-6 relative, past the rtol 1e-6 that DEQ training is held to.
-Pretraining runs float64; the engines validate on the served float32 path
-with its shared N(0).  Float32 rounding (about 6e-8) sits far below either
-DEQ solve's tol 1e-4.
+weights' dtype and returns its inputs' dtype.  ``shared_network`` makes
+the float32 copy of a weight state: a cube's blocks share one, and so do
+each optimizer step's, for DU's forward trace and backward and DEQ's
+forward solve, linearization at g* and adjoint products; the map's GEMMs,
+Anderson, the Cholesky solve, the gradient sums and Adam stay float64.
+Only DEQ's parameter VJP keeps the float64 weights, at the float32
+linearization's layer inputs and masks (a linearization holds no weights;
+each reverse sweep takes them): in float32 its input-cotangent chain
+moved a near-zero trained weight by 2.6e-6 relative, past the rtol 1e-6
+that DEQ training is held to.  Pretraining runs float64; the engines
+validate on the served float32 path.  Float32 rounding (about 6e-8) sits
+far below either DEQ solve's tol 1e-4.
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -130,6 +130,15 @@ def float32_params(params: ModelParams) -> ModelParams:
         params.scalars)
 
 
+def shared_network(params: ModelParams, shape) -> tuple:
+    """(``float32_params(params)``, its output N(0) on an all-zero ``shape``
+    block), for every block solved at these weights: each solve's first map
+    step runs the network on D 0 = 0, so sharing N(0) is bit-identical."""
+    net = float32_params(params)
+    dtype = net.denoiser.weights[0].dtype
+    return net, denoise(net.denoiser, np.zeros(shape, dtype))
+
+
 def channel_plan(d: int, hidden: int = 64):
     return [(hidden, d), (hidden, hidden), (hidden, hidden), (d, hidden)]
 
@@ -201,8 +210,8 @@ class DenoiserLinearization:
             if i < 3:
                 c = c * (self.inputs[i + 1] > 0.0)
             if grads is not None:
-                _, cw, cb = conv2d_vjp(
-                    self.inputs[i].astype(c.dtype, copy=False), None, c)
+                cw, cb = conv2d_vjp(
+                    self.inputs[i].astype(c.dtype, copy=False), c)
                 add_grad(grads, f"denoiser.layer{i + 1}.weight", cw)
                 add_grad(grads, f"denoiser.layer{i + 1}.bias", cb)
                 del cw, cb  # added, and dropped, before the transposed conv

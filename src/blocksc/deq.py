@@ -14,7 +14,8 @@ parameter VJP.  The adjoint map is linear, so its step from gamma = 0 is
 a transposed product at its cached activations (no network forward, no
 parameter cotangents), as is the one parameter VJP after convergence.
 Each sweep takes the weights it runs on, so training runs all but that
-VJP on one float32 copy of the network (see ``denoiser``).
+VJP on the float32 network that every block of its optimizer step shares
+(see ``denoiser``).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import numpy as np
 
 from .anderson import AndersonConfig, DivergenceError, FixedPointReport, \
     anderson_solve
-from .denoiser import ModelParams, float32_params
+from .denoiser import ModelParams
 from .dictionary import Dictionary
 from .solver import (SolverContext, initial_codes, iteration_map,
                      linearize_map, map_vjp, reconstruct)
-from .training import Adam, EndToEndConfig, end_to_end_train, \
-    step_zero_response
+from .training import Adam, EndToEndConfig, end_to_end_train, step_network
 
 
 def deq_forward(ctx: SolverContext, params: ModelParams, cfg: AndersonConfig,
@@ -55,11 +55,11 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
                  net: ModelParams | None = None):
     """Implicit gradients of 0.5 ||D g* - x||^2 w.r.t. theta and (raw_b, raw_mu).
 
-    The map is linearized at g* on ``net`` (``deq_train`` hands in the
-    block's ``float32_params`` copy), or on ``params`` when it is None, and
-    the adjoint's transposed products run on ``net``.  The linearization
-    holds activations only: the parameter VJP runs on ``params``' weights,
-    and neither ``net`` nor the adjoint's seed is alive there.
+    The map is linearized at g* on ``net`` (``deq_train`` hands in its
+    optimizer step's float32 network), or on ``params`` when it is None,
+    and the adjoint's transposed products run on ``net``.  The
+    linearization holds activations only: the parameter VJP runs on
+    ``params``' weights, and the adjoint's seed is dead there.
     Returns (grads dict, adjoint FixedPointReport).
     """
     net = params if net is None else net
@@ -78,7 +78,7 @@ def deq_backward(ctx: SolverContext, g_star: np.ndarray, X: np.ndarray,
             f"adjoint solve diverged at iteration {exc.iteration}; "
             "try a smaller beta or a larger ridge",
             iteration=exc.iteration) from exc
-    del seed, net  # the VJP reads only lin's layer inputs and masks
+    del seed
     _, grads = map_vjp(ctx, g_star, params, report.solution, lin=lin)
     return grads, report
 
@@ -105,10 +105,10 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
               adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the equilibrium model (full or fast variant).
 
-    Each block solves and runs its adjoint on one ``float32_params`` copy,
-    dead before the float64 parameter VJP (see ``denoiser``); the forward
-    solves of one optimizer step share one N(0), made on the step's first
-    block.  Validation scores the served ``pipeline.block_solver``.
+    Each block solves from its optimizer step's N(0) and runs its adjoint
+    on the step's float32 network (``step_network``); the parameter VJP
+    runs on the float64 weights (see ``denoiser``).  Validation scores the
+    served ``pipeline.block_solver``.
     Returns (best params, history, optimizer) to resume from.
     """
     from .pipeline import ModelBundle, block_context, block_solver
@@ -118,15 +118,14 @@ def deq_train(pairs, D: Dictionary, params0: ModelParams, cfg: DeqTrainConfig,
                            support_size=cfg.support_size)
 
     adam = adam or Adam(cfg.lr)
-    n0 = step_zero_response(adam)
+    network = step_network(adam)
 
     def block_grad(noisy, clean, params):
         ctx = block_context(bundle(params), noisy)
-        nets = [float32_params(params)]  # popped: dies in deq_backward
-        fwd = deq_forward(ctx, nets[0], cfg.anderson,
-                          n0=n0(nets[0], noisy.shape))
+        net, n0 = network(params, noisy.shape)
+        fwd = deq_forward(ctx, net, cfg.anderson, n0=n0)
         grads, bwd = deq_backward(ctx, fwd.solution, clean, params,
-                                  cfg.anderson, nets.pop())
+                                  cfg.anderson, net)
         return deq_loss(ctx, fwd.solution, clean), grads, {
             "fwd_iters": fwd.iterations, "bwd_iters": bwd.iterations,
             "fwd_nonconverged": int(not fwd.converged),

@@ -9,12 +9,10 @@ a setting an older file lacks takes its default and any other meta key
 
 ``block_context``, the one context builder, serves ``denoise_block`` and
 both trainers; one solve serves several iteration budgets.  Precision:
-see ``denoiser``.  Every block's solve starts from the zero code, so its
-first map step needs the network's output on an all-zero block, N(0),
-which depends only on the weights and the block size: ``block_solver``
-makes the float32 copy and N(0) once for the blocks of one weight state
-(a cube, or a training validation pass) and every block reuses both,
-bit-identical to running the network per block.
+see ``denoiser``.  ``block_solver`` takes ``denoiser.shared_network``'s
+float32 copy and N(0) once per block shape for the blocks of one weight
+state (a cube, or a training validation pass), and every block reuses
+both.
 
 ``denoise_cube`` holds one cube of block data (one per budget) beside one
 block's solve: ``split_blocks``' owned copies double as estimate storage.
@@ -30,8 +28,8 @@ import numpy as np
 from .anderson import AndersonConfig, DivergenceError
 from .checkpoint import load_checkpoint, pack_str, save_checkpoint, unpack_str
 from .cubes import HyperCube, reassemble, split_blocks
-from .denoiser import DenoiserParams, ModelParams, ScalarParams, denoise, \
-    float32_params
+from .denoiser import DenoiserParams, ModelParams, ScalarParams, \
+    shared_network
 from .deq import deq_forward
 from .dictionary import Dictionary
 from .solver import SolverContext, make_context, reconstruct, select_support
@@ -72,16 +70,6 @@ def _check_budgets(budgets) -> list:
     return budgets
 
 
-def _inference_network(params: ModelParams, shape) -> tuple:
-    """(``float32_params(params)``, its N(0) on an all-zero ``shape`` block).
-
-    Precision: see ``denoiser``.  Neither outlives the call that builds
-    it: training changes weights in place.
-    """
-    net = float32_params(params)
-    return net, denoise(net.denoiser, np.zeros(shape, np.float32))
-
-
 def block_context(bundle: ModelBundle, Y: np.ndarray) -> SolverContext:
     """Block Y's solve context: the fast map on Y's OMP support, or full."""
     support = (select_support(Y, bundle.dictionary, bundle.support_size)
@@ -97,11 +85,11 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
     all from one solve run to max(budgets) with no early stop.  The
     network runs in float32; ``bundle.params`` is left as it is.
     ``network`` is the (float32 network, N(0)) pair of
-    ``_inference_network`` for Y's shape, built here when None.
+    ``denoiser.shared_network`` for Y's shape, built here when None.
     """
     if budgets is not None:
         budgets = _check_budgets(budgets)
-    params, n0 = network or _inference_network(bundle.params, np.shape(Y))
+    params, n0 = network or shared_network(bundle.params, np.shape(Y))
     ctx = block_context(bundle, Y)
     if bundle.engine == "du":
         G, trace = du_forward(ctx, params,
@@ -126,13 +114,13 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
 def block_solver(bundle: ModelBundle):
     """``solve(Y, budgets=None)``: ``denoise_block(bundle, Y, budgets)`` for
     blocks solved at the weights ``bundle.params`` holds now, sharing one
-    ``_inference_network`` among the blocks of each shape."""
+    ``denoiser.shared_network`` among the blocks of each shape."""
     networks = {}
 
     def solve(Y, budgets=None):
         shape = np.shape(Y)
         if shape not in networks:
-            networks[shape] = _inference_network(bundle.params, shape)
+            networks[shape] = shared_network(bundle.params, shape)
         return denoise_block(bundle, Y, budgets, networks[shape])
     return solve
 

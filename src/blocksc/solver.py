@@ -23,8 +23,8 @@ applies either map, taking the network output when the caller has it:
 N(D 0) = N(0) is the same for every block, so the solves of a cube's
 blocks from G = 0 share one call.  ``map_vjp`` gives the cotangents of
 one application w.r.t. the input codes and all learnable parameters;
-``linearize_map`` runs the forward once at a point and then gives only the
-code cotangent.
+``linearize_map`` runs the forward once at a point for repeated transposed
+products, with the network's parameter cotangents or without.
 """
 
 from __future__ import annotations
@@ -140,10 +140,19 @@ class MapLinearization:
     den: DenoiserLinearization
 
     def __call__(self, net: ModelParams, cot: np.ndarray) -> np.ndarray:
+        return self.transpose(net, cot, self.ctx.P.T @ cot, None)
+
+    def transpose(self, net: ModelParams, cot: np.ndarray, DW: np.ndarray,
+                  grads: dict | None) -> np.ndarray:
+        """J^T cot from ``DW`` = P^T cot, scaled by b in place; given
+        ``grads``, ``denoise_vjp`` adds the network's cotangents into it."""
         ctx = self.ctx
-        DW = ctx.P.T @ cot
         DW *= ctx.b
-        cot_G = ctx.D.T @ self.den.transpose(net.denoiser, DW)
+        if grads is None:
+            cot_T = self.den.transpose(net.denoiser, DW)
+        else:
+            cot_T = denoise_vjp(net.denoiser, self.den, DW, grads)[0]
+        cot_G = ctx.D.T @ cot_T
         if self.mask is None:
             return cot_G
         out = ctx.Ainv @ cot  # (b W) * mask + cot_G, in place
@@ -169,17 +178,20 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     """Cotangents of one map application at G.
 
     Returns (cot_G, grads) where grads carries the denoiser entries plus
-    scalars.raw_b / scalars.raw_mu, chained through softplus (the fast map has
-    no mu dependence), each added as formed into ``grads``, float64 sums, when
-    given (``add_grad``).  Pass ``lin``, the ``linearize_map`` at the same G,
-    to reuse its forward; it holds activations only, so it may be made on a
-    ``float32_params`` copy.  The VJP runs on ``params`` and checks ``ctx``
-    against it.  Its scalar cotangents (G_next, b A^-1 S and tau's formed in
+    scalars.raw_b / scalars.raw_mu in ``ModelParams.as_dict`` order, chained
+    through softplus (the fast map has no mu dependence), each added as
+    formed into ``grads``, float64 sums, when given (``add_grad``).  Pass
+    ``lin``, the ``linearize_map`` at the same G, to reuse its forward (it
+    holds activations only).  The VJP runs on ``params``, checks ``ctx``
+    against it and forms cot_G by ``lin.transpose``, the DEQ adjoint's
+    product.  Its scalar cotangents (G_next, b A^-1 S and tau's formed in
     place as in ``iteration_map``) and G die before the network VJP.
     """
     ctx.check(params)
     if lin is None:
         lin = linearize_map(ctx, G, params)
+    if grads is None:
+        grads = dict.fromkeys(params.as_dict())
     b, mu, nout = ctx.b, params.scalars.mu, lin.den.out
     DW = ctx.P.T @ cot  # D A^-1 cot, A being symmetric
     # b enters the matrix (1+b) D^T D [+ I] and every rhs term
@@ -203,13 +215,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         del W
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
     del G, G_next, nout
-    DW *= b  # the network's cotangent b D W, formed in place
-    cot_T, grads = denoise_vjp(params.denoiser, lin.den, DW, grads)
-    mask = lin.mask
-    del lin, DW  # a linearization made here dies before the code cotangent
-    cot_G = ctx.D.T @ cot_T
-    if mask is not None:  # the shrinkage branch's b A^-1 cot, formed again
-        cot_G = (b * (ctx.Ainv @ cot)) * mask + cot_G
+    cot_G = lin.transpose(params, cot, DW, grads)
 
     chain_b, chain_mu = params.scalars.grad_chain()
     add_grad(grads, "scalars.raw_b", np.float64(cot_b * chain_b))

@@ -155,15 +155,15 @@ def conv2d_transpose(weight: np.ndarray, cot: np.ndarray) -> np.ndarray:
     return _conv_gemm(flipped, cot).reshape(c_in, h, w + 2)[:, :, :w]
 
 
-def conv2d_vjp(x, weight, cot):
-    """Cotangents w.r.t. (x, weight, bias); x's is None if ``weight`` is."""
+def conv2d_vjp(x, cot):
+    """Cotangents w.r.t. conv2d's (weight, bias) at input ``x``; x's own
+    is ``conv2d_transpose``."""
     (c_in, h, w), c_out = x.shape, cot.shape[0]
     wide = np.zeros((c_out, h, w + 2), dtype=cot.dtype)  # zero junk columns
     wide[:, :, :w] = cot
     cot_weight = (wide.reshape(c_out, -1) @ _patches(x).T).reshape(
         c_out, c_in, 3, 3)
-    cot_x = None if weight is None else conv2d_transpose(weight, cot)
-    return cot_x, cot_weight, cot.reshape(c_out, h * w).sum(axis=1)
+    return cot_weight, cot.reshape(c_out, h * w).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ share its validation split, divergence skipping, counters, JSONL log and
 best-checkpoint choice (mean validation block PSNR).  Training is
 deterministic given the master seed: batch order is derived from
 (seed, epoch), gradients are accumulated in a fixed order, and spectral
-normalization runs once after every optimizer step.
+normalization runs once after every optimizer step, whose blocks share
+one float32 network (``step_network``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .anderson import DivergenceError
 from .denoiser import (ModelParams, ScalarParams, denoise, denoise_linearize,
-                       denoise_vjp, init_denoiser, spectral_normalize)
+                       denoise_vjp, init_denoiser, shared_network,
+                       spectral_normalize)
 from .metrics import block_psnr
 
 
@@ -75,22 +77,19 @@ class Adam:
                     moments[name] = np.array(arr).reshape(shape)
 
 
-def step_zero_response(adam: Adam):
-    """``n0(net, shape)``: N(0), ``net``'s output on an all-zero ``shape``
-    block, in ``net``'s dtype, once per optimizer step of ``adam``.  The
-    weights change only at a step, so the step's first block runs the
-    network (on its own float32 copy, in training) and the step's other
-    blocks reuse that N(0); only the latest is held."""
+def step_network(adam: Adam):
+    """``network(params, shape)``: ``shared_network(params, shape)``, built
+    by the first block of each optimizer step of ``adam`` (and shape) and
+    reused by the rest; the one held before is dropped first."""
     held = {}
 
-    def n0(net: ModelParams, shape) -> np.ndarray:
+    def network(params: ModelParams, shape) -> tuple:
         key = (adam.t, shape)
         if key not in held:
             held.clear()
-            held[key] = denoise(net.denoiser, np.zeros(
-                shape, net.denoiser.weights[0].dtype))
+            held[key] = shared_network(params, shape)
         return held[key]
-    return n0
+    return network
 
 
 def _append_jsonl(path, record: dict) -> None:

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anderson import DivergenceError
-from .denoiser import ModelParams, float32_params
+from .denoiser import ModelParams
 from .dictionary import Dictionary
 from .solver import SolverContext, initial_codes, iteration_map, \
     linearize_map, map_vjp, reconstruct
-from .training import Adam, EndToEndConfig, end_to_end_train, \
-    step_zero_response
+from .training import Adam, EndToEndConfig, end_to_end_train, step_network
 
 
 @dataclass
@@ -93,10 +92,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time.
 
-    Each block trains on its own ``float32_params`` copy (see ``denoiser``);
-    the forward traces of one optimizer step share one N(0), made on the
-    step's first block.  Validation scores the served
-    ``pipeline.block_solver``.
+    Each block runs its forward trace, from its optimizer step's N(0), and
+    its backward on the step's float32 network (``step_network``, see
+    ``denoiser``).  Validation scores the served ``pipeline.block_solver``.
     """
     from .pipeline import ModelBundle, block_context, block_solver
 
@@ -105,13 +103,13 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
                            support_size=cfg.support_size)
 
     adam = adam or Adam(cfg.lr)
-    n0 = step_zero_response(adam)
+    network = step_network(adam)
 
     def block_grad(noisy, clean, params):
-        ctx, net = block_context(bundle(params), noisy), float32_params(params)
+        ctx = block_context(bundle(params), noisy)
+        net, n0 = network(params, noisy.shape)
         lins = []  # the forward's last linearization, for the backward
-        _, trace = du_forward(ctx, net, cfg.unroll.K, n0(net, noisy.shape),
-                              lins)
+        _, trace = du_forward(ctx, net, cfg.unroll.K, n0, lins)
         loss, grads = du_backward(ctx, trace, clean, net, lins)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}

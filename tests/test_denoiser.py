@@ -148,7 +148,8 @@ class TestLinearizeVjpDtype:
         for i in reversed(range(4)):
             if i < 3:
                 c = c * (inputs[i + 1] > 0.0)
-            c, cw, cb = T.conv2d_vjp(inputs[i], params.weights[i], c)
+            cw, cb = T.conv2d_vjp(inputs[i], c)
+            c = T.conv2d_transpose(params.weights[i], c)
             grads[f"denoiser.layer{i + 1}.weight"] = cw
             grads[f"denoiser.layer{i + 1}.bias"] = cb
         return h.reshape(block.shape), c.reshape(cot.shape), grads

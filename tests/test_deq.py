@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -501,8 +500,8 @@ class TestTrainConfig:
 
 class TestTrainPrecisionSplit:
     """``deq_train`` runs each block's forward solve, its linearization at g*
-    and its adjoint products on one ``float32_params`` copy, and forms the
-    parameter VJP on the float64 weights."""
+    and its adjoint products on its optimizer step's float32 network, and
+    forms the parameter VJP on the float64 weights."""
 
     @staticmethod
     def train(variant, log=None):
@@ -545,31 +544,6 @@ class TestTrainPrecisionSplit:
             ("conv2d_transpose", {np.dtype(np.float64)})] * (4 * 8)
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
-    def test_float32_copy_is_dead_before_the_backward(self, monkeypatch,
-                                                      variant):
-        """One float32 copy per block, dead at the parameter VJP."""
-        real_copy, real_vjp = dq.float32_params, dq.map_vjp
-        copies, alive = [], []
-
-        def tracked_copy(params):
-            net = real_copy(params)
-            copies.append([weakref.ref(net), *map(
-                weakref.ref, net.denoiser.weights + net.denoiser.biases)])
-            return net
-
-        def vjp(*args, **kwargs):
-            alive.append(any(ref() is not None
-                             for refs in copies for ref in refs))
-            return real_vjp(*args, **kwargs)
-
-        monkeypatch.setattr(dq, "float32_params", tracked_copy)
-        monkeypatch.setattr(dq, "map_vjp", vjp)
-        self.train(variant)
-        # one copy and one parameter VJP per block and epoch
-        assert len(copies) == len(alive) == 8
-        assert not any(alive)
-
-    @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_matches_a_float64_forward(self, monkeypatch, variant, tmp_path):
         keys = ("fwd_iters", "bwd_iters", "fwd_nonconverged",
                 "adj_nonconverged")
@@ -581,7 +555,7 @@ class TestTrainPrecisionSplit:
                     [[h[k] for k in keys[2:]] for h in history])
 
         got, got_steps, got_epochs = run(tmp_path / "float32.jsonl")
-        monkeypatch.setattr(dq, "float32_params", lambda params: params)
+        monkeypatch.setattr(dn, "float32_params", lambda params: params)
         expect, steps, epochs = run(tmp_path / "float64.jsonl")
         assert got_steps == steps and got_epochs == epochs == [[0, 0]] * 2
         assert not all(np.array_equal(got[k], expect[k]) for k in expect)

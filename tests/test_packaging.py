@@ -303,6 +303,16 @@ def test_no_test_only_public_surface():
         and node.name not in SURFACE_ALLOWLIST)
 
 
+def test_only_denoiser_names_float32_params():
+    # which network pass runs in float32 is decided in one module, whose
+    # ``shared_network`` makes the float32 copy of a weight state
+    src = ROOT / "src" / "blocksc"
+    naming = [path.name for path in sorted(src.glob("*.py"))
+              if "float32_params" in _referenced_names(
+                  ast.parse(path.read_text(encoding="utf-8")))]
+    assert naming == ["denoiser.py"]
+
+
 def test_no_dead_test_helpers():
     # a module-level helper in tests/ that no test file refers to is dead
     # code, still written against whatever API it once served; test

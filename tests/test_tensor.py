@@ -54,7 +54,8 @@ class TestConv2d:
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         cot = rng.normal(size=(3, 5, 5))
-        cx, cw, cb = T.conv2d_vjp(x, w, cot)
+        cx = T.conv2d_transpose(w, cot)
+        cw, cb = T.conv2d_vjp(x, cot)
         fx = fd_grad(lambda v: float((T.conv2d(v, w, b) * cot).sum()), x)
         fw = fd_grad(lambda v: float((T.conv2d(x, v, b) * cot).sum()), w)
         fb = fd_grad(lambda v: float((T.conv2d(x, w, v) * cot).sum()), b)
@@ -64,15 +65,6 @@ class TestConv2d:
 
 
 class TestConv2dTranspose:
-    def test_equals_input_cotangent_of_vjp(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 5, 4))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        cot = rng.normal(size=(3, 5, 4))
-        cx, _, _ = T.conv2d_vjp(x, w, cot)
-        assert np.array_equal(T.conv2d_transpose(w, cot), cx)
-
     def test_adjoint_identity(self):
         # <conv(x), y> = <x, conv^T(y)> for the bias-free conv
         rng = np.random.default_rng(14)
@@ -144,10 +136,9 @@ class TestLoopReference:
         ref_cx, ref_cw, ref_cb = loop_conv2d_vjp(x64, w64, cot64)
         got = {"conv2d": T.conv2d(x, wt, bias),
                "conv2d_transpose": T.conv2d_transpose(wt, cot)}
-        got.update(zip(("cot_x", "cot_weight", "cot_bias"),
-                       T.conv2d_vjp(x, wt, cot)))
+        got.update(zip(("cot_weight", "cot_bias"), T.conv2d_vjp(x, cot)))
         want = {"conv2d": loop_conv2d(x64, w64, b64),
-                "conv2d_transpose": ref_cx, "cot_x": ref_cx,
+                "conv2d_transpose": ref_cx,
                 "cot_weight": ref_cw, "cot_bias": ref_cb}
         for name, ref in want.items():
             assert got[name].dtype == dtype, name
@@ -508,8 +499,8 @@ class TestRegistryInvariants:
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         cot = rng.normal(size=(3, 4, 5))
-        once = T.conv2d_vjp(x, w, cot)
-        twice = T.conv2d_vjp(x, w, 2.0 * cot)
+        once, twice = ((T.conv2d_transpose(w, c), *T.conv2d_vjp(x, c))
+                       for c in (cot, 2.0 * cot))
         for c1, c2 in zip(once, twice):
             assert np.allclose(c2, 2.0 * c1, atol=1e-12)
 
@@ -521,6 +512,6 @@ class TestRegistryInvariants:
             w = rng.normal(size=(2, 2, 3, 3)) * 0.5
             bias = rng.normal(size=2)
             cot = rng.normal(size=(2, 4, 4))
-            cx, cw, cb = T.conv2d_vjp(x, w, cot)
+            cx = T.conv2d_transpose(w, cot)
             fx = fd_grad(lambda v: float((T.conv2d(v, w, bias) * cot).sum()), x)
             assert rel_err(cx, fx) < 1e-5

@@ -6,12 +6,14 @@ that skipped every block included, and each epoch's history row is built
 from that epoch's records.
 """
 
+import inspect
 import json
 import weakref
 
 import numpy as np
 import pytest
 
+from blocksc import denoiser as dn
 from blocksc import deq as dq
 from blocksc import pipeline, training
 from blocksc import unroll as du
@@ -439,25 +441,81 @@ class TestDivergentValidation:
             assert np.array_equal(best.as_dict()[k], v), k
 
 
+class TestStepNetwork:
+    """Each optimizer step makes one float32 network copy and one N(0) per
+    block shape, and every block of the step solves on both; no earlier
+    step's copy is alive at a later step's blocks."""
+
+    @staticmethod
+    def train(engine, variant):
+        D, pairs = dataset(14, count=4)
+        common = dict(support_size=3, epochs=2, lr=1e-3, batch_size=2,
+                      val_fraction=0.0)
+        if engine == "deq":
+            cfg = dq.DeqTrainConfig(variant=variant, **common)
+            return dq.deq_train(pairs, D, make_params(seed=14), cfg)
+        cfg = du.DuTrainConfig(unroll=du.UnrollConfig(K=3, variant=variant),
+                               **common)
+        return du.du_train(pairs, D, make_params(seed=14), cfg)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    @pytest.mark.parametrize("engine", ["deq", "du"])
+    def test_one_network_per_optimizer_step(self, monkeypatch, engine,
+                                            variant):
+        real_copy, real_denoise = dn.float32_params, dn.denoise
+        module, name = {"deq": (dq, "deq_forward"),
+                        "du": (du, "du_forward")}[engine]
+        real_forward = getattr(module, name)
+        copies, responses, blocks = [], [], []
+
+        def copy(params):
+            net = real_copy(params)
+            copies.append([weakref.ref(net), *map(
+                weakref.ref, net.denoiser.weights + net.denoiser.biases)])
+            return net
+
+        def n0(den, block):  # every network call in training is an N(0)
+            out = real_denoise(den, block)
+            responses.append((weakref.ref(out), not block.any()))
+            return out
+
+        def forward(ctx, net, *args, **kwargs):
+            zero = inspect.signature(real_forward).bind(
+                ctx, net, *args, **kwargs).arguments["n0"]
+            blocks.append((len(copies), net is copies[-1][0](),
+                           zero is responses[-1][0](),
+                           any(ref() is not None for refs in copies[:-1]
+                               for ref in refs)))
+            return real_forward(ctx, net, *args, **kwargs)
+
+        monkeypatch.setattr(dn, "float32_params", copy)
+        monkeypatch.setattr(dn, "denoise", n0)
+        monkeypatch.setattr(module, name, forward)
+        self.train(engine, variant)
+        # 2 steps in each of 2 epochs, 2 blocks in each step
+        assert len(copies) == 4
+        assert [on_zeros for _, on_zeros in responses] == [True] * 4
+        assert blocks == [(step, True, True, False)
+                          for step in (1, 1, 2, 2, 3, 3, 4, 4)]
+
+
 class TestValidationNetwork:
     """A validation pass makes one float32 network copy and one N(0) for
     all its blocks, and scores them as blocks solved one by one would."""
 
     @pytest.mark.parametrize("engine", ["deq", "du"])
     def test_one_network_per_validation_pass(self, monkeypatch, engine):
-        real_copy, real_denoise = pipeline.float32_params, pipeline.denoise
+        real_network = pipeline.shared_network
         copies, zero_blocks, blocks = [], [], []
 
-        def copy(params):
+        def network(params, shape):  # N(0) is the network on zeros
             copies.append(1)
-            return real_copy(params)
+            net, n0 = real_network(params, shape)
+            zero_blocks.append(np.array_equal(n0, dn.denoise(
+                net.denoiser, np.zeros(shape, np.float32))))
+            return net, n0
 
-        def n0(den, block):  # pipeline runs the network on zeros only
-            zero_blocks.append(not block.any())
-            return real_denoise(den, block)
-
-        monkeypatch.setattr(pipeline, "float32_params", copy)
-        monkeypatch.setattr(pipeline, "denoise", n0)
+        monkeypatch.setattr(pipeline, "shared_network", network)
         real_block = pipeline.denoise_block
         monkeypatch.setattr(pipeline, "denoise_block", lambda *args: (
             blocks.append(1), real_block(*args))[1])

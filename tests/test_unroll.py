@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from blocksc import denoiser as dn
 from blocksc import solver as sv
 from blocksc import unroll as du
 from blocksc.anderson import AndersonConfig, DivergenceError
@@ -319,9 +320,9 @@ class TestDuTrain:
 
 
 class TestDuTrainPrecisionSplit:
-    """``du_train`` runs each block's forward trace and its backward on one
-    ``float32_params`` copy; the gradients come back float64 for the layer
-    sums and Adam.  The fixture is that of
+    """``du_train`` runs each block's forward trace and its backward on its
+    optimizer step's float32 network; the gradients come back float64 for
+    the layer sums and Adam.  The fixture is that of
     ``test_deq.TestTrainPrecisionSplit``."""
 
     @staticmethod
@@ -358,7 +359,7 @@ class TestDuTrainPrecisionSplit:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_matches_a_float64_forward(self, monkeypatch, variant):
         got = self.train(variant)[0].as_dict()
-        monkeypatch.setattr(du, "float32_params", lambda params: params)
+        monkeypatch.setattr(dn, "float32_params", lambda params: params)
         expect = self.train(variant)[0].as_dict()
         assert not all(np.array_equal(got[k], expect[k]) for k in expect)
         for k in expect:
