@@ -8,11 +8,11 @@ a setting an older file lacks takes its default and any other meta key
 (``support_eps`` in older files, say) stays in ``bundle.meta``.
 
 ``block_context``, the one context builder, serves ``denoise_block`` and
-both trainers; one solve serves several iteration budgets.  Precision:
-see ``denoiser``.  ``block_solver`` takes ``denoiser.shared_network``'s
-float32 copy and N(0) once per block shape for the blocks of one weight
-state (a cube, or a training validation pass), and every block reuses
-both.
+both trainers; one solve serves several iteration budgets through either
+engine's per-iterate callback.  Precision: see ``denoiser``.
+``block_solver`` takes ``denoiser.shared_network``'s float32 copy and N(0)
+once per block shape for the blocks of one weight state (a cube, or a
+validation pass), which all reuse both.
 
 ``denoise_cube`` holds one cube of block data (one per budget) beside one
 block's solve: ``split_blocks``' owned copies double as estimate storage.
@@ -82,8 +82,8 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
     """Solve one block and return the reconstructed d x N estimate.
 
     With ``budgets``, return {k: estimate after k iterations} for each k,
-    all from one solve run to max(budgets) with no early stop.  The
-    network runs in float32; ``bundle.params`` is left as it is.
+    kept by one solve's callback, run to max(budgets) with no early stop.
+    The network runs in float32; ``bundle.params`` is left as it is.
     ``network`` is the (float32 network, N(0)) pair of
     ``denoiser.shared_network`` for Y's shape, built here when None.
     """
@@ -91,24 +91,19 @@ def denoise_block(bundle: ModelBundle, Y: np.ndarray, budgets=None,
         budgets = _check_budgets(budgets)
     params, n0 = network or shared_network(bundle.params, np.shape(Y))
     ctx = block_context(bundle, Y)
+    staged, keep = {}, None
+    if budgets:
+        def keep(k, g):
+            if k in budgets:
+                staged[k] = reconstruct(ctx, g)
     if bundle.engine == "du":
-        G, trace = du_forward(ctx, params,
-                              budgets[-1] if budgets else bundle.K, n0)
-        if budgets is None:
-            return reconstruct(ctx, G)
-        return {k: reconstruct(ctx, trace[k]) for k in budgets}
-    if budgets is None:
-        G = deq_forward(ctx, params, bundle.anderson, n0=n0).solution
-        return reconstruct(ctx, G)
-    staged = {}
-
-    def keep(k, g):
-        if k in budgets:
-            staged[k] = reconstruct(ctx, g)
-
-    cfg = replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
-    deq_forward(ctx, params, cfg, callback=keep, n0=n0)
-    return staged
+        G = du_forward(ctx, params, budgets[-1] if budgets else bundle.K, n0,
+                       callback=keep)
+    else:
+        cfg = (replace(bundle.anderson, max_iters=budgets[-1], tol=0.0)
+               if budgets else bundle.anderson)
+        G = deq_forward(ctx, params, cfg, callback=keep, n0=n0).solution
+    return staged if budgets else reconstruct(ctx, G)
 
 
 def block_solver(bundle: ModelBundle):

@@ -1,12 +1,12 @@
 """Unrolled engine: K applications of the iteration map as a K-layer net.
 
-The forward pass keeps the whole iterate trace, so memory grows linearly with
-K (the price the unrolled variant pays that the equilibrium engine avoids),
-and in training its last map step's linearization, for the backward's first
-layer.  The backward chains the map VJP through all K layers, each adding its
-cotangents into one float64 gradient sum as it forms them.  Like the
-equilibrium engine, it is trained and served on the reconstructed block
-D G_K.  Which pass runs in which precision: see ``denoiser``.
+The forward pass holds one iterate, handing each to a callback; training keeps
+the whole trace that way, so its memory grows linearly with K (the price the
+unrolled variant pays that the equilibrium engine avoids), and its last map
+step's linearization, for the backward's first layer.  The backward chains the
+map VJP through all K layers, each adding its cotangents into one float64
+gradient sum as it forms them.  Like the equilibrium engine, it is trained and
+served on the reconstructed block D G_K.  Precision: see ``denoiser``.
 """
 
 from __future__ import annotations
@@ -36,33 +36,37 @@ class UnrollConfig:
 
 
 def du_forward(ctx: SolverContext, params: ModelParams, K: int,
-               n0: np.ndarray | None = None, lins: list | None = None):
-    """K map applications from G0 = 0; returns (G_K, full iterate trace).
+               n0: np.ndarray | None = None, lins: list | None = None,
+               callback=None):
+    """K map applications from G0 = 0; returns G_K, the one iterate held.
 
+    ``callback(k, G)`` sees each finite iterate, k = 1..K, as Anderson's.
     ``n0``, the network's output N(0) on an all-zero block, replaces the
     network call of the first application, as in ``deq.deq_forward``.
     Given a list ``lins``, the last application runs from the linearization
     it makes at G_{K-1} (for K = 1, in place of ``n0``), appended there for
     ``du_backward``.  Raises DivergenceError on a non-finite iterate.
     """
-    trace = [initial_codes(ctx)]
+    G = initial_codes(ctx)
     for k in range(1, K + 1):
         net_out = n0 if k == 1 else None
         if lins is not None and k == K:
-            lins.append(linearize_map(ctx, trace[-1], params))
+            lins.append(linearize_map(ctx, G, params))
             net_out = lins[-1].den.out
-        trace.append(iteration_map(ctx, trace[-1], params, net_out))
-        if not np.all(np.isfinite(trace[-1])):
+        G = iteration_map(ctx, G, params, net_out)
+        if not np.all(np.isfinite(G)):
             raise DivergenceError(
                 f"non-finite iterate at iteration {k}", iteration=k)
-    return trace[-1], trace
+        if callback is not None:
+            callback(k, G)
+    return G
 
 
 def du_backward(ctx: SolverContext, trace, X: np.ndarray,
                 params: ModelParams, lins: list | None = None):
     """Exact reverse-mode of the K-layer loss ||D G_K - X||_F^2.
 
-    Consumes ``trace``, the list ``du_forward`` returned: each iterate is
+    Consumes ``trace``, G_0..G_K as ``du_train`` keeps it: each iterate is
     popped when its layer runs, so the list is empty on return and no
     iterate outlives its layer.  Each layer's ``map_vjp`` re-linearizes
     the map on ``params`` at its trace point, so ``params`` should be the
@@ -92,9 +96,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
              adam: Adam | None = None, start_epoch: int = 0):
     """End-to-end training of the unrolled model; K is fixed at train time.
 
-    Each block runs its forward trace, from its optimizer step's N(0), and
-    its backward on the step's float32 network (``step_network``, see
-    ``denoiser``).  Validation scores the served ``pipeline.block_solver``.
+    Each block runs its forward (its trace kept by callback) from its step's
+    N(0), and its backward, on the step's float32 network (``step_network``,
+    see ``denoiser``).  Validation scores the served ``pipeline.block_solver``.
     """
     from .pipeline import ModelBundle, block_context, block_solver
 
@@ -108,8 +112,9 @@ def du_train(pairs, D: Dictionary, params0: ModelParams, cfg: DuTrainConfig,
     def block_grad(noisy, clean, params):
         ctx = block_context(bundle(params), noisy)
         net, n0 = network(params, noisy.shape)
-        lins = []  # the forward's last linearization, for the backward
-        _, trace = du_forward(ctx, net, cfg.unroll.K, n0, lins)
+        lins, trace = [], [initial_codes(ctx)]  # what the backward reads
+        du_forward(ctx, net, cfg.unroll.K, n0, lins,
+                   lambda k, G: trace.append(G))
         loss, grads = du_backward(ctx, trace, clean, net, lins)
         return loss, grads, {"fwd_iters": cfg.unroll.K,
                              "bwd_iters": cfg.unroll.K}

@@ -16,8 +16,8 @@ from blocksc.dictionary import Dictionary, normalize_atoms
 from blocksc.metrics import psnr, sweep_iterations
 from blocksc.pipeline import (ModelBundle, denoise_block, denoise_cube,
                               load_model_bundle, save_model_bundle)
-from blocksc.solver import make_context, reconstruct, select_support
-from blocksc.unroll import du_forward
+from blocksc.solver import initial_codes, iteration_map, make_context, \
+    reconstruct, select_support
 
 
 def tiny_bundle(engine="deq", variant="fast", seed=0):
@@ -203,10 +203,10 @@ def unshared_block(bundle, Y, budgets=None):
     support = (select_support(Y, bundle.dictionary, bundle.support_size)
                if bundle.variant == "fast" else None)
     ctx = make_context(bundle.dictionary, net, Y, support)
-    if bundle.engine == "du":
-        final, trace = du_forward(ctx, net,
-                                  max(budgets) if budgets else bundle.K)
-        staged = dict(enumerate(trace))
+    if bundle.engine == "du":  # a plain map loop from G_0
+        final, staged = initial_codes(ctx), {}
+        for k in range(1, (max(budgets) if budgets else bundle.K) + 1):
+            final = staged[k] = iteration_map(ctx, final, net)
     else:
         staged = {}
         cfg = (replace(bundle.anderson, max_iters=max(budgets), tol=0.0)
@@ -313,6 +313,30 @@ class TestCubeMemory:
         # builds inside the window; holding the finished estimates as well
         # would add 8/9 of a cube per budget
         assert cube_peak <= block_peak + block_data + cube.data.nbytes // 4
+
+
+class TestServedTrace:
+    """A served DU solve holds its current iterate, not the K-layer trace
+    that only training's backward reads."""
+
+    def test_du_full_block_peak_does_not_grow_with_K(self):
+        d, n = 8, 24
+        rng = np.random.default_rng(12)
+        D = Dictionary(normalize_atoms(rng.normal(size=(d, 2 * d))))
+        den = init_denoiser(d, hidden=8, seed=2)
+        spectral_normalize(den, iters=30)
+        params = ModelParams(den, ScalarParams.from_values(0.8, 0.05))
+        Y = rng.uniform(0, 1, (d, n * n))
+        network = denoiser.shared_network(params, Y.shape)
+        peaks = {}
+        for K in (10, 20):
+            bundle = ModelBundle(D, params, "du", "full", n=n, K=K)
+            denoise_block(bundle, Y, network=network)  # lazy allocations out
+            peaks[K] = traced_peak(
+                lambda: denoise_block(bundle, Y, network=network))
+        code = 2 * d * n * n * 8  # one float64 M x N code matrix
+        # holding the trace would add 10 code matrices at K = 20
+        assert abs(peaks[20] - peaks[10]) <= code, (peaks, code)
 
 
 class TestBudgets:

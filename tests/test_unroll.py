@@ -26,6 +26,15 @@ def du_loss(ctx, G_K, X):
     return float((resid * resid).sum())
 
 
+def traced_forward(ctx, params, K, lins=None):
+    """(G_K, [G_0, ..., G_K]): ``du_forward`` with its trace kept through
+    the callback, as ``du_train`` keeps the trace that its backward reads."""
+    trace = [sv.initial_codes(ctx)]
+    G_K = du.du_forward(ctx, params, K, lins=lins,
+                        callback=lambda k, G: trace.append(G))
+    return G_K, trace
+
+
 def instance(seed, variant="full", d=6, M=8, N=9):
     rng = np.random.default_rng(seed)
     D = Dictionary(normalize_atoms(rng.normal(size=(d, M))))
@@ -43,21 +52,21 @@ def instance(seed, variant="full", d=6, M=8, N=9):
 class TestDuForward:
     def test_K1_is_one_map_application(self):
         D, Y, X, params, ctx = instance(0)
-        out, trace = du.du_forward(ctx, params, 1)
+        out, trace = traced_forward(ctx, params, 1)
         direct = sv.iteration_map(ctx, sv.initial_codes(ctx), params)
         assert np.array_equal(out, direct)
         assert len(trace) == 2
 
     def test_composition(self):
         D, Y, X, params, ctx = instance(1)
-        g4, _ = du.du_forward(ctx, params, 4)
+        g4 = du.du_forward(ctx, params, 4)
         g5a = sv.iteration_map(ctx, g4, params)
-        g5b, _ = du.du_forward(ctx, params, 5)
+        g5b = du.du_forward(ctx, params, 5)
         assert np.array_equal(g5a, g5b)
 
     def test_layerwise_equals_deq_map(self):
         D, Y, X, params, ctx = instance(2)
-        _, trace = du.du_forward(ctx, params, 6)
+        _, trace = traced_forward(ctx, params, 6)
         g = sv.initial_codes(ctx)
         for k in range(1, 7):
             g = sv.iteration_map(ctx, g, params)
@@ -65,7 +74,7 @@ class TestDuForward:
 
     def test_large_K_approaches_deq_fixed_point(self):
         D, Y, X, params, ctx = instance(3, variant="fast")
-        g50, _ = du.du_forward(ctx, params, 50)
+        g50 = du.du_forward(ctx, params, 50)
         rep = deq_forward(ctx, params,
                           AndersonConfig(m=6, max_iters=200, tol=1e-13))
         rel = np.linalg.norm(g50 - rep.solution) / \
@@ -86,17 +95,38 @@ class TestDuForward:
         assert exc.value.iteration == 2
 
 
+    def test_callback_sees_each_finite_iterate_in_order(self):
+        # anderson_solve's contract: k = 1..K, and the last G is the result
+        D, Y, X, params, ctx = instance(5)
+        seen = []
+        out = du.du_forward(ctx, params, 4,
+                            callback=lambda k, G: seen.append((k, G)))
+        assert [k for k, _ in seen] == [1, 2, 3, 4]
+        assert seen[-1][1] is out
+
+    def test_callback_sees_no_non_finite_iterate(self):
+        D, Y, X, params, ctx = instance(4)
+        for w in params.denoiser.weights:
+            w *= 1e80  # as in test_non_finite_iterate_raises
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc:
+            du.du_forward(ctx, params, 3, callback=lambda k, G: seen.append(
+                (k, bool(np.all(np.isfinite(G))))))
+        assert exc.value.iteration == 2 and seen == [(1, True)]
+
+
 class TestDuBackward:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_K1_gradient_matches_finite_differences(self, variant):
         D, Y, X, params, ctx = instance(4, variant)
         cfg = du.UnrollConfig(K=1, variant=variant)
-        _, trace = du.du_forward(ctx, params, cfg.K)
+        _, trace = traced_forward(ctx, params, cfg.K)
         _, grads = du.du_backward(ctx, trace, X, params)
 
         def loss_with(p):
             c = sv.make_context(D, p, Y, ctx.support)
-            G_K, _ = du.du_forward(c, p, cfg.K)
+            G_K = du.du_forward(c, p, cfg.K)
             return du_loss(c, G_K, X)
 
         pdict = params.as_dict()
@@ -123,7 +153,7 @@ class TestDuBackward:
     def test_exact_target_zero_gradient(self):
         D, Y, X, params, ctx = instance(6)
         cfg = du.UnrollConfig(K=3)
-        G_K, trace = du.du_forward(ctx, params, cfg.K)
+        G_K, trace = traced_forward(ctx, params, cfg.K)
         loss, grads = du.du_backward(ctx, trace, sv.reconstruct(ctx, G_K),
                                      params)
         assert loss == 0.0
@@ -133,11 +163,11 @@ class TestDuBackward:
     def test_multilayer_gradient_matches_finite_differences(self):
         D, Y, X, params, ctx = instance(7)
         cfg = du.UnrollConfig(K=4)
-        _, trace = du.du_forward(ctx, params, cfg.K)
+        _, trace = traced_forward(ctx, params, cfg.K)
         _, grads = du.du_backward(ctx, trace, X, params)
 
         def loss_with():
-            G_K, _ = du.du_forward(
+            G_K = du.du_forward(
                 sv.make_context(D, params, Y), params, cfg.K)
             return du_loss(ctx, G_K, X)
 
@@ -159,7 +189,7 @@ class TestDuBackward:
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_float32_net_returns_float64_gradients(self, variant):
         D, Y, X, params, ctx = instance(11, variant)
-        _, trace = du.du_forward(ctx, params, 3)
+        _, trace = traced_forward(ctx, params, 3)
         loss64, want = du.du_backward(ctx, list(trace), X, params)
         loss, grads = du.du_backward(ctx, trace, X, float32_params(params))
         assert loss == loss64 and set(grads) == set(want)
@@ -172,7 +202,7 @@ class TestDuBackward:
         """The trace is emptied, each iterate is dead by the next layer's
         ``map_vjp``, and the result is bit for bit a run's on copies."""
         D, Y, X, params, ctx = instance(12, variant)
-        trace = du.du_forward(ctx, params, 4)[1]
+        trace = traced_forward(ctx, params, 4)[1]
         want = du.du_backward(ctx, [g.copy() for g in trace], X, params)
         refs, alive = [weakref.ref(g) for g in trace], []
         real_vjp = du.map_vjp
@@ -195,7 +225,7 @@ class TestDuBackward:
         D, Y, X, params, ctx = instance(10)
         sizes = {}
         for K in (2, 4, 8):
-            _, trace = du.du_forward(ctx, params, K)
+            _, trace = traced_forward(ctx, params, K)
             sizes[K] = sum(g.nbytes for g in trace)
         growth_low = sizes[4] - sizes[2]
         growth_high = sizes[8] - sizes[4]
@@ -420,10 +450,10 @@ class TestKeptLinearization:
     def test_kept_linearization_changes_no_bit(self, variant, K):
         D, Y, X, params, ctx = instance(13, variant)
         net = float32_params(params)
-        G_K, trace = du.du_forward(ctx, net, K)
+        G_K, trace = traced_forward(ctx, net, K)
         want = du.du_backward(ctx, trace, X, net)
         lins = []
-        kept_G_K, trace = du.du_forward(ctx, net, K, lins=lins)
+        kept_G_K, trace = traced_forward(ctx, net, K, lins=lins)
         assert len(lins) == 1 and np.array_equal(kept_G_K, G_K)
         loss, grads = du.du_backward(ctx, trace, X, net, lins)
         assert lins == [] and loss == want[0] and list(grads) == list(want[1])
@@ -444,7 +474,7 @@ class TestBackwardMemory:
         ctx = sv.make_context(D, params, rng.normal(size=(d, n * n)))
         X = rng.normal(size=(d, n * n))
         net = float32_params(params)
-        G = du.du_forward(ctx, net, 3)[1][-2]
+        G = traced_forward(ctx, net, 3)[1][-2]
         cot = rng.normal(size=G.shape)
 
         def above_entry(fn, make_args):
@@ -466,7 +496,7 @@ class TestBackwardMemory:
                             tuple)
         peak = above_entry(
             lambda trace: du.du_backward(ctx, trace, X, net),
-            lambda: (du.du_forward(ctx, net, 3)[1],))
+            lambda: (traced_forward(ctx, net, 3)[1],))
         grad_sum = sum(v.size for v in params.as_dict().values()) * 8
         weight_cot = max(w.size for w in net.denoiser.weights) * 4
         # a per-layer gradient dict and its float64 copy held beside the sum
