@@ -7,6 +7,35 @@ residual norm drops to ``OMP_EPS``; ``batch_omp`` once yᵀy − bᵀg, the
 squared residual norm by the normal equations, drops to ``OMP_EPS``²: a
 difference that cancels to rounding level once the picked atoms fit the
 column, so there the stop is down to rounding.
+
+``batch_omp`` runs step by step over chunks of ``CHUNK`` columns.  In each
+chunk, step k = 1..s
+
+1. picks the next atom of every live column (yᵀy − bᵀg > ``OMP_EPS``²) with
+   one ``argmax(axis=1)`` over a (CHUNK, M) row buffer of |α|, picked atoms
+   masked to −1, below any |α| (``argmax(axis=0)`` on an (M, n) array would
+   copy it);
+2. gathers the k × k Gram sub-blocks D_Sᵀ D_S and b = (Dᵀy)_S of the live
+   columns at once, as stacked fancy indexes;
+3. solves D_Sᵀ D_S g = b by Cholesky, then forms α = Dᵀy − Dᵀ D_S g and
+   yᵀy − b·g, except at k = s, whose α nobody reads.
+
+At k = 1 all of step 3 is vectorized: one ``dpotrf`` per distinct atom, one
+``dpotrs`` with that atom's columns as its right-hand sides, α as one
+elementwise product over the chunk and yᵀy − b·g elementwise.  At k ≥ 2
+each column keeps its own ``dpotrf``/``dpotrs`` on the same operands and its
+own ``gram[:, S] @ g`` gemv, as a per-column loop makes them; its b·g is
+the same ``ddot``, made per column by one stacked ``matmul``.  A stacked
+Cholesky, or a gemm for the gemv, rounds differently, and at the stop above
+(a FOUND in CHANGES.md) rounding alone changes which atoms a column of
+KSVD's initial atoms picks.  So the codes stay bit-identical to a
+per-column loop, and KSVD's pinned ``coding_error`` with them; a
+deterministic stop would free this, but it moves the pins.
+
+Memory above entry, for d ≤ M: Dᵀy (held as N rows), the codes, DᵀD and
+yᵀy, plus the chunk's |α| buffer (CHUNK × M floats), its per-step gathers
+and numpy's iteration buffers, which ``batch_omp`` caps at ``UFUNC_BUFFER``
+elements (numpy would size them like the chunk).
 """
 
 from __future__ import annotations
@@ -18,6 +47,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 OMP_EPS = 1e-10
+CHUNK = 24  # columns per batch-OMP chunk: a 12 KB |α| buffer at M = 64
+UFUNC_BUFFER = 64  # elements per numpy iteration buffer inside batch_omp
 
 
 class RankError(RuntimeError):
@@ -101,8 +132,7 @@ def omp(y: np.ndarray, D: Dictionary, s: int):
     coefficients aligned to the sorted support.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
-    if not (1 <= s <= D.d):
-        raise ValueError(f"sparsity s must satisfy 1 <= s <= d, got {s}")
+    _check_sparsity(D, s)
     residual = y.copy()
     selected: list[int] = []
     coeffs = np.zeros(0)
@@ -127,44 +157,99 @@ def batch_omp(Y: np.ndarray, D: Dictionary, s: int):
 
     Returns the (M, N) code matrix of the N columns of ``Y``: column j holds
     the coefficients on the atoms OMP picked for it and zeros elsewhere.
-    Each column calls LAPACK ``potrf``/``potrs`` (the routines behind
-    ``cho_factor``/``cho_solve``) directly on the same operands, in the same
-    order, as a per-column ``cho_factor``/``cho_solve`` loop, so the codes
-    are bit-identical to it.  Matches the looped ``omp`` output to well
-    below 1e-10 on generic data.
+    Runs step by step over chunks of ``CHUNK`` columns in the order the
+    module docstring gives, calling LAPACK ``dpotrf``/``dpotrs`` (the
+    routines behind ``cho_factor``/``cho_solve``), and the codes are
+    bit-identical to a per-column ``cho_factor``/``cho_solve`` loop.  They
+    match the looped ``omp`` to well below 1e-10 on generic data.  For
+    d ≤ M the peak above entry is D^T Y, the codes, D^T D and yᵀy plus one
+    (CHUNK, M) buffer and a few KB.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    if not (1 <= s <= D.d):
-        raise ValueError(f"sparsity s must satisfy 1 <= s <= d, got {s}")
+    _check_sparsity(D, s)
     if not np.all(np.isfinite(Y)):
         raise ValueError("signals contain non-finite entries")
     gram = D.atoms.T @ D.atoms
-    dty = D.atoms.T @ Y
+    alpha0 = np.ascontiguousarray((D.atoms.T @ Y).T)  # row j: D^T y_j
     yty = (Y * Y).sum(axis=0)
     codes = np.zeros((D.M, Y.shape[1]))
-    eps2 = OMP_EPS * OMP_EPS
-    for j in range(Y.shape[1]):
-        alpha0 = alpha = dty[:, j]
-        err2 = yty[j]
-        selected: list[int] = []
-        for step in range(s):
-            if err2 <= eps2:
-                break
-            a = np.abs(alpha)
-            a[selected] = -np.inf
-            selected.append(int(a.argmax()))
-            b = alpha0[selected]
-            c, info = dpotrf(gram[selected][:, selected], lower=1, clean=0)
-            if info > 0:
-                raise RankError(f"singular Gram submatrix at step {step} "
-                                f"(column {j})", step=step)
-            g, _ = dpotrs(c, b, lower=1)
-            if step + 1 < s:  # the last step's residual is never read
-                alpha = alpha0 - gram[:, selected] @ g
-                err2 = yty[j] - b @ g
-        if selected:
-            codes[selected, j] = g
+    with np.errstate():  # restores numpy's ufunc buffer size on exit
+        np.setbufsize(UFUNC_BUFFER)
+        for j0 in range(0, Y.shape[1], CHUNK):
+            cols = slice(j0, j0 + CHUNK)
+            _omp_chunk(gram, alpha0[cols], yty[cols], s, codes[:, cols], j0)
     return codes
+
+
+def _omp_chunk(gram, alpha0, yty, s, codes, j0):
+    """Batch-OMP on one chunk: ``alpha0`` holds its columns' D^T y as rows,
+    and ``codes`` takes their codes; ``j0`` is its first column."""
+    w = len(yty)
+    S = np.full((w, s), -1)  # each column's picks in order, -1 for none
+    G = np.zeros((w, s))     # and its latest solve
+    err2 = yty.copy()
+    # |α| rows; picks are masked to -1, not -inf, because gemv writes rows
+    # with beta = 0, which a BLAS may apply as a scaling (0 * inf is NaN)
+    a = np.abs(alpha0)
+    for step in range(s):
+        live = (err2 > OMP_EPS * OMP_EPS).nonzero()[0]
+        if not live.size:
+            break
+        pick = a.argmax(axis=1)
+        S[live, step] = pick[live]
+        more = step + 1 < s  # the last step's residual is never read
+        if step == 0 or not more:
+            del a  # the first step rebuilds it from gram; the last needs none
+        if step == 0:  # one factor per atom, its columns as right-hand sides
+            if more:
+                a = gram.T[pick]  # the picked columns of gram, as rows
+            rows = S[:, 0].argsort()[w - len(live):]  # grouped by atom
+            first = S[rows, 0].tolist()
+            b = alpha0[rows, first]
+            g = b[None].copy()  # solved in place, one atom's columns a call
+            cuts = [0, *(k for k in range(1, len(first))
+                         if first[k] != first[k - 1]), len(first)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                i = first[lo]
+                c, info = dpotrf(gram[i:i + 1, i:i + 1], lower=1, clean=0)
+                if info > 0:
+                    j = j0 + rows[lo:hi].min()
+                    raise RankError(f"singular Gram submatrix at step 0 "
+                                    f"(column {j})", step=0)
+                dpotrs(c, g[:, lo:hi], lower=1, overwrite_b=1)
+            G[rows, 0] = g[0]
+            if more:
+                err2[rows] = yty[rows] - b * g[0]
+                a *= G[:, :1]  # gram[:, i] g, the α update's one product
+        else:
+            sel = S[live, :step + 1]
+            subs = gram.take(sel[:, :, None] * len(gram) + sel[:, None, :])
+            bs = alpha0[live[:, None], sel]
+            gs = bs.copy()  # row q solved in place for live[q]
+            for r, sub, g, idx in zip(live.tolist(), subs, gs, sel):
+                c, info = dpotrf(sub, lower=1, clean=0)
+                if info > 0:
+                    raise RankError(f"singular Gram submatrix at step {step} "
+                                    f"(column {j0 + r})", step=step)
+                dpotrs(c, g, lower=1, overwrite_b=1)
+                if more:  # the per-column loop's gemv, written into a[r]
+                    np.matmul(gram[:, idx], g, out=a[r])
+            G[live, :step + 1] = gs
+            if more:
+                dots = np.matmul(bs[:, None], gs[:, :, None])  # one ddot each
+                err2[live] = yty[live] - dots.ravel()
+        if more:
+            np.subtract(alpha0, a, out=a)
+            np.abs(a, out=a)
+            a[live[:, None], S[live, :step + 1]] = -1.0
+    rows, ks = (S >= 0).nonzero()
+    codes[S[rows, ks], rows] = G[rows, ks]
+
+
+def _check_sparsity(D, s):
+    if not (1 <= s <= min(D.d, D.M)):
+        raise ValueError(f"sparsity s must satisfy 1 <= s <= min(d, M) = "
+                         f"min({D.d}, {D.M}), got {s}")
 
 
 def coding_error(X, atoms, codes) -> float:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from blocksc.dictionary import (Dictionary, SupportSet, batch_omp,
-                                coding_error, decorrelate_atoms, ksvd,
-                                normalize_atoms, omp)
+from blocksc.dictionary import (CHUNK, OMP_EPS, Dictionary, SupportSet,
+                                batch_omp, coding_error, decorrelate_atoms,
+                                ksvd, normalize_atoms, omp)
 from blocksc.tensor import soft_threshold
 
 
@@ -210,9 +212,7 @@ class TestBatchOmp:
         # a scaled atom is fit by its first pick; the residual left is
         # rounding noise, which decides the later picks and their ~1e-16
         # coefficients, so only identical arithmetic reproduces them
-        rng = np.random.default_rng(10)
-        D = random_dictionary(16, 32, seed=10)
-        Y = D.atoms[:, rng.integers(0, 32, 300)] * rng.uniform(0.5, 2.0, 300)
+        D, Y = scaled_atom_columns()
         codes = batch_omp(Y, D, s=3)
         tiny = (codes != 0.0) & (np.abs(codes) < 1e-12)
         assert tiny.any(axis=0).sum() > 30
@@ -230,6 +230,93 @@ class TestBatchOmp:
         D = random_dictionary(4, 8)
         with pytest.raises(ValueError):
             batch_omp(np.ones((4, 2)), D, s=0)
+
+    def test_sparsity_beyond_the_atom_count_rejected(self):
+        # d = 8 > M = 4: once all four atoms are picked, no fifth is left
+        rng = np.random.default_rng(12)
+        with pytest.warns(UserWarning, match="undercomplete"):
+            D = Dictionary(normalize_atoms(rng.normal(size=(8, 4))))
+        Y = rng.normal(size=(8, 5))
+        bounds = r"1 <= s <= min\(d, M\) = min\(8, 4\), got 6"
+        with pytest.raises(ValueError, match=bounds):
+            omp(Y[:, 0], D, s=6)
+        with pytest.raises(ValueError, match=bounds):
+            batch_omp(Y, D, s=6)
+        assert np.array_equal(batch_omp(Y, D, s=4),
+                              per_column_batch_omp(Y, D, s=4))
+
+
+def scaled_atom_columns():
+    """300 scaled atoms of a 16 x 32 dictionary: the first pick fits each
+    column, so its stop falls on rounding noise after 1, 2 or 3 picks."""
+    rng = np.random.default_rng(10)
+    D = random_dictionary(16, 32, seed=10)
+    Y = D.atoms[:, rng.integers(0, 32, 300)] * rng.uniform(0.5, 2.0, 300)
+    return D, Y
+
+
+class TestChunkedBatchOmp:
+    """``batch_omp`` runs step by step over chunks of ``CHUNK`` columns;
+    every case is bit-equal to the per-column oracle."""
+
+    @pytest.mark.parametrize("N,s", [
+        (1, 4), (CHUNK - 1, 4), (CHUNK, 4), (CHUNK + 1, 4), (3 * CHUNK + 5, 4),
+        (2 * CHUNK + 3, 1),    # no later step
+        (2 * CHUNK + 3, 16)])  # s = d
+    def test_chunk_and_sparsity_edges(self, N, s):
+        rng = np.random.default_rng(20 + N + s)
+        D = random_dictionary(16, 32, seed=20)
+        Y = rng.normal(size=(16, N))
+        assert np.array_equal(batch_omp(Y, D, s=s),
+                              per_column_batch_omp(Y, D, s=s))
+
+    def test_columns_at_the_stop_get_zero_codes(self):
+        rng = np.random.default_rng(21)
+        D = random_dictionary(16, 32, seed=21)
+        Y = rng.normal(size=(16, 4 * CHUNK))
+        Y[:, ::3] = 0.0
+        Y[:, 1::7] *= 1e-12  # yᵀy ≤ OMP_EPS² without being zero
+        Y[:, CHUNK:2 * CHUNK] = 0.0  # a chunk of such columns only
+        stopped = (Y * Y).sum(axis=0) <= OMP_EPS * OMP_EPS
+        assert stopped.sum() < 4 * CHUNK - 20 and Y[:, stopped].any()
+        codes = batch_omp(Y, D, s=3)
+        assert not codes[:, stopped].any()
+        assert np.array_equal(codes, per_column_batch_omp(Y, D, s=3))
+
+    def test_one_chunk_stops_after_one_two_and_s_picks(self):
+        D, Y = scaled_atom_columns()
+        picks = np.count_nonzero(per_column_batch_omp(Y, D, s=3), axis=0)
+        chosen = np.concatenate([np.flatnonzero(picks == k)[:CHUNK // 3]
+                                 for k in (1, 2, 3)])
+        Y = Y[:, np.sort(chosen)]
+        assert Y.shape[1] <= CHUNK
+        codes = batch_omp(Y, D, s=3)
+        assert set(np.count_nonzero(codes, axis=0)) == {1, 2, 3}
+        assert np.array_equal(codes, per_column_batch_omp(Y, D, s=3))
+
+
+class TestBatchOmpMemory:
+    def test_peak_is_its_arrays_plus_one_chunk(self):
+        # KSVD's first coding in the benchmark's shape: 2000 columns of 31
+        # bands, 64 atoms drawn from them, s = 3
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(31, 2000))
+        D = Dictionary(normalize_atoms(X[:, rng.choice(2000, 64,
+                                                         replace=False)]))
+        batch_omp(X, D, s=3)  # numpy's one-time allocations are not its own
+        tracemalloc.start()
+        try:
+            batch_omp(X, D, s=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        M, N = D.M, X.shape[1]
+        arrays = 8 * (M * N + M * N + M * M + N)  # DᵀY, codes, DᵀD, yᵀy
+        # the (CHUNK, M) |α| row buffer, then 20 KB for per-step gathers,
+        # numpy's iteration buffers and Python objects; an (M, N) |α|
+        # matrix, or argmax(axis=0) over an (M, CHUNK) one, exceeds it
+        allowance = 8 * CHUNK * M + 20_000
+        assert arrays < peak <= arrays + allowance
 
 
 class TestFistaLasso:

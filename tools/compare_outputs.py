@@ -19,10 +19,14 @@ validation split), ``skipped``, ``fwd_nonconverged`` and ``adj_nonconverged``
 (``<run>.history``), and each step's ``fwd_iters``, ``bwd_iters``,
 ``fwd_nonconverged``, ``adj_nonconverged`` and ``skipped`` as read from a
 temporary ``log_path`` JSONL (``<run>.iters``), so both levels of the
-training loop's count accumulator are compared; two ``ksvd`` sweeps on the 1600 spectra of
-that cube; and ``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on
-fixed 60x60 float32 and 20x20 float64 inputs, so a kernel change shows per
-op, the multi-strip transpose included.  ``compare`` prints each array that
+training loop's count accumulator are compared; two ``ksvd`` sweeps on the
+1600 spectra of that cube; ``batch_omp`` codes of those spectra at s = 3 and
+s = 1 (``batch_omp.s3``, ``batch_omp.s1``) on 64 normalized spectra drawn as
+``ksvd`` draws its initial atoms, where later picks land on rounding noise,
+so OMP's bits are compared apart from ``ksvd``'s atom updates; and
+``conv2d`` and ``conv2d_transpose`` (64 -> 64 channels) on fixed 60x60
+float32 and 20x20 float64 inputs, so a kernel change shows per op, the
+multi-strip transpose included.  ``compare`` prints each array that
 differs with its max relative difference ``max|a - b| / max|b|`` (for a
 ``<run>.history`` array, also the name and max relative difference of each
 column that differs), then whether the iteration counts (the
@@ -125,10 +129,14 @@ def dump(path):
         out[f"pretrain.layer{i}.weight"] = w
         out[f"pretrain.layer{i}.bias"] = b
     out["pretrain.history"] = _history(history)
-    learned, history = dictionary.ksvd(noisy.data.reshape(31, -1), M=64, s=3,
-                                       sweeps=2)
+    spectra = noisy.data.reshape(31, -1)
+    learned, history = dictionary.ksvd(spectra, M=64, s=3, sweeps=2)
     out["ksvd.atoms"] = learned.atoms
     out["ksvd.history"] = np.array(history)
+    init = np.random.default_rng(0).choice(spectra.shape[1], 64, replace=False)
+    atoms = dictionary.Dictionary(dictionary.normalize_atoms(spectra[:, init]))
+    for s in (3, 1):
+        out[f"batch_omp.s{s}"] = dictionary.batch_omp(spectra, atoms, s)
     out.update(_conv_outputs())
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
