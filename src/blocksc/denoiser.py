@@ -21,7 +21,8 @@ each reverse sweep takes them): in float32 its input-cotangent chain
 moved a near-zero trained weight by 2.6e-6 relative, past the rtol 1e-6
 that DEQ training is held to.  Pretraining runs float64; the engines
 validate on the served float32 path.  Float32 rounding (about 6e-8) sits
-far below either DEQ solve's tol 1e-4.
+far below either DEQ solve's tol (by default 1e-4 forward, 1e-3 for the
+training adjoint).
 
 ``grad_chain`` computes the logistic with ``math``: importing
 ``scipy.special`` for ``expit`` cost every process about 0.4 s.
@@ -198,11 +199,15 @@ class DenoiserLinearization:
     out: np.ndarray
 
     def transpose(self, params: DenoiserParams, cot: np.ndarray,
-                  grads: dict | None = None) -> np.ndarray:
+                  grads: dict | None = None,
+                  block_cot: bool = True) -> np.ndarray | None:
         """Block cotangent J^T cot; given ``grads``, each parameter's too.
 
         Runs in the dtype of ``params``' weights, at this linearization's
         masks, and returns the cotangent's dtype, as ``denoise`` does.
+        With ``block_cot`` False the sweep stops after the first layer's
+        weight cotangent, whose transposed conv only the block cotangent
+        reads, and returns None.
         """
         c = cot.reshape(self.inputs[0].shape).astype(params.weights[0].dtype,
                                                      copy=False)
@@ -215,6 +220,8 @@ class DenoiserLinearization:
                 add_grad(grads, f"denoiser.layer{i + 1}.weight", cw)
                 add_grad(grads, f"denoiser.layer{i + 1}.bias", cb)
                 del cw, cb  # added, and dropped, before the transposed conv
+            if i == 0 and not block_cot:
+                return None
             c = conv2d_transpose(params.weights[i], c)
         return c.reshape(cot.shape).astype(cot.dtype, copy=False)
 
@@ -243,19 +250,22 @@ def denoise_linearize(params: DenoiserParams,
 
 
 def denoise_vjp(params: DenoiserParams, lin: DenoiserLinearization,
-                cot: np.ndarray, grads: dict | None = None):
+                cot: np.ndarray, grads: dict | None = None,
+                block_cot: bool = True):
     """Reverse-mode of ``denoise``: returns (cot_block, grads).
 
     ``lin``, the ``denoise_linearize`` of the block, holds activations
     only; ``lin.transpose`` runs the sweep on ``params``' weights and adds
-    each parameter cotangent into ``grads`` (a new dict for None).
+    each parameter cotangent into ``grads`` (a new dict for None).  With
+    ``block_cot`` False, cot_block is None and its last transposed conv
+    is not run.
     The spectral-normalization constant is treated as a constant here;
     gradients are w.r.t. the stored (already normalized) weights.
     """
     if grads is None:
         grads = dict.fromkeys(f"denoiser.layer{i}.{kind}" for i in range(1, 5)
                               for kind in ("weight", "bias"))
-    return lin.transpose(params, cot, grads), grads
+    return lin.transpose(params, cot, grads, block_cot), grads
 
 
 def estimated_spectral_norms(params: DenoiserParams) -> list:

@@ -32,9 +32,16 @@ KSVD's initial atoms picks.  So the codes stay bit-identical to a
 per-column loop, and KSVD's pinned ``coding_error`` with them; a
 deterministic stop would free this, but it moves the pins.
 
-Memory above entry, for d ≤ M: Dᵀy (held as N rows), the codes, DᵀD and
-yᵀy, plus the chunk's |α| buffer (CHUNK × M floats), its per-step gathers
-and numpy's iteration buffers, which ``batch_omp`` caps at ``UFUNC_BUFFER``
+Each chunk forms its own Dᵀy rows as Y[:, chunk]ᵀ D, so no (M, N) Dᵀ Y
+is held.  With OpenBLAS these are bit for bit the rows of the whole
+product, except that for N in the thousands the whole product's last
+N mod 8 columns come from an edge kernel that rounds apart; at N = 1600
+and 2000 (``tools/compare_outputs.py``'s and the benchmark's) every row
+matches.
+
+Memory above entry, for d ≤ M: the codes, DᵀD and yᵀy, plus the chunk's
+Dᵀy rows and |α| buffer (CHUNK × M floats each), its per-step gathers and
+numpy's iteration buffers, which ``batch_omp`` caps at ``UFUNC_BUFFER``
 elements (numpy would size them like the chunk).
 """
 
@@ -160,24 +167,30 @@ def batch_omp(Y: np.ndarray, D: Dictionary, s: int):
     Runs step by step over chunks of ``CHUNK`` columns in the order the
     module docstring gives, calling LAPACK ``dpotrf``/``dpotrs`` (the
     routines behind ``cho_factor``/``cho_solve``), and the codes are
-    bit-identical to a per-column ``cho_factor``/``cho_solve`` loop.  They
+    bit-identical to a per-column ``cho_factor``/``cho_solve`` loop on the
+    same D^T y (see the module docstring for its per-chunk rows).  They
     match the looped ``omp`` to well below 1e-10 on generic data.  For
-    d ≤ M the peak above entry is D^T Y, the codes, D^T D and yᵀy plus one
-    (CHUNK, M) buffer and a few KB.
+    d ≤ M the peak above entry is the codes, D^T D and yᵀy plus the
+    chunk's D^T y rows and |α| buffer, each (CHUNK, M), and a few KB.
     """
     Y = np.asarray(Y, dtype=np.float64)
     _check_sparsity(D, s)
     if not np.all(np.isfinite(Y)):
         raise ValueError("signals contain non-finite entries")
     gram = D.atoms.T @ D.atoms
-    alpha0 = np.ascontiguousarray((D.atoms.T @ Y).T)  # row j: D^T y_j
     yty = (Y * Y).sum(axis=0)
-    codes = np.zeros((D.M, Y.shape[1]))
+    N = Y.shape[1]
+    codes = np.zeros((D.M, N))
+    # numpy runs a 1-column product as a gemv, which rounds apart from the
+    # whole product's gemm, so a 1-column tail joins the chunk before it
+    last = N - 1 if N > CHUNK and N % CHUNK == 1 else N
     with np.errstate():  # restores numpy's ufunc buffer size on exit
         np.setbufsize(UFUNC_BUFFER)
-        for j0 in range(0, Y.shape[1], CHUNK):
-            cols = slice(j0, j0 + CHUNK)
-            _omp_chunk(gram, alpha0[cols], yty[cols], s, codes[:, cols], j0)
+        for j0 in range(0, last, CHUNK):
+            # row j of Y[:, cols].T @ D is D^T y_j
+            cols = slice(j0, j0 + CHUNK if j0 + CHUNK < last else N)
+            _omp_chunk(gram, Y[:, cols].T @ D.atoms, yty[cols], s,
+                       codes[:, cols], j0)
     return codes
 
 

@@ -22,9 +22,10 @@ the map is G+ = c0 + b P N(D G) [+ b A^-1 soft(G)], GEMMs only; its
 applies either map, taking the network output when the caller has it:
 N(D 0) = N(0) is the same for every block, so the solves of a cube's
 blocks from G = 0 share one call.  ``map_vjp`` gives the cotangents of
-one application w.r.t. the input codes and all learnable parameters;
-``linearize_map`` runs the forward once at a point for repeated transposed
-products, with the network's parameter cotangents or without.
+one application w.r.t. all learnable parameters and, for a caller that
+reads it, the input codes; ``linearize_map`` runs the forward once at a
+point for repeated transposed products, with the network's parameter
+cotangents or without.
 """
 
 from __future__ import annotations
@@ -143,15 +144,19 @@ class MapLinearization:
         return self.transpose(net, cot, self.ctx.P.T @ cot, None)
 
     def transpose(self, net: ModelParams, cot: np.ndarray, DW: np.ndarray,
-                  grads: dict | None) -> np.ndarray:
+                  grads: dict | None, code_cot: bool = True
+                  ) -> np.ndarray | None:
         """J^T cot from ``DW`` = P^T cot, scaled by b in place; given
-        ``grads``, ``denoise_vjp`` adds the network's cotangents into it."""
+        ``grads``, ``denoise_vjp`` adds the network's cotangents into it,
+        and with ``code_cot`` False it stops there and returns None."""
         ctx = self.ctx
         DW *= ctx.b
         if grads is None:
             cot_T = self.den.transpose(net.denoiser, DW)
         else:
-            cot_T = denoise_vjp(net.denoiser, self.den, DW, grads)[0]
+            cot_T = denoise_vjp(net.denoiser, self.den, DW, grads, code_cot)[0]
+        if not code_cot:
+            return None
         cot_G = ctx.D.T @ cot_T
         if self.mask is None:
             return cot_G
@@ -174,7 +179,7 @@ def linearize_map(ctx: SolverContext, G: np.ndarray,
 
 def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
             cot: np.ndarray, lin: MapLinearization | None = None,
-            grads: dict | None = None):
+            grads: dict | None = None, code_cot: bool = True):
     """Cotangents of one map application at G.
 
     Returns (cot_G, grads) where grads carries the denoiser entries plus
@@ -185,7 +190,10 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
     holds activations only).  The VJP runs on ``params``, checks ``ctx``
     against it and forms cot_G by ``lin.transpose``, the DEQ adjoint's
     product.  Its scalar cotangents (G_next, b A^-1 S and tau's formed in
-    place as in ``iteration_map``) and G die before the network VJP.
+    place as in ``iteration_map``) and G die before the network VJP.  With
+    ``code_cot`` False, for a caller that reads ``grads`` alone, cot_G is
+    None: the sweep stops at the first layer's weight cotangent, and its
+    transposed conv, D^T cot_T and the mask term are not formed.
     """
     ctx.check(params)
     if lin is None:
@@ -215,7 +223,7 @@ def map_vjp(ctx: SolverContext, G: np.ndarray, params: ModelParams,
         del W
     cot_b = -float((DW * (ctx.D @ G_next)).sum()) + cot_b_rhs + cot_b_tau
     del G, G_next, nout
-    cot_G = lin.transpose(params, cot, DW, grads)
+    cot_G = lin.transpose(params, cot, DW, grads, code_cot)
 
     chain_b, chain_mu = params.scalars.grad_chain()
     add_grad(grads, "scalars.raw_b", np.float64(cot_b * chain_b))

@@ -28,8 +28,10 @@ from .metrics import block_psnr
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
-# The per-step counts a ``block_grad_fn`` reports, under their log fields.
-COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged", "adj_nonconverged")
+# The per-step sums a ``block_grad_fn`` reports, under their log fields:
+# the residuals are each solve's last, ``FixedPointReport.residuals[-1]``.
+COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged", "adj_nonconverged",
+          "fwd_residual", "adj_residual")
 _DIVERGED = (FloatingPointError, DivergenceError)  # a divergent block raises
 
 
@@ -272,7 +274,8 @@ def pretrain(pairs, cfg: PretrainConfig):
     def block_grad(noisy, clean, params):
         lin = denoise_linearize(params.denoiser, noisy)
         resid = lin.out - clean
-        _, grads = denoise_vjp(params.denoiser, lin, 2.0 * resid)
+        grads = denoise_vjp(params.denoiser, lin, 2.0 * resid,
+                            block_cot=False)[1]
         return float((resid * resid).sum()), grads, {}
 
     def infer(params):

@@ -71,17 +71,20 @@ def du_backward(ctx: SolverContext, trace, X: np.ndarray,
     iterate outlives its layer.  Each layer's ``map_vjp`` re-linearizes
     the map on ``params`` at its trace point, so ``params`` should be the
     network that made the trace, but the first pops the forward's one at
-    G_{K-1} from ``lins`` when it holds one.  Returns (loss, grads dict),
-    one float64 sum per parameter that every layer adds into as it goes.
+    G_{K-1} from ``lins`` when it holds one.  The last layer, at G_0,
+    forms no code cotangent: the loss does not depend on G_0.  Returns
+    (loss, grads dict), one float64 sum per parameter that every layer adds
+    into as it goes.
     """
     resid = reconstruct(ctx, trace.pop()) - X
     loss = float((resid * resid).sum())
     cot = 2.0 * (ctx.D.T @ resid)
     del resid
     grads = None
-    while trace:
+    while trace:  # the pop comes first, so G_0's code cotangent is skipped
         cot, grads = map_vjp(ctx, trace.pop(), params, cot,
-                             lins.pop() if lins else None, grads)
+                             lins.pop() if lins else None, grads,
+                             code_cot=bool(trace))
     return loss, grads
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,6 +499,92 @@ class TestTrainConfig:
             run()
 
 
+class TestTrainAdjointTolerance:
+    """``deq_train`` solves each block's adjoint to ``ADJOINT_TOL_FACTOR``
+    times the forward's tol, and logs both solves' final residuals."""
+
+    @staticmethod
+    def train(monkeypatch, variant, log):
+        D, pairs = micro_dataset(15, count=4)
+        params0 = make_params(6, hidden=4, b=0.8, mu=0.05, seed=15)
+        anderson = AndersonConfig(m=4, max_iters=40, tol=3e-5)
+        cfg = dq.DeqTrainConfig(
+            variant=variant, support_size=3, epochs=2, lr=1e-3, batch_size=2,
+            seed=0, val_fraction=0.0, log_path=str(log), anderson=anderson)
+        solves = {"forward": [], "adjoint": []}  # (config, report) a call
+        real_forward, real_backward = dq.deq_forward, dq.deq_backward
+
+        def forward(ctx, params, cfg, **kwargs):
+            report = real_forward(ctx, params, cfg, **kwargs)
+            solves["forward"].append((cfg, report))
+            return report
+
+        def backward(ctx, g_star, X, params, cfg, net):
+            grads, report = real_backward(ctx, g_star, X, params, cfg, net)
+            solves["adjoint"].append((cfg, report))
+            return grads, report
+
+        monkeypatch.setattr(dq, "deq_forward", forward)
+        monkeypatch.setattr(dq, "deq_backward", backward)
+        dq.deq_train(pairs, D, params0, cfg)
+        steps = [json.loads(line) for line in log.read_text().splitlines()]
+        return anderson, solves, steps
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_adjoint_gets_the_factor_times_the_forward_tol(
+            self, monkeypatch, variant, tmp_path):
+        anderson, solves, _ = self.train(monkeypatch, variant,
+                                         tmp_path / "log.jsonl")
+        assert len(solves["forward"]) == len(solves["adjoint"]) == 4 * 2
+        assert all(cfg is anderson for cfg, _ in solves["forward"])
+        want = replace(anderson, tol=dq.ADJOINT_TOL_FACTOR * anderson.tol)
+        assert want.tol > anderson.tol
+        assert all(cfg == want for cfg, _ in solves["adjoint"])
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_records_sum_each_solves_final_residual(
+            self, monkeypatch, variant, tmp_path):
+        _, solves, steps = self.train(monkeypatch, variant,
+                                      tmp_path / "log.jsonl")
+        last = {phase: [report.residuals[-1] for _, report in calls]
+                for phase, calls in solves.items()}
+        assert len(steps) == 4  # 2 blocks a step, none skipped
+        for i, rec in enumerate(steps):
+            for key, phase in (("fwd_residual", "forward"),
+                               ("adj_residual", "adjoint")):
+                pair = last[phase][2 * i:2 * i + 2]
+                assert rec[key] == 0 + pair[0] + pair[1]  # the Counter's sum
+        # the adjoint stopped below its own tol, not the forward's
+        assert all(0 < rec["adj_residual"] < 2 * dq.ADJOINT_TOL_FACTOR * 3e-5
+                   for rec in steps)
+
+    @pytest.mark.parametrize("variant", ["full", "fast"])
+    def test_gradient_at_the_training_tol_matches_a_tight_solve(self,
+                                                                variant):
+        """Measured on this block at factor 10: 1 - cosine 1.8e-9 (full)
+        and 1.7e-11 (fast), norm ratio - 1 -1.4e-5 and -5.4e-6; at factor
+        1e3 they read 8.8e-5 and 5.0e-8, -6.0e-3 and +2.8e-4."""
+        D, pairs = micro_dataset(2, count=1)
+        noisy, clean = pairs[0]
+        params = make_params(6, hidden=4, b=0.8, mu=0.05, seed=2)
+        support = (sv.select_support(noisy, D, 3) if variant == "fast"
+                   else None)
+        ctx = sv.make_context(D, params, noisy, support)
+        g_star = dq.deq_forward(ctx, params, TIGHT).solution
+        forward = AndersonConfig()  # DeqTrainConfig's default
+        train_tol = replace(forward, tol=dq.ADJOINT_TOL_FACTOR * forward.tol)
+
+        def flat_grads(cfg):
+            grads, _ = dq.deq_backward(ctx, g_star, clean, params, cfg)
+            return np.concatenate([np.ravel(grads[k]) for k in sorted(grads)])
+
+        got, want = flat_grads(train_tol), flat_grads(TIGHT)
+        norm_got, norm_want = np.linalg.norm(got), np.linalg.norm(want)
+        cosine = float(got @ want) / (norm_got * norm_want)
+        assert 1 - cosine < 1e-7
+        assert abs(norm_got / norm_want - 1) < 1e-4
+
+
 class TestTrainPrecisionSplit:
     """``deq_train`` runs each block's forward solve, its linearization at g*
     and its adjoint products on its optimizer step's float32 network, and
@@ -534,14 +621,16 @@ class TestTrainPrecisionSplit:
         assert {name for name, _ in bwd} == set(by_name)
         # one float32 linearization at g* per block and epoch (8), adjoint
         # products in float32, and one float64 parameter VJP: each layer's
-        # weight cotangent, then its input's transposed conv
+        # weight cotangent, then its input's transposed conv, but the first
+        # layer's, which only the unread code cotangent needs
         assert len(by_name["conv2d"]) == 4 * 8
         for name, dtype in (("conv2d", np.float32),
                             ("conv2d_transpose", np.float32)):
             assert all(d == {np.dtype(dtype)} for d in by_name[name]), name
-        assert seen["parameter VJP"] == [
-            ("conv2d_vjp", {np.dtype(np.float64)}),
-            ("conv2d_transpose", {np.dtype(np.float64)})] * (4 * 8)
+        vjp, transpose = (("conv2d_vjp", {np.dtype(np.float64)}),
+                          ("conv2d_transpose", {np.dtype(np.float64)}))
+        assert seen["parameter VJP"] == (
+            [vjp, transpose] * 3 + [vjp]) * 8
 
     @pytest.mark.parametrize("variant", ["full", "fast"])
     def test_matches_a_float64_forward(self, monkeypatch, variant, tmp_path):

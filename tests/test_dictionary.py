@@ -311,11 +311,12 @@ class TestBatchOmpMemory:
         finally:
             tracemalloc.stop()
         M, N = D.M, X.shape[1]
-        arrays = 8 * (M * N + M * N + M * M + N)  # DᵀY, codes, DᵀD, yᵀy
-        # the (CHUNK, M) |α| row buffer, then 20 KB for per-step gathers,
-        # numpy's iteration buffers and Python objects; an (M, N) |α|
-        # matrix, or argmax(axis=0) over an (M, CHUNK) one, exceeds it
-        allowance = 8 * CHUNK * M + 20_000
+        arrays = 8 * (M * N + M * M + N)  # codes, DᵀD, yᵀy; no whole DᵀY
+        # the chunk's (CHUNK, M) Dᵀy rows and |α| row buffer, then 20 KB for
+        # per-step gathers, numpy's iteration buffers and Python objects;
+        # an (M, N) DᵀY or |α| matrix, or argmax(axis=0) over an (M, CHUNK)
+        # one, exceeds it
+        allowance = 2 * 8 * CHUNK * M + 20_000
         assert arrays < peak <= arrays + allowance
 
 

@@ -72,7 +72,8 @@ class TestStubEngine:
     def counts(i):
         every = {"fwd_iters": 3 * i + 1, "bwd_iters": 7 * i,
                  "fwd_nonconverged": i % 2,
-                 "adj_nonconverged": int(i % 3 == 0)}
+                 "adj_nonconverged": int(i % 3 == 0),
+                 "fwd_residual": 1e-5 * (i + 1), "adj_residual": 0.3 ** i}
         # a pair that leaves out a field: it counts 0
         return {k: v for k, v in every.items()
                 if not (i == 4 and k == "bwd_iters")}

@@ -379,10 +379,11 @@ class TestDuTrainPrecisionSplit:
         # K = 3 map applications per block and epoch (8), 4 layers each,
         # but the first takes the step's N(0) and the last linearizes; the
         # backward re-linearizes the other K - 1 and sweeps all K in
-        # reverse, forming each layer's weight cotangent, then its input's
+        # reverse, forming each layer's weight cotangent, then its input's,
+        # but at G_0, whose code cotangent nobody reads, the first layer's
         assert [name for name, _ in fwd] == ["conv2d"] * (4 * 2 * 8)
         assert sorted(name for name, _ in bwd) == (
-            ["conv2d"] * (4 * 2 * 8) + ["conv2d_transpose"] * (4 * 3 * 8)
+            ["conv2d"] * (4 * 2 * 8) + ["conv2d_transpose"] * ((4 * 3 - 1) * 8)
             + ["conv2d_vjp"] * (4 * 3 * 8))
         assert all(dtypes == {np.dtype(np.float32)} for _, dtypes in fwd + bwd)
 

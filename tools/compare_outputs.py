@@ -19,7 +19,9 @@ validation split), ``skipped``, ``fwd_nonconverged`` and ``adj_nonconverged``
 (``<run>.history``), and each step's ``fwd_iters``, ``bwd_iters``,
 ``fwd_nonconverged``, ``adj_nonconverged`` and ``skipped`` as read from a
 temporary ``log_path`` JSONL (``<run>.iters``), so both levels of the
-training loop's count accumulator are compared; two ``ksvd`` sweeps on the
+training loop's count accumulator are compared, and its summed final
+``fwd_residual`` and ``adj_residual`` (``<run>.residuals``, 0 for the runs
+that solve no fixed point); two ``ksvd`` sweeps on the
 1600 spectra of that cube; ``batch_omp`` codes of those spectra at s = 3 and
 s = 1 (``batch_omp.s3``, ``batch_omp.s1``) on 64 normalized spectra drawn as
 ``ksvd`` draws its initial atoms, where later picks land on rounding noise,
@@ -108,23 +110,23 @@ def dump(path):
         cfg = deq.DeqTrainConfig(variant=variant, anderson=train_anderson,
                                  support_size=5, epochs=1, lr=1e-3,
                                  batch_size=2, val_fraction=0.25)
-        (trained, history, _), out[f"deq_train.{variant}.iters"] = _logged(
-            cfg, deq.deq_train, pairs, D, params, cfg)
+        trained, history, _ = _logged(out, f"deq_train.{variant}", cfg,
+                                      deq.deq_train, pairs, D, params, cfg)
         for k, v in trained.as_dict().items():
             out[f"deq_train.{variant}.{k}"] = v
         out[f"deq_train.{variant}.history"] = _history(history)
         cfg = unroll.DuTrainConfig(
             unroll=unroll.UnrollConfig(K=3, variant=variant), support_size=5,
             epochs=1, lr=1e-3, batch_size=2, val_fraction=0.25)
-        (trained, history, _), out[f"du_train.{variant}.iters"] = _logged(
-            cfg, unroll.du_train, pairs, D, params, cfg)
+        trained, history, _ = _logged(out, f"du_train.{variant}", cfg,
+                                      unroll.du_train, pairs, D, params, cfg)
         for k, v in trained.as_dict().items():
             out[f"du_train.{variant}.{k}"] = v
         out[f"du_train.{variant}.history"] = _history(history)
     cfg = training.PretrainConfig(epochs=3, lr=1e-3, batch_size=2, hidden=16,
                                   val_fraction=0.0)
-    (den, history), out["pretrain.iters"] = _logged(cfg, training.pretrain,
-                                                    pairs, cfg)
+    den, history = _logged(out, "pretrain", cfg, training.pretrain, pairs,
+                           cfg)
     for i, (w, b) in enumerate(zip(den.weights, den.biases), start=1):
         out[f"pretrain.layer{i}.weight"] = w
         out[f"pretrain.layer{i}.bias"] = b
@@ -144,18 +146,24 @@ def dump(path):
 
 STEP_COUNTS = ("fwd_iters", "bwd_iters", "fwd_nonconverged",
                "adj_nonconverged", "skipped")
+STEP_RESIDUALS = ("fwd_residual", "adj_residual")
 
 
-def _logged(cfg, train, *args):
-    """Run ``train(*args)`` with ``cfg.log_path`` a temporary JSONL file;
-    returns (its result, an int array of each step's ``STEP_COUNTS``)."""
+def _logged(out, run, cfg, train, *args):
+    """Run ``train(*args)`` with ``cfg.log_path`` a temporary JSONL file and
+    return its result; each step's ``STEP_COUNTS`` go to ``out`` as the int
+    array ``<run>.iters``, its ``STEP_RESIDUALS`` as ``<run>.residuals``."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg.log_path = str(Path(tmp) / "train.jsonl")
         result = train(*args)
         steps = [json.loads(line) for line in
                  Path(cfg.log_path).read_text(encoding="utf-8").splitlines()]
-    return result, np.array([[r[k] for k in STEP_COUNTS] for r in steps],
-                            dtype=np.int64).reshape(-1, len(STEP_COUNTS))
+    for suffix, fields, dtype in (("iters", STEP_COUNTS, np.int64),
+                                  ("residuals", STEP_RESIDUALS, np.float64)):
+        out[f"{run}.{suffix}"] = np.array(
+            [[r[k] for k in fields] for r in steps],
+            dtype=dtype).reshape(-1, len(fields))
+    return result
 
 
 HISTORY_COLUMNS = ("loss", "val_psnr", "skipped", "fwd_nonconverged",
